@@ -2,7 +2,7 @@
 
 Workflow: evolve a product state with TEBD on matrix product states, optimize
 a Trotter-structured brickwork circuit against the evolved MPS through
-truncated local overlap costs with exact parameter-shift gradients, then
+truncated local overlap costs with parameter-shift gradients, then
 append further Trotter steps to the optimized circuit.
 """
 from .ansatz import (

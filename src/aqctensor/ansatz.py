@@ -138,30 +138,14 @@ def block_unitary(theta: np.ndarray, reverse: bool = False) -> np.ndarray:
     return np.kron(lc, lt) @ CX_FORWARD
 
 
-def _block_dmatrix(theta: np.ndarray, reverse: bool, k: int) -> np.ndarray:
-    """Derivative of block_unitary with respect to its k-th angle."""
-    t1, t2, t3, t4 = theta
-    dgen = [(-0.5j * Y) @ ry(t1) @ rz(t2), ry(t1) @ (-0.5j * Z) @ rz(t2),
-            (-0.5j * Y) @ ry(t3) @ rz(t4), ry(t3) @ (-0.5j * Z) @ rz(t4)]
-    lc = dgen[k] if k < 2 else ry(t1) @ rz(t2)
-    lt = dgen[k] if k >= 2 else ry(t3) @ rz(t4)
-    if reverse:
-        return np.kron(lt, lc) @ CX_REVERSED
-    return np.kron(lc, lt) @ CX_FORWARD
-
-
 def initial_rotation(angles: np.ndarray) -> np.ndarray:
     """Rz(a) Ry(b) Rz(c) on one qubit (rightmost factor acts first)."""
     a, b, c = angles
     return rz(a) @ ry(b) @ rz(c)
 
 
-def _initial_rotation_dmatrix(angles: np.ndarray, k: int) -> np.ndarray:
-    a, b, c = angles
-    mats = [rz(a), ry(b), rz(c)]
-    gens = [-0.5j * Z, -0.5j * Y, -0.5j * Z]
-    mats[k] = gens[k] @ mats[k]
-    return mats[0] @ mats[1] @ mats[2]
+_DY = -0.5j * Y
+_DZ = -0.5j * Z
 
 
 @dataclass(frozen=True)
@@ -175,15 +159,28 @@ class AnsatzOp:
     angles: tuple[float, ...]
     reverse: bool = False
 
-    def dmatrix(self, k: int) -> np.ndarray:
-        """Derivative of matrix with respect to the k-th local angle."""
+    def dmatrices(self) -> np.ndarray:
+        """Derivatives of matrix with respect to each local angle, stacked (P, d, d).
+
+        Every angle drives one rotation exp(-i t G / 2), so its derivative puts
+        -i G / 2 next to that rotation; each rotation is built once.
+        """
         if self.kind == "init":
-            return _initial_rotation_dmatrix(np.asarray(self.angles), k)
+            a, b, c = self.angles
+            za, yb, zc = rz(a), ry(b), rz(c)
+            return np.stack([_DZ @ za @ yb @ zc, za @ _DY @ yb @ zc, za @ yb @ _DZ @ zc])
         if self.kind == "block":
-            return _block_dmatrix(np.asarray(self.angles), self.reverse, k)
-        if self.kind == "field" and self.param_indices:
-            return (-0.5j * Z) @ rz(self.angles[0])
-        raise ValueError("field rotations are fixed")
+            t1, t2, t3, t4 = self.angles
+            y1, z2, y3, z4 = ry(t1), rz(t2), ry(t3), rz(t4)
+            lc, lt = y1 @ z2, y3 @ z4
+            control = np.stack([_DY @ lc, y1 @ _DZ @ z2, lc, lc])
+            target = np.stack([lt, lt, _DY @ lt, y3 @ _DZ @ z4])
+            left, right = (target, control) if self.reverse else (control, target)
+            krons = np.einsum("kac,kbd->kabcd", left, right).reshape(4, 4, 4)
+            return krons @ (CX_REVERSED if self.reverse else CX_FORWARD)
+        if self.param_indices:
+            return np.stack([_DZ @ self.matrix])
+        return np.empty((0, 2, 2), dtype=complex)
 
 
 def ansatz_ops(a: Ansatz, theta: np.ndarray) -> list[AnsatzOp]:

@@ -1,7 +1,8 @@
 """Command-line front end: evolve | compile | run | sweep | verify | export-circuit.
 
 Data goes to files under --out; logs and per-stage telemetry go to stderr.
-Exit codes: 0 success, 2 usage or config error, 3 runtime failure,
+Exit codes: 0 success, 2 usage or config error (bad flags, config file or
+values, unreadable input report), 3 runtime failure (any other exception),
 4 verification failure.
 """
 from __future__ import annotations
@@ -66,14 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args: argparse.Namespace):
-    from .pipeline import RunConfig
+    """The run config from --config and the flags; bad input raises ConfigError."""
+    from .pipeline import RunConfig, read_config_file
 
-    raw = {}
-    if args.config:
-        import yaml
-
-        with open(args.config) as fh:
-            raw = yaml.safe_load(fh) or {}
+    raw = read_config_file(args.config) if args.config else {}
     overrides = {
         "preset": args.preset,
         "n": args.n,
@@ -209,14 +206,18 @@ def cmd_export_circuit(args) -> int:
     from .ansatz import build_brickwork_ansatz, export_circuit_records
     from .gates import write_gate_list
     from .hamiltonian import schedule_gate_records
-    from .pipeline import RunConfig, resolve_hamiltonian
+    from .pipeline import ConfigError, RunConfig, resolve_hamiltonian
 
-    with open(args.report) as fh:
-        report = json.load(fh)
+    try:
+        with open(args.report) as fh:
+            report = json.load(fh)
+        raw_config = report["config"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot read report {args.report}: {exc!r}") from exc
     if not report.get("theta_opt"):
         print("error: report carries no optimized parameters", file=sys.stderr)
         return EXIT_USAGE
-    cfg = RunConfig.from_dict(report["config"])
+    cfg = RunConfig.from_dict(raw_config)
     out = _out_dir(args.out or cfg.out_dir)
     ham = resolve_hamiltonian(cfg)
     ansatz = build_brickwork_ansatz(cfg.n, cfg.layers, ham, cfg.dt,
@@ -305,9 +306,11 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .pipeline import ConfigError
+
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - CLI boundary

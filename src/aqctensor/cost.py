@@ -1,4 +1,4 @@
-"""Hilbert-Schmidt state-overlap costs over MPS amplitudes, and exact gradients.
+"""Hilbert-Schmidt state-overlap costs over MPS amplitudes, and their gradients.
 
 The global cost is 1 - |<0|V^dag(theta)|psi_t>|^2. The truncated local cost
 subtracts alpha_m-weighted sums of |<0| X_{j1}..X_{jm} V^dag |psi_t>|^2 over
@@ -8,12 +8,17 @@ the whole cost.
 
 Gradients use the parameter-shift rule: every trainable angle sits in a
 rotation with generator eigenvalues +-1/2, so dC/dtheta_j equals
-(C(theta_j + pi/2) - C(theta_j - pi/2)) / 2 exactly, term by term for each
+(C(theta_j + pi/2) - C(theta_j - pi/2)) / 2, term by term for each
 modulus-squared amplitude. Two evaluation strategies are provided:
 "reevaluation" literally runs the 2P shifted cost evaluations, while the
-default "environments" strategy computes the same values from cached bra/ket
-environments in a single pair of circuit sweeps (identical in exact
-arithmetic, and cheaper by a factor ~P).
+default "environments" strategy evaluates each derivative as one overlap
+<W_m| dO_m^dag |prefix_m>. One gradient costs a backward (adjoint) sweep with
+checkpoints, a rebuild of each checkpoint segment and a forward sweep of the
+weighted bra state, plus O(chi^3) amortized window work per parametrized op,
+because the overlap environments are reused while the tensors they absorbed
+are unchanged. The two strategies agree exactly only when no sweep truncates;
+under a binding bond cap each sweep truncates differently, and neither is the
+derivative of the untruncated cost.
 """
 from __future__ import annotations
 
@@ -152,11 +157,13 @@ def gradient(
     cfg: CostConfig,
     method: str = "environments",
 ) -> np.ndarray:
-    """Exact parameter-shift gradient of the truncated local cost.
+    """Parameter-shift gradient of the truncated local cost.
 
     Both methods return (C(theta_j + pi/2) - C(theta_j - pi/2)) / 2 for every
-    trainable angle; "environments" computes the identical values from one
-    adjoint sweep plus one forward sweep instead of 2P cost evaluations.
+    trainable angle; "environments" computes the same values from a
+    checkpointed adjoint sweep, the checkpoint-segment rebuild and a forward
+    bra sweep instead of 2P cost evaluations. The values are exact when no
+    sweep truncates (policy chi_max and cutoff never bind).
     """
     if method == "environments":
         return _gradient_environments(a, theta, target, cfg)[0]
@@ -264,34 +271,61 @@ def _env_step_right(env: np.ndarray, tb: np.ndarray, tk: np.ndarray) -> np.ndarr
     return np.tensordot(tmp, tk, axes=([1, 2], [1, 2]))  # (p, q)
 
 
-def _overlap_environments(bra: MPS, ket: MPS, lo: int, hi: int):
-    """Left env up to site lo and right env down to site hi (exclusive window)."""
-    left = np.ones((1, 1), dtype=complex)
-    for s in range(lo):
-        left = _env_step_left(left, bra.tensors[s], ket.tensors[s])
-    right = np.ones((1, 1), dtype=complex)
-    for s in range(bra.n - 1, hi, -1):
-        right = _env_step_right(right, bra.tensors[s], ket.tensors[s])
-    return left, right
+class _OverlapEnvironments:
+    """Left and right environments of <bra|ket>, reused while tensors are unchanged.
+
+    left[s] contracts the first s sites and right[r] the last r sites. Each
+    absorbed site keeps the (bra, ket) tensor objects it was built from. MPS
+    operations never mutate a tensor and share the ones they leave untouched,
+    so an environment stays valid exactly as long as every tensor it absorbed
+    is still in place. Holding the objects, not their ids, rules out id reuse.
+    """
+
+    def __init__(self) -> None:
+        self._left = [np.ones((1, 1), dtype=complex)]
+        self._left_keys: list[tuple[np.ndarray, np.ndarray]] = []
+        self._right = [np.ones((1, 1), dtype=complex)]
+        self._right_keys: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def left(self, bra: MPS, ket: MPS, site: int) -> np.ndarray:
+        """Environment of sites < site, indexed (bra bond, ket bond)."""
+        return _reuse_or_extend(self._left, self._left_keys, _env_step_left,
+                                bra.tensors, ket.tensors, site)
+
+    def right(self, bra: MPS, ket: MPS, site: int) -> np.ndarray:
+        """Environment of sites > site, indexed (bra bond, ket bond)."""
+        return _reuse_or_extend(self._right, self._right_keys, _env_step_right,
+                                bra.tensors[::-1], ket.tensors[::-1], bra.n - 1 - site)
 
 
-def _window_value(bra: MPS, ket: MPS, op_sites: tuple[int, ...], mat: np.ndarray,
-                  left: np.ndarray, right: np.ndarray) -> complex:
-    """<bra| mat_on_sites |ket> given the outside environments."""
-    if len(op_sites) == 1:
-        (i,) = op_sites
-        t1 = np.tensordot(left, bra.tensors[i].conj(), axes=([0], [0]))  # (b, s, c)
-        t2 = np.tensordot(t1, mat, axes=([1], [0]))  # (b, c, t)
-        t3 = np.tensordot(t2, ket.tensors[i], axes=([0, 2], [0, 1]))  # (c, d)
-        return complex(np.sum(t3 * right))
-    i = op_sites[0]
-    tb = np.tensordot(bra.tensors[i], bra.tensors[i + 1], axes=([2], [0]))  # (a,s,t,c)
-    tk = np.tensordot(ket.tensors[i], ket.tensors[i + 1], axes=([2], [0]))  # (b,u,v,d)
-    m4 = mat.reshape(2, 2, 2, 2)
-    t1 = np.tensordot(left, tb.conj(), axes=([0], [0]))  # (b, s, t, c)
-    t2 = np.tensordot(t1, m4, axes=([1, 2], [0, 1]))  # (b, c, u, v)
-    t3 = np.tensordot(t2, tk, axes=([0, 2, 3], [0, 1, 2]))  # (c, d)
-    return complex(np.sum(t3 * right))
+def _reuse_or_extend(envs, keys, step, bras, kets, count: int) -> np.ndarray:
+    """envs[count], recontracted from the first site whose tensors changed."""
+    s = 0
+    while s < count and s < len(keys) and keys[s][0] is bras[s] and keys[s][1] is kets[s]:
+        s += 1
+    if s < count:
+        del envs[s + 1:], keys[s:]
+        for r in range(s, count):
+            envs.append(step(envs[-1], bras[r], kets[r]))
+            keys.append((bras[r], kets[r]))
+    return envs[count]
+
+
+def _local_operator(left: np.ndarray, right: np.ndarray, bra: MPS, ket: MPS,
+                    sites: tuple[int, ...]) -> np.ndarray:
+    """E[s, t] = <bra| (|s><t| on sites) |ket> given the outside environments.
+
+    <bra| mat |ket> = sum(E * mat) for any operator mat on the sites.
+    """
+    i = sites[0]
+    x = np.tensordot(left, bra.tensors[i].conj(), axes=([0], [0]))  # (b, s, c)
+    x = np.tensordot(x, ket.tensors[i], axes=([0], [0]))  # (s, c, t, d)
+    if len(sites) == 1:
+        return np.tensordot(x, right, axes=([1, 3], [0, 1]))  # (s, t)
+    y = np.tensordot(bra.tensors[i + 1].conj(), right, axes=([2], [0]))  # (c, s, e)
+    y = np.tensordot(y, ket.tensors[i + 1], axes=([2], [2]))  # (c, s, d, t)
+    e = np.tensordot(x, y, axes=([1, 3], [0, 2]))  # (s1, t1, s2, t2)
+    return e.transpose(0, 2, 1, 3).reshape(4, 4)
 
 
 # --- gradient-variance probe -------------------------------------------------
@@ -365,6 +399,8 @@ def _gradient_environments(
     dC/dtheta_j = -2 Re <W_m| dO_m^dag/dtheta_j |prefix_m> where prefix_m is
     the target propagated through the adjoint gates after op m and W_m is the
     amplitude-weighted flip-string state propagated through ops 1..m-1.
+    Each window contracts into one local operator E, and every angle of the
+    op is then the O(d^2) product of E with that angle's derivative matrix.
     Returns the gradient together with the cost value, which falls out of the
     same adjoint sweep.
     """
@@ -383,6 +419,7 @@ def _gradient_environments(
     phi = mpslib.normalize(state)
     grad = np.zeros(theta.size)
     bra = _weighted_bra_state(phi, cfg.k, cfg.alphas)
+    envs = _OverlapEnvironments()
 
     segment: dict[int, MPS] = {}
     for m in range(1, m_total + 1):
@@ -397,11 +434,11 @@ def _gradient_environments(
                     seg_state = _apply_op_raw(seg_state, adj[m_total - mm], policy)
                     segment[mm - 1] = seg_state
             prefix = segment[m] if m in segment else checkpoints[m]
-            lo, hi_site = op.sites[0], op.sites[-1]
-            left, right = _overlap_environments(bra, prefix, lo, hi_site)
-            for k_local, j in enumerate(op.param_indices):
-                dmat = op.dmatrix(k_local).conj().T
-                val = _window_value(bra, prefix, op.sites, dmat, left, right)
-                grad[j] = -2.0 * val.real
+            left = envs.left(bra, prefix, op.sites[0])
+            right = envs.right(bra, prefix, op.sites[-1])
+            e = _local_operator(left, right, bra, prefix, op.sites)
+            # <W| dM^dag |prefix> = sum_{s,t} E[s, t] conj(dM[t, s])
+            vals = np.tensordot(op.dmatrices().conj(), e, axes=([1, 2], [1, 0]))
+            grad[list(op.param_indices)] = -2.0 * vals.real
         bra = _apply_op_raw(bra, op, policy)
     return grad, _evaluate(phi, cfg.k, cfg.alphas)

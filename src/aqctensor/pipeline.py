@@ -16,6 +16,7 @@ it under the terminal (alpha = 0) objective.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -40,6 +41,27 @@ from .mps import MPS, TruncationPolicy, fidelity, from_product_state, max_bond
 from .optimize import OptimizationTrace, OptimizerConfig, minimize
 
 PRESETS = ("random-xyz", "xxx", "xxz")
+
+
+class ConfigError(ValueError):
+    """Bad user input, caught before any work starts: a config value or input file."""
+
+
+#: annotation term -> accepted types; bool is an int subclass and is kept apart
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str,
+                "dict": dict, "list": list, "list[float]": list, "None": type(None)}
+
+
+def _check_field_types(cfg) -> None:
+    for f in cfg.__dataclass_fields__.values():
+        value = getattr(cfg, f.name)
+        allowed = f.type.split(" | ")
+        if isinstance(value, bool):
+            ok = "bool" in allowed
+        else:
+            ok = any(isinstance(value, _FIELD_TYPES[a]) for a in allowed)
+        if not ok:
+            raise ConfigError(f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
 
 
 @dataclass
@@ -73,16 +95,17 @@ class RunConfig:
     t_grid: list[float] | None = None  # sweep drivers only
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if self.t <= 0:
-            raise ValueError("t must be positive")
+            raise ConfigError("t must be positive")
         if self.layers < 1:
-            raise ValueError("layers must be >= 1")
+            raise ConfigError("layers must be >= 1")
         if self.append_steps < 0:
-            raise ValueError("append_steps must be >= 0")
+            raise ConfigError("append_steps must be >= 0")
         if self.preset is not None and self.preset not in PRESETS:
-            raise ValueError(f"unknown preset {self.preset!r}; choose from {PRESETS}")
+            raise ConfigError(f"unknown preset {self.preset!r}; choose from {PRESETS}")
         if self.preset is None and self.hamiltonian is None:
-            raise ValueError("either preset or an explicit hamiltonian is required")
+            raise ConfigError("either preset or an explicit hamiltonian is required")
 
     @property
     def dt(self) -> float:
@@ -90,27 +113,36 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        with open(path) as fh:
-            raw = yaml.safe_load(fh) or {}
-        return cls.from_dict(raw)
+        return cls.from_dict(read_config_file(path))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a mapping, got {type(raw).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**raw)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
+def read_config_file(path: str) -> dict:
+    """Raw key/value mapping of a YAML config file."""
+    try:
+        with open(path) as fh:
+            return yaml.safe_load(fh) or {}
+    except (OSError, yaml.YAMLError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+
 def resolve_hamiltonian(cfg: RunConfig) -> XYZHamiltonian:
     if cfg.hamiltonian is not None:
         ham = XYZHamiltonian.from_dict(cfg.hamiltonian)
         if ham.n != cfg.n:
-            raise ValueError("explicit Hamiltonian size disagrees with n")
+            raise ConfigError("explicit Hamiltonian size disagrees with n")
         return ham
     if cfg.preset == "xxx":
         return XYZHamiltonian.uniform(cfg.n, 0.75, 0.75, 0.75)
@@ -124,7 +156,7 @@ def resolve_initial_bits(cfg: RunConfig) -> str:
         return ("10" * cfg.n)[: cfg.n]
     bits = cfg.initial_state
     if len(bits) != cfg.n or any(ch not in "01" for ch in bits):
-        raise ValueError("initial_state must be 'neel' or a 0/1 string of length n")
+        raise ConfigError("initial_state must be 'neel' or a 0/1 string of length n")
     return bits
 
 
@@ -145,7 +177,7 @@ def resolve_alpha_schedule(cfg: RunConfig) -> tuple[tuple[float, tuple[float, ..
     for frac, alphas in cfg.alpha_schedule:
         phases.append((float(frac), tuple(float(a) for a in alphas)))
     if not phases or abs(sum(f for f, _ in phases) - 1.0) > 1e-9:
-        raise ValueError("alpha schedule fractions must sum to 1")
+        raise ConfigError("alpha schedule fractions must sum to 1")
     return tuple(phases)
 
 
@@ -331,7 +363,8 @@ def _optimize_phases(
     best_idx = int(np.argmin(terminal_values))
     info = {
         "phases": [{"fraction": f, "alphas": list(a)} for f, a in phases],
-        "iterations": len(full_trace.records) - len(phases),
+        # every phase that ran put one start record before its iterations
+        "iterations": len(full_trace.records) - (len(candidates) - 1),
         "stop_reason": full_trace.stop_reason,
         "terminal_cost_theta0": terminal_values[0],
         "terminal_cost_final": terminal_values[best_idx],

@@ -101,6 +101,29 @@ class TestBlockUnitary:
             np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
 
 
+class TestDerivativeMatrices:
+    @pytest.mark.parametrize("trainable_fields", [False, True])
+    def test_each_derivative_is_its_shift_difference(self, trainable_fields):
+        # every angle drives one rotation exp(-i t G / 2) with G^2 = 1, and M
+        # is linear in it, so dM/dt = (M(t + pi) - M(t - pi)) / 4 holds exactly
+        ham = random_xyz(3, 0.375, 1.125, seed=8)
+        a = build_brickwork_ansatz(3, 1, ham, 0.2, trainable_fields=trainable_fields)
+        theta = np.random.default_rng(9).uniform(-np.pi, np.pi, a.num_params)
+        checked = set()
+        for pos, op in enumerate(ansatz_ops(a, theta)):
+            dms = op.dmatrices()
+            assert dms.shape == (len(op.param_indices),) + op.matrix.shape
+            for dm, j in zip(dms, op.param_indices):
+                shifted = []
+                for sign in (1, -1):
+                    t = theta.copy()
+                    t[j] += sign * np.pi
+                    shifted.append(ansatz_ops(a, t)[pos].matrix)
+                np.testing.assert_allclose(dm, (shifted[0] - shifted[1]) / 4, atol=1e-14)
+                checked.add(j)
+        assert checked == set(range(a.num_params))
+
+
 class TestTripletSolve:
     def test_zero_couplings_give_identity_up_to_phase(self):
         angles = solve_triplet_angles(0.0, 0.0, 0.0, 0.1)

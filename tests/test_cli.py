@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from aqctensor.cli import EXIT_OK, EXIT_USAGE, main
+from aqctensor.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 
 def run_cli(*argv):
@@ -54,6 +54,14 @@ class TestRun:
         cfg_path.write_text("bogus_key: 1\n")
         assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path)) == EXIT_USAGE
 
+    def test_mistyped_config_value_is_usage_error(self, tmp_path):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text('n: "8"\npreset: xxx\n')
+        assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path)) == EXIT_USAGE
+
+    def test_missing_config_file_is_usage_error(self, tmp_path):
+        assert run_cli("run", "--config", str(tmp_path / "absent.yaml")) == EXIT_USAGE
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
             run_cli("run", "--frobnicate")
@@ -61,6 +69,11 @@ class TestRun:
 
 
 class TestEvolve:
+    def test_bad_initial_state_is_usage_error(self, tmp_path):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text('preset: xxx\nn: 4\ninitial_state: "01x1"\n')
+        assert run_cli("evolve", "--config", str(cfg_path), "--out", str(tmp_path)) == EXIT_USAGE
+
     def test_writes_state_and_summary(self, tmp_path):
         out = tmp_path / "evolve"
         code = run_cli("evolve", "--preset", "xxx", "--n", "6", "--layers", "4",
@@ -92,6 +105,18 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 6  # header + default 5-point grid
         assert lines[0].startswith("t,depth_ansatz,depth_trotter")
+
+    def test_runtime_value_error_is_runtime_failure(self, tmp_path, monkeypatch):
+        # the config is valid; a ValueError raised while running is not a config error
+        from aqctensor import pipeline
+
+        def broken_run(cfg, raise_on_error=False):
+            raise ValueError("numerical fault")
+
+        monkeypatch.setattr(pipeline, "run_aqctensor", broken_run)
+        code = run_cli("sweep", "--preset", "xxx", "--n", "4", "--layers", "1",
+                       "--time", "0.8", "--out", str(tmp_path / "sweep"))
+        assert code == EXIT_RUNTIME
 
 
 class TestExportCircuit:

@@ -5,6 +5,7 @@ import pytest
 from aqctensor.hamiltonian import XYZHamiltonian
 from aqctensor.mps import TruncationPolicy, from_product_state
 from aqctensor.pipeline import (
+    ConfigError,
     RunConfig,
     experiment_equal_depth,
     experiment_half_depth,
@@ -41,6 +42,20 @@ class TestConfig:
             tiny_config(preset="bogus")
         with pytest.raises(ValueError):
             tiny_config(preset=None)
+
+    def test_field_types(self):
+        with pytest.raises(ConfigError):
+            tiny_config(n="8")
+        with pytest.raises(ConfigError):
+            tiny_config(layers=True)
+        with pytest.raises(ConfigError):
+            tiny_config(max_iter=3.0)
+        with pytest.raises(ConfigError):
+            tiny_config(chi_max="64")
+        with pytest.raises(ConfigError):
+            tiny_config(cutoff=False)
+        cfg = tiny_config(t=2, chi_max=None, append_dt=1, cutoff=0)
+        assert cfg.dt == 1.0 and cfg.chi_max is None
 
     def test_file_round_trip(self, tmp_path):
         import yaml
@@ -139,6 +154,13 @@ class TestRun:
         assert report.status == "failed"
         assert report.failed_stage == "setup"
         assert "initial_state" in report.error
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_iteration_count_matches_budget(self, max_iter):
+        # max_iter=1 runs only the first of the two default phases
+        report, _ = run_aqctensor(tiny_config(max_iter=max_iter), raise_on_error=True)
+        assert report.optimization["stop_reason"] == "max_iter"
+        assert report.optimization["iterations"] == max_iter
 
     def test_guaranteed_improvement_floor(self):
         # even with a tiny budget the returned parameters are never worse
