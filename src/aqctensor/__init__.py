@@ -40,6 +40,7 @@ from .mps import (
     MPS,
     TruncationPolicy,
     amplitude,
+    apply_ops,
     apply_single_site_gate,
     apply_two_site_gate,
     canonicalize,

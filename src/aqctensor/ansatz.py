@@ -28,7 +28,7 @@ from .gates import (
     ry,
     rz,
 )
-from .hamiltonian import XYZHamiltonian, build_trotter_schedule, two_site_unitary
+from .hamiltonian import XYZHamiltonian, build_trotter_schedule, triplet_angles, two_site_unitary
 from .mps import MPS, TruncationPolicy
 
 
@@ -228,27 +228,18 @@ def adjoint_ops(ops: list[AnsatzOp]) -> list[AnsatzOp]:
     return out
 
 
-def _apply_ops(psi: MPS, ops: list[AnsatzOp], policy: TruncationPolicy) -> MPS:
-    for op in ops:
-        if len(op.sites) == 1:
-            psi = mpslib.apply_single_site_gate(psi, op.matrix, op.sites[0])
-        else:
-            psi = mpslib.apply_two_site_gate(psi, op.matrix, op.sites[0], policy)
-    return psi
-
-
 def apply_ansatz(a: Ansatz, theta: np.ndarray, psi_in: MPS, policy: TruncationPolicy) -> MPS:
     """V(theta) |psi_in>, normalized."""
     if psi_in.n != a.n:
         raise ValueError(f"state has {psi_in.n} sites, ansatz has {a.n}")
-    return mpslib.normalize(_apply_ops(psi_in, ansatz_ops(a, theta), policy))
+    return mpslib.normalize(mpslib.apply_ops(psi_in, ansatz_ops(a, theta), policy))
 
 
 def apply_ansatz_adjoint(a: Ansatz, theta: np.ndarray, target: MPS, policy: TruncationPolicy) -> MPS:
     """V(theta)^dagger |target>, normalized; cost terms are its amplitudes."""
     if target.n != a.n:
         raise ValueError(f"state has {target.n} sites, ansatz has {a.n}")
-    return mpslib.normalize(_apply_ops(target, adjoint_ops(ansatz_ops(a, theta)), policy))
+    return mpslib.normalize(mpslib.apply_ops(target, adjoint_ops(ansatz_ops(a, theta)), policy))
 
 
 def cnot_depth(a: Ansatz) -> int:
@@ -262,18 +253,14 @@ def cnot_depth(a: Ansatz) -> int:
 def solve_triplet_angles(alpha: float, beta: float, delta: float, dt: float) -> np.ndarray:
     """12 angles making a block triplet equal the two-site exponential, up to phase.
 
-    Closed form: with a = alpha dt, b = beta dt, c = delta dt and
-    theta = pi/2 - c/2, phi = a/2 - pi/2, lam = pi/2 - b/2, set
+    Closed form, with (theta, phi, lam) = triplet_angles(alpha, beta, delta, dt):
     block 1 (reversed): control Ry(phi) Rz(-pi/2);
     block 2 (normal):  control Rz(theta), target Ry(lam);
     block 3 (reversed): target Rz(pi/2).
     The assignment is verified against the dense exponential and polished by a
     deterministic least-squares solve if it ever drifts above 1e-10.
     """
-    a, b, c = alpha * dt, beta * dt, delta * dt
-    theta = np.pi / 2 - c / 2
-    phi = a / 2 - np.pi / 2
-    lam = np.pi / 2 - b / 2
+    theta, phi, lam = triplet_angles(alpha, beta, delta, dt)
     angles = np.array([phi, -np.pi / 2, 0, 0,
                        0, theta, lam, 0,
                        0, 0, 0, np.pi / 2])

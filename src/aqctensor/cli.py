@@ -67,8 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args: argparse.Namespace):
-    """The run config from --config and the flags; bad input raises ConfigError."""
-    from .pipeline import RunConfig, read_config_file
+    """The run config from --config and the flags; bad input raises ConfigError.
+
+    The values derived from it are resolved here too, so they fail before any work.
+    """
+    from .pipeline import (RunConfig, make_policies, read_config_file, resolve_alpha_schedule,
+                           resolve_hamiltonian, resolve_initial_bits)
 
     raw = read_config_file(args.config) if args.config else {}
     overrides = {
@@ -89,7 +93,10 @@ def load_config(args: argparse.Namespace):
         except json.JSONDecodeError:
             overrides["alpha_schedule"] = args.alpha_schedule
     raw.update({k: v for k, v in overrides.items() if v is not None})
-    return RunConfig.from_dict(raw)
+    cfg = RunConfig.from_dict(raw)
+    for resolve in (resolve_hamiltonian, resolve_initial_bits, resolve_alpha_schedule, make_policies):
+        resolve(cfg)
+    return cfg
 
 
 def _write_manifest(out: Path, artifacts: list[str]) -> None:
@@ -111,7 +118,7 @@ def cmd_evolve(args) -> int:
     cfg = load_config(args)
     out = _out_dir(cfg.out_dir)
     ham = resolve_hamiltonian(cfg)
-    policy, _, _ = make_policies(cfg)
+    policy, _ = make_policies(cfg)
     psi0 = from_product_state(resolve_initial_bits(cfg))
     t0 = time.perf_counter()
     stats: dict = {}
@@ -134,11 +141,25 @@ def cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-def _run_pipeline(args, append_allowed: bool) -> int:
+def _write_circuit(cfg, theta, out: Path) -> None:
+    """circuit.txt: the ansatz at theta, then the config's appended Trotter steps."""
     from .ansatz import build_brickwork_ansatz, export_circuit_records
     from .gates import write_gate_list
     from .hamiltonian import schedule_gate_records
-    from .pipeline import resolve_hamiltonian, run_aqctensor
+    from .pipeline import resolve_hamiltonian
+
+    ham = resolve_hamiltonian(cfg)
+    ansatz = build_brickwork_ansatz(cfg.n, cfg.layers, ham, cfg.dt,
+                                    trainable_fields=cfg.trainable_fields)
+    lines = export_circuit_records(ansatz, theta)
+    if cfg.append_steps > 0:
+        dt_app = cfg.append_dt if cfg.append_dt is not None else cfg.dt
+        lines += schedule_gate_records(ham, dt_app, cfg.append_steps)
+    write_gate_list(lines, str(out / "circuit.txt"))
+
+
+def _run_pipeline(args, append_allowed: bool) -> int:
+    from .pipeline import run_aqctensor
 
     cfg = load_config(args)
     if not append_allowed:
@@ -155,14 +176,7 @@ def _run_pipeline(args, append_allowed: bool) -> int:
     logger.info("max bond dimensions: %s", report.max_bond_dims)
     report.write(str(out / "report.json"))
     if report.status == "ok":
-        ham = resolve_hamiltonian(cfg)
-        ansatz = build_brickwork_ansatz(cfg.n, cfg.layers, ham, cfg.dt,
-                                        trainable_fields=cfg.trainable_fields)
-        lines = export_circuit_records(ansatz, np.array(report.theta_opt))
-        if cfg.append_steps > 0:
-            dt_app = cfg.append_dt if cfg.append_dt is not None else cfg.dt
-            lines += schedule_gate_records(ham, dt_app, cfg.append_steps)
-        write_gate_list(lines, str(out / "circuit.txt"))
+        _write_circuit(cfg, report.theta_opt, out)
         artifacts.append("circuit.txt")
     _write_manifest(out, artifacts)
     if report.status != "ok":
@@ -203,10 +217,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_circuit(args) -> int:
-    from .ansatz import build_brickwork_ansatz, export_circuit_records
-    from .gates import write_gate_list
-    from .hamiltonian import schedule_gate_records
-    from .pipeline import ConfigError, RunConfig, resolve_hamiltonian
+    from .pipeline import ConfigError, RunConfig
 
     try:
         with open(args.report) as fh:
@@ -219,14 +230,7 @@ def cmd_export_circuit(args) -> int:
         return EXIT_USAGE
     cfg = RunConfig.from_dict(raw_config)
     out = _out_dir(args.out or cfg.out_dir)
-    ham = resolve_hamiltonian(cfg)
-    ansatz = build_brickwork_ansatz(cfg.n, cfg.layers, ham, cfg.dt,
-                                    trainable_fields=cfg.trainable_fields)
-    lines = export_circuit_records(ansatz, np.array(report["theta_opt"]))
-    if cfg.append_steps > 0:
-        dt_app = cfg.append_dt if cfg.append_dt is not None else cfg.dt
-        lines += schedule_gate_records(ham, dt_app, cfg.append_steps)
-    write_gate_list(lines, str(out / "circuit.txt"))
+    _write_circuit(cfg, report["theta_opt"], out)
     _write_manifest(out, ["circuit.txt"])
     return EXIT_OK
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mps as mpslib
-from .ansatz import Ansatz, AnsatzOp, adjoint_ops, ansatz_ops, apply_ansatz_adjoint
+from .ansatz import Ansatz, adjoint_ops, ansatz_ops, apply_ansatz_adjoint
 from .mps import MPS, TruncationPolicy
 
 _BRUTE_FORCE_LIMIT = 14
@@ -44,15 +44,12 @@ def default_alpha_schedule(n: int) -> tuple[tuple[float, tuple[float, ...]], ...
 class CostConfig:
     """Truncation order, weights, and the policy used inside evaluation.
 
-    alphas has length k (weights of the order-1..k flip terms). schedule is a
-    phase plan ((budget fraction, alphas), ...) consumed by the pipeline; only
-    k/alphas/policy matter for a single evaluation.
+    alphas has length k (weights of the order-1..k flip terms).
     """
 
     k: int = 1
     alphas: tuple[float, ...] = ()
     policy: TruncationPolicy = field(default_factory=TruncationPolicy)
-    schedule: tuple[tuple[float, tuple[float, ...]], ...] | None = None
 
     def __post_init__(self) -> None:
         if self.k < 0:
@@ -255,12 +252,6 @@ def _weighted_bra_state(phi: MPS, k: int, alphas: tuple[float, ...]) -> MPS:
     return statevector_to_mps(vec)
 
 
-def _apply_op_raw(psi: MPS, op: AnsatzOp, policy: TruncationPolicy) -> MPS:
-    if len(op.sites) == 1:
-        return mpslib.apply_single_site_gate(psi, op.matrix, op.sites[0])
-    return mpslib.apply_two_site_gate(psi, op.matrix, op.sites[0], policy)
-
-
 def _env_step_left(env: np.ndarray, tb: np.ndarray, tk: np.ndarray) -> np.ndarray:
     tmp = np.tensordot(env, tb.conj(), axes=([0], [0]))  # (q, s, a)
     return np.tensordot(tmp, tk, axes=([0, 1], [0, 1]))  # (a, b)
@@ -413,7 +404,7 @@ def _gradient_environments(
     checkpoints: dict[int, MPS] = {m_total: target}
     state = target
     for m in range(m_total, 0, -1):
-        state = _apply_op_raw(state, adj[m_total - m], policy)
+        state = mpslib.apply_ops(state, (adj[m_total - m],), policy)
         if (m - 1) % _CHECKPOINT_STRIDE == 0:
             checkpoints[m - 1] = state
     phi = mpslib.normalize(state)
@@ -431,7 +422,7 @@ def _gradient_environments(
                 seg_state = checkpoints[hi]
                 segment = {hi: seg_state}
                 for mm in range(hi, m - 1, -1):
-                    seg_state = _apply_op_raw(seg_state, adj[m_total - mm], policy)
+                    seg_state = mpslib.apply_ops(seg_state, (adj[m_total - mm],), policy)
                     segment[mm - 1] = seg_state
             prefix = segment[m] if m in segment else checkpoints[m]
             left = envs.left(bra, prefix, op.sites[0])
@@ -440,5 +431,5 @@ def _gradient_environments(
             # <W| dM^dag |prefix> = sum_{s,t} E[s, t] conj(dM[t, s])
             vals = np.tensordot(op.dmatrices().conj(), e, axes=([1, 2], [1, 0]))
             grad[list(op.param_indices)] = -2.0 * vals.real
-        bra = _apply_op_raw(bra, op, policy)
+        bra = mpslib.apply_ops(bra, (op,), policy)
     return grad, _evaluate(phi, cfg.k, cfg.alphas)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import mps as mpslib
-from .gates import SX, SY, SZ, CircuitOp, cnot_depth_from_pairs, format_gate_line
+from .gates import SX, SY, SZ, CircuitOp, cnot_depth_from_pairs, format_gate_line, rz
 from .mps import MPS, TruncationPolicy
 
 _XX = np.kron(2 * SX, 2 * SX)
@@ -101,8 +101,7 @@ def two_site_unitary(alpha: float, beta: float, delta: float, dt: float) -> np.n
 
 def field_rotation(h: float, dt: float, half: bool = True) -> np.ndarray:
     """exp(-i h Sz dt / 2) when half, else exp(-i h Sz dt)."""
-    phi = h * dt * (0.5 if half else 1.0)
-    return np.array([[np.exp(-0.5j * phi), 0], [0, np.exp(0.5j * phi)]])
+    return rz(h * dt * (0.5 if half else 1.0))
 
 
 @dataclass(frozen=True)
@@ -173,16 +172,6 @@ def build_trotter_schedule(ham: XYZHamiltonian, dt: float, steps: int) -> GateSc
     return GateSchedule(ham.n, dt, steps, tuple(cols))
 
 
-def apply_schedule(psi: MPS, schedule: GateSchedule, policy: TruncationPolicy) -> MPS:
-    """Run every schedule gate through the MPS, in order."""
-    for gate in schedule.flat_gates():
-        if len(gate.sites) == 1:
-            psi = mpslib.apply_single_site_gate(psi, gate.matrix, gate.sites[0])
-        else:
-            psi = mpslib.apply_two_site_gate(psi, gate.matrix, gate.sites[0], policy)
-    return psi
-
-
 def tebd_evolve(
     psi0: MPS,
     ham: XYZHamiltonian,
@@ -201,15 +190,13 @@ def tebd_evolve(
     schedule = build_trotter_schedule(ham, dt, steps)
     start_discard = psi0.discarded_weight
     max_chi = mpslib.max_bond(psi0)
-    psi = psi0
+    # apply_ops gets the only reference to a column's input state, so the
+    # tensors it replaces are freed as the column runs, not at its end
+    held = [psi0]
     for col in schedule.columns:
-        for gate in col.gates:
-            if len(gate.sites) == 1:
-                psi = mpslib.apply_single_site_gate(psi, gate.matrix, gate.sites[0])
-            else:
-                psi = mpslib.apply_two_site_gate(psi, gate.matrix, gate.sites[0], policy)
-        max_chi = max(max_chi, mpslib.max_bond(psi))
-    psi = mpslib.normalize(psi)
+        held.append(mpslib.apply_ops(held.pop(), col.gates, policy))
+        max_chi = max(max_chi, mpslib.max_bond(held[0]))
+    psi = mpslib.normalize(held[0])
     if stats is not None:
         stats["max_bond"] = max_chi
         stats["discarded_weight"] = psi.discarded_weight - start_discard
@@ -235,6 +222,12 @@ def total_sz(psi: MPS) -> float:
 # --- primitive (3-CNOT) realization, used for circuit export ----------------
 
 
+def triplet_angles(alpha: float, beta: float, delta: float, dt: float) -> tuple[float, float, float]:
+    """Closed-form (theta, phi, lam) of the 3-CNOT form of two_site_unitary(...)."""
+    a, b, c = alpha * dt, beta * dt, delta * dt
+    return np.pi / 2 - c / 2, a / 2 - np.pi / 2, np.pi / 2 - b / 2
+
+
 def two_site_gate_records(
     i: int, alpha: float, beta: float, delta: float, dt: float
 ) -> list[str]:
@@ -243,10 +236,7 @@ def two_site_gate_records(
     Standard 3-CNOT form: the outer CNOTs point right-to-left, the middle one
     left-to-right, with corner Rz(-pi/2) / Rz(pi/2) rotations.
     """
-    a, b, c = alpha * dt, beta * dt, delta * dt
-    theta = np.pi / 2 - c / 2
-    phi = a / 2 - np.pi / 2
-    lam = np.pi / 2 - b / 2
+    theta, phi, lam = triplet_angles(alpha, beta, delta, dt)
     j = i + 1
     return [
         format_gate_line("rz", [j], [-np.pi / 2]),

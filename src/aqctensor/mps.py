@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -262,6 +263,16 @@ def apply_two_site_gate(
     out.center = left_site + 1
     out.discarded_weight = psi.discarded_weight + discarded / total if total > 0 else psi.discarded_weight
     return out
+
+
+def apply_ops(psi: MPS, ops: Iterable, policy: TruncationPolicy) -> MPS:
+    """Apply ops with .sites and .matrix in order; the one gate-list path onto an MPS."""
+    for op in ops:
+        if len(op.sites) == 1:
+            psi = apply_single_site_gate(psi, op.matrix, op.sites[0])
+        else:
+            psi = apply_two_site_gate(psi, op.matrix, op.sites[0], policy)
+    return psi
 
 
 def expectation_single(psi: MPS, op: np.ndarray, site: int) -> complex:

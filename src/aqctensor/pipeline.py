@@ -83,7 +83,6 @@ class RunConfig:
     ground_truth_chi_factor: int = 4
     discard_budget: float = 1e-6  # mark appended-step fidelities unverified above this
 
-    cost_k: int = 1
     alpha_schedule: str | list = "default"  # "default" | "global" | [[frac, [alphas]], ...]
     trainable_fields: bool = False  # promote the fixed field rotations into theta
 
@@ -140,7 +139,10 @@ def read_config_file(path: str) -> dict:
 
 def resolve_hamiltonian(cfg: RunConfig) -> XYZHamiltonian:
     if cfg.hamiltonian is not None:
-        ham = XYZHamiltonian.from_dict(cfg.hamiltonian)
+        try:
+            ham = XYZHamiltonian.from_dict(cfg.hamiltonian)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad explicit hamiltonian: {exc!r}") from exc
         if ham.n != cfg.n:
             raise ConfigError("explicit Hamiltonian size disagrees with n")
         return ham
@@ -160,12 +162,14 @@ def resolve_initial_bits(cfg: RunConfig) -> str:
     return bits
 
 
-def make_policies(cfg: RunConfig) -> tuple[TruncationPolicy, TruncationPolicy, TruncationPolicy]:
-    """(evolution, cost, ground truth) truncation policies."""
-    evolution = TruncationPolicy(chi_max=cfg.chi_max, cutoff=cfg.cutoff)
+def make_policies(cfg: RunConfig) -> tuple[TruncationPolicy, TruncationPolicy]:
+    """(evolution, ground truth) truncation policies; cost evaluation uses the ground-truth one."""
     gt_chi = None if cfg.chi_max is None else cfg.chi_max * cfg.ground_truth_chi_factor
-    ground = TruncationPolicy(chi_max=gt_chi, cutoff=cfg.cutoff)
-    return evolution, ground, ground  # cost evaluation defaults to the target policy
+    try:
+        return (TruncationPolicy(chi_max=cfg.chi_max, cutoff=cfg.cutoff),
+                TruncationPolicy(chi_max=gt_chi, cutoff=cfg.cutoff))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def resolve_alpha_schedule(cfg: RunConfig) -> tuple[tuple[float, tuple[float, ...]], ...]:
@@ -173,9 +177,12 @@ def resolve_alpha_schedule(cfg: RunConfig) -> tuple[tuple[float, tuple[float, ..
         return default_alpha_schedule(cfg.n)
     if cfg.alpha_schedule == "global":
         return ((1.0, ()),)
-    phases = []
-    for frac, alphas in cfg.alpha_schedule:
-        phases.append((float(frac), tuple(float(a) for a in alphas)))
+    try:
+        phases = [(float(frac), tuple(float(a) for a in alphas)) for frac, alphas in cfg.alpha_schedule]
+        for _, alphas in phases:
+            CostConfig(k=len(alphas), alphas=alphas)  # checks the weights
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad alpha schedule {cfg.alpha_schedule!r}: {exc}") from exc
     if not phases or abs(sum(f for f, _ in phases) - 1.0) > 1e-9:
         raise ConfigError("alpha schedule fractions must sum to 1")
     return tuple(phases)
@@ -250,7 +257,7 @@ def run_aqctensor(cfg: RunConfig, raise_on_error: bool = False) -> tuple[RunRepo
             "state_preparation": "folded into trainable initial rotations; circuit acts on |0...0>",
             "rng": "numpy PCG64 (default_rng)",
         }
-        evolution_policy, cost_policy, gt_policy = make_policies(cfg)
+        evolution_policy, gt_policy = make_policies(cfg)
         dt = cfg.dt
         psi0 = from_product_state(bits)
 
@@ -278,14 +285,14 @@ def run_aqctensor(cfg: RunConfig, raise_on_error: bool = False) -> tuple[RunRepo
 
         stage = "optimize"
         t0 = time.perf_counter()
-        theta_opt, trace, opt_info = _optimize_phases(ansatz, theta0, target, cfg, cost_policy)
+        theta_opt, trace, opt_info = _optimize_phases(ansatz, theta0, target, cfg, gt_policy)
         report.optimization = opt_info
         report.timings["optimize"] = time.perf_counter() - t0
         report.theta_opt = list(theta_opt)
 
         stage = "fidelities"
         t0 = time.perf_counter()
-        a1 = apply_ansatz(ansatz, theta_opt, from_product_state("0" * cfg.n), cost_policy)
+        a1 = apply_ansatz(ansatz, theta_opt, from_product_state("0" * cfg.n), gt_policy)
         report.max_bond_dims["optimized_circuit"] = max_bond(a1)
         f_a1_gt = fidelity(a1, target)
         f_t1_gt = fidelity(t1, target)
@@ -352,7 +359,7 @@ def _optimize_phases(
         alpha1 = alphas[0] if alphas else 0.0
         theta, phase_trace = minimize(evaluate, theta, opt_cfg, cost_fn=cost_only,
                                       alpha1=alpha1, iteration_offset=offset)
-        offset += len(phase_trace.records)
+        offset = phase_trace.records[-1].iteration  # the next start record repeats it
         full_trace.records.extend(phase_trace.records)
         full_trace.stop_reason = phase_trace.stop_reason
         candidates.append(theta)

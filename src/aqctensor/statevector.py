@@ -122,8 +122,8 @@ def mps_to_statevector(psi: MPS) -> np.ndarray:
     return block.reshape(-1)
 
 
-def statevector_to_mps(vec: np.ndarray, policy: TruncationPolicy | None = None) -> MPS:
-    """Exact (or policy-truncated) MPS factorization of a dense state."""
+def statevector_to_mps(vec: np.ndarray) -> MPS:
+    """Exact MPS factorization of a dense state (every singular value kept)."""
     n = int(round(np.log2(vec.size)))
     if 2**n != vec.size:
         raise ValueError("vector length is not a power of 2")
@@ -134,14 +134,8 @@ def statevector_to_mps(vec: np.ndarray, policy: TruncationPolicy | None = None) 
         chi_l = rest.shape[0]
         mat = rest.reshape(chi_l * 2, -1)
         u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        keep = len(s)
-        if policy is not None:
-            keep = int(np.sum(s > policy.cutoff * s[0])) if s[0] > 0 else 1
-            if policy.chi_max is not None:
-                keep = min(keep, policy.chi_max)
-            keep = max(keep, 1)
-        tensors.append(u[:, :keep].reshape(chi_l, 2, keep))
-        rest = s[:keep, None] * vh[:keep]
+        tensors.append(u.reshape(chi_l, 2, len(s)))
+        rest = s[:, None] * vh
     tensors.append(rest.reshape(-1, 2, 1))
     return MPS(tensors, center=n - 1)
 

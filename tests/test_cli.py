@@ -68,6 +68,39 @@ class TestRun:
         assert err.value.code == 2
 
 
+class TestDerivedConfigErrors:
+    """Values resolved from the config are rejected before any stage runs."""
+
+    @pytest.mark.parametrize("command", ["run", "compile"])
+    def test_bad_initial_state_is_usage_error(self, tmp_path, command):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text('preset: xxx\nn: 4\ninitial_state: "01x1"\n')
+        assert run_cli(command, "--config", str(cfg_path), "--out", str(tmp_path)) == EXIT_USAGE
+
+    @pytest.mark.parametrize("schedule", ["[[0.3, [0.9]]]", "fast", "[[0.5, [-1.0]], [0.5, []]]"])
+    def test_bad_alpha_schedule_is_usage_error(self, tmp_path, schedule):
+        code = run_cli("run", "--preset", "xxx", "--n", "4", "--layers", "1", "--time", "0.6",
+                       "--alpha-schedule", schedule, "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command, flag, value", [("evolve", "--chi-max", "0"),
+                                                      ("run", "--cutoff", "2")])
+    def test_bad_truncation_is_usage_error(self, tmp_path, command, flag, value):
+        code = run_cli(command, "--preset", "xxx", "--n", "4", "--layers", "1", "--time", "0.6",
+                       flag, value, "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+
+    def test_hamiltonian_without_beta_is_usage_error(self, tmp_path):
+        import yaml
+
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump({
+            "preset": None, "n": 3, "layers": 1,
+            "hamiltonian": {"n": 3, "alpha": [1.0, 1.0], "delta": [1.0, 1.0], "h": [0.0] * 3},
+        }))
+        assert run_cli("evolve", "--config", str(cfg_path), "--out", str(tmp_path)) == EXIT_USAGE
+
+
 class TestEvolve:
     def test_bad_initial_state_is_usage_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"

@@ -18,7 +18,7 @@ from aqctensor.ansatz import (
 )
 from aqctensor.cost import CostConfig, cost_and_gradient
 from aqctensor.hamiltonian import random_xyz, tebd_evolve
-from aqctensor.mps import TruncationPolicy, from_product_state, normalize
+from aqctensor.mps import TruncationPolicy, apply_ops, from_product_state, normalize
 
 from conftest import EXACT
 
@@ -57,7 +57,7 @@ def rebuild_gradient(a, theta, target, cfg):
     ops = ansatz_ops(a, theta)
     prefixes = [target]  # prefixes[i] = target after the last i adjoint ops
     for op in adjoint_ops(ops):
-        prefixes.append(cost._apply_op_raw(prefixes[-1], op, cfg.policy))
+        prefixes.append(apply_ops(prefixes[-1], (op,), cfg.policy))
     bra = cost._weighted_bra_state(normalize(prefixes[-1]), cfg.k, cfg.alphas)
     grad = np.zeros(theta.size)
     for m, op in enumerate(ops, start=1):
@@ -67,7 +67,7 @@ def rebuild_gradient(a, theta, target, cfg):
             for dmat, j in zip(op.dmatrices(), op.param_indices):
                 val = _window_value(bra, prefix, op.sites, dmat.conj().T, left, right)
                 grad[j] = -2.0 * val.real
-        bra = cost._apply_op_raw(bra, op, cfg.policy)
+        bra = apply_ops(bra, (op,), cfg.policy)
     return grad
 
 

@@ -81,8 +81,8 @@ class TestConfig:
             resolve_initial_bits(tiny_config(initial_state="012x"))
 
     def test_ground_truth_policy_dominates(self):
-        evo, cost, gt = make_policies(tiny_config(chi_max=16))
-        assert evo.chi_max == 16 and gt.chi_max == 64 and cost.chi_max == 64
+        evo, gt = make_policies(tiny_config(chi_max=16))
+        assert evo.chi_max == 16 and gt.chi_max == 64
 
     def test_alpha_schedule_forms(self):
         assert resolve_alpha_schedule(tiny_config()) == ((0.5, (0.75,)), (0.5, ()))
@@ -161,6 +161,14 @@ class TestRun:
         report, _ = run_aqctensor(tiny_config(max_iter=max_iter), raise_on_error=True)
         assert report.optimization["stop_reason"] == "max_iter"
         assert report.optimization["iterations"] == max_iter
+
+    @pytest.mark.parametrize("max_iter", [2, 3, 4])
+    def test_trace_numbers_iterations_by_step(self, max_iter):
+        # a phase's start record repeats the iteration number the previous phase ended on
+        report, trace = run_aqctensor(tiny_config(max_iter=max_iter), raise_on_error=True)
+        numbers = [r.iteration for r in trace.records]
+        assert max(numbers) == report.optimization["iterations"]
+        assert all(a <= b for a, b in zip(numbers, numbers[1:]))
 
     def test_guaranteed_improvement_floor(self):
         # even with a tiny budget the returned parameters are never worse
