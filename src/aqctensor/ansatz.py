@@ -10,6 +10,14 @@ A CNOT block is a CNOT followed by Ry(t1) Rz(t2) on the control line and
 Ry(t3) Rz(t4) on the target line. With this layout a triplet reproduces the
 two-site exchange exponential exactly (up to a global phase) in closed form,
 which is what makes exact Trotter initialization possible.
+
+For execution the circuit is fused: ansatz_ops returns one 4x4 op per
+two-site slot, the triplet B3 B2 B1 with the single-qubit rotations next to it
+multiplied in (a rotation joins the last slot that touched its qubit, or the
+first one that will). Every initial and field rotation is absorbed, so a cost
+sweep puts one SVD-truncated gate per slot on the MPS, and each op carries the
+derivatives of all its angles (12 block angles plus absorbed initial and
+trainable field angles).
 """
 from __future__ import annotations
 
@@ -21,6 +29,7 @@ from . import mps as mpslib
 from .gates import (
     CX_FORWARD,
     CX_REVERSED,
+    CircuitOp,
     Y,
     Z,
     cnot_depth_from_pairs,
@@ -144,57 +153,112 @@ def initial_rotation(angles: np.ndarray) -> np.ndarray:
     return rz(a) @ ry(b) @ rz(c)
 
 
-_DY = -0.5j * Y
-_DZ = -0.5j * Z
+_ROTATIONS = {"ry": ry, "rz": rz}
+_GENERATORS = {"ry": -0.5j * Y, "rz": -0.5j * Z}  # d/dt exp(-i t G / 2) = -i G / 2 exp(...)
+_I2 = np.eye(2, dtype=complex)
+_I4 = np.eye(4, dtype=complex)
+
+
+def _kron2(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left (x) right for 2x2 factors on a (left, right) pair; either may be a stack."""
+    out = left[..., :, None, :, None] * right[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (4, 4))
+
+
+def _product(mats) -> np.ndarray:
+    """Time-ordered product: the first matrix acts first (rightmost)."""
+    if not mats:
+        return _I2
+    out = mats[0]
+    for m in mats[1:]:
+        out = m @ out
+    return out
+
+
+def _rotation_tables(theta: np.ndarray) -> dict[str, np.ndarray]:
+    """ry(theta_j) and rz(theta_j) for every angle at once, each stacked (P, 2, 2)."""
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    y = np.stack([c, -s, s, c], axis=-1).astype(complex).reshape(-1, 2, 2)
+    z = np.zeros((theta.size, 2, 2), dtype=complex)
+    z[:, 0, 0], z[:, 1, 1] = np.exp(-0.5j * theta), np.exp(0.5j * theta)
+    return {"ry": y, "rz": z}
+
+
+Rotation = tuple[str, np.ndarray, int]  # (ry | rz, 2x2 matrix, parameter index or -1 when fixed)
 
 
 @dataclass(frozen=True)
 class AnsatzOp:
-    """One executable gate of the ansatz with its trainable-angle bookkeeping."""
+    """One fused two-site slot: its CNOT blocks and the rotations absorbed next to them.
 
-    sites: tuple[int, ...]
+    runs[2 s + side] lists, in time order, the rotations on the left (side 0)
+    or right (side 1) qubit after the slot's s-th CNOT; runs 0 and 1 act
+    before the first CNOT. matrix is the product of all of them.
+    """
+
+    sites: tuple[int, int]
+    cnots: tuple[np.ndarray, ...]
+    runs: tuple[tuple[Rotation, ...], ...]
     matrix: np.ndarray
-    kind: str  # init | block | field
     param_indices: tuple[int, ...]
-    angles: tuple[float, ...]
-    reverse: bool = False
 
     def dmatrices(self) -> np.ndarray:
-        """Derivatives of matrix with respect to each local angle, stacked (P, d, d).
+        """Derivatives of matrix with respect to each angle in param_indices, stacked (P, 4, 4).
 
-        Every angle drives one rotation exp(-i t G / 2), so its derivative puts
-        -i G / 2 next to that rotation; each rotation is built once.
+        An angle drives one rotation R_j = exp(-i t G / 2), so its derivative
+        is L (-i G / 2 R_j) R, with L and R the suffix and prefix products of
+        the slot's factors around R_j.
         """
-        if self.kind == "init":
-            a, b, c = self.angles
-            za, yb, zc = rz(a), ry(b), rz(c)
-            return np.stack([_DZ @ za @ yb @ zc, za @ _DY @ yb @ zc, za @ yb @ _DZ @ zc])
-        if self.kind == "block":
-            t1, t2, t3, t4 = self.angles
-            y1, z2, y3, z4 = ry(t1), rz(t2), ry(t3), rz(t4)
-            lc, lt = y1 @ z2, y3 @ z4
-            control = np.stack([_DY @ lc, y1 @ _DZ @ z2, lc, lc])
-            target = np.stack([lt, lt, _DY @ lt, y3 @ _DZ @ z4])
-            left, right = (target, control) if self.reverse else (control, target)
-            krons = np.einsum("kac,kbd->kabcd", left, right).reshape(4, 4, 4)
-            return krons @ (CX_REVERSED if self.reverse else CX_FORWARD)
-        if self.param_indices:
-            return np.stack([_DZ @ self.matrix])
-        return np.empty((0, 2, 2), dtype=complex)
+        products, segments = _segments(self.runs)
+        before = [_I4]  # before[s]: the factors ahead of segment s
+        for cx, seg in zip(self.cnots, segments):
+            before.append(cx @ seg @ before[-1])
+        after = [_I4]  # after[s], built from the end: the factors behind segment s
+        for cx, seg in zip(reversed(self.cnots), reversed(segments[1:])):
+            after.append(after[-1] @ seg @ cx)
+        after.reverse()
+        out = [np.empty((0, 4, 4), dtype=complex)]
+        for r, run in enumerate(self.runs):
+            mats = [mat for _, mat, _ in run]
+            d = [_product(mats[j + 1:]) @ _GENERATORS[name] @ _product(mats[:j + 1])
+                 for j, (name, _, idx) in enumerate(run) if idx >= 0]
+            if d:
+                s, side = divmod(r, 2)
+                d = np.array(d)
+                local = _kron2(d, products[r + 1]) if side == 0 else _kron2(products[r - 1], d)
+                out.append(after[s] @ local @ before[s])
+        return np.concatenate(out)
 
 
-def ansatz_ops(a: Ansatz, theta: np.ndarray) -> list[AnsatzOp]:
-    """The circuit as an ordered op list for the given parameter values."""
+def _segments(runs) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each run's 2x2 product, and each (left, right) run pair's 4x4 product."""
+    products = [_product([mat for _, mat, _ in run]) for run in runs]
+    return products, [_kron2(products[s], products[s + 1]) for s in range(0, len(runs), 2)]
+
+
+def _fused_op(left: int, cnots: list[np.ndarray], runs: list[list[Rotation]]) -> AnsatzOp:
+    _, segments = _segments(runs)
+    m = segments[0]
+    for cx, seg in zip(cnots, segments[1:]):
+        m = seg @ (cx @ m)
+    params = tuple(idx for run in runs for _, _, idx in run if idx >= 0)
+    return AnsatzOp((left, left + 1), tuple(cnots), tuple(map(tuple, runs)), m, params)
+
+
+def _checked_theta(a: Ansatz, theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (a.num_params,):
         raise ValueError(f"expected {a.num_params} parameters, got {theta.shape}")
     if not np.all(np.isfinite(theta)):
         raise ValueError("parameters must be finite")
-    ops: list[AnsatzOp] = []
-    for q in range(a.n):
-        ang = theta[3 * q: 3 * q + 3]
-        ops.append(AnsatzOp((q,), initial_rotation(ang), "init",
-                            tuple(range(3 * q, 3 * q + 3)), tuple(ang)))
+    return theta
+
+
+def _primitive_gates(a: Ansatz, theta: np.ndarray):
+    """The circuit gate by gate in time order: (rz | ry | cx, qubits, angle, parameter index)."""
+    for q in range(a.n):  # initial_rotation: Rz(theta_3q) Ry(theta_3q+1) Rz(theta_3q+2)
+        for name, j in (("rz", 3 * q + 2), ("ry", 3 * q + 1), ("rz", 3 * q)):
+            yield name, (q,), theta[j], j
     block_iter = iter(a.blocks)
     field_base = 3 * a.n + 4 * len(a.blocks)
     field_column = 0
@@ -203,29 +267,58 @@ def ansatz_ops(a: Ansatz, theta: np.ndarray) -> list[AnsatzOp]:
             for q in range(a.n):
                 if a.trainable_fields:
                     idx = field_base + field_column * a.n + q
-                    ops.append(AnsatzOp((q,), rz(theta[idx]), "field", (idx,), (theta[idx],)))
+                    yield "rz", (q,), theta[idx], idx
                 else:
-                    ops.append(AnsatzOp((q,), rz(a.field_phis[q] / 2), "field", (),
-                                        (a.field_phis[q] / 2,)))
+                    yield "rz", (q,), a.field_phis[q] / 2, -1
             field_column += 1
             continue
-        for _ in pairs:
-            for _ in range(a.b):
-                blk = next(block_iter)
-                ang = theta[blk.param_offset: blk.param_offset + 4]
-                ops.append(AnsatzOp(blk.pair, block_unitary(ang, blk.reversed), "block",
-                                    tuple(range(blk.param_offset, blk.param_offset + 4)),
-                                    tuple(ang), blk.reversed))
-    return ops
+        for _ in range(len(pairs) * a.b):
+            blk = next(block_iter)
+            o = blk.param_offset
+            yield "cx", (blk.control, blk.target), None, -1
+            yield "rz", (blk.control,), theta[o + 1], o + 1
+            yield "ry", (blk.control,), theta[o], o
+            yield "rz", (blk.target,), theta[o + 3], o + 3
+            yield "ry", (blk.target,), theta[o + 2], o + 2
 
 
-def adjoint_ops(ops: list[AnsatzOp]) -> list[AnsatzOp]:
+def ansatz_ops(a: Ansatz, theta: np.ndarray) -> list[AnsatzOp]:
+    """The circuit at the given parameters as one fused op per two-site slot, in order.
+
+    A rotation joins the last slot that touched its qubit; before any slot has
+    touched the qubit it joins the next one there, as its first factor.
+    """
+    theta = _checked_theta(a, theta)
+    slots: list[tuple[int, list, list]] = []  # (left site, cnots, runs)
+    owner: list[tuple | None] = [None] * a.n  # slot that last touched each qubit
+    pending: list[list[Rotation]] = [[] for _ in range(a.n)]
+    blocks = 0
+    tables = _rotation_tables(theta)
+    for name, qubits, angle, idx in _primitive_gates(a, theta):
+        if name == "cx":
+            if blocks % a.b == 0:
+                left = min(qubits)
+                slot = (left, [], [pending[left], pending[left + 1]])
+                pending[left], pending[left + 1] = [], []
+                owner[left] = owner[left + 1] = slot
+                slots.append(slot)
+            blocks += 1
+            slot[1].append(CX_FORWARD if qubits[0] < qubits[1] else CX_REVERSED)
+            slot[2].extend(([], []))
+            continue
+        q = qubits[0]
+        rotation = (name, tables[name][idx] if idx >= 0 else _ROTATIONS[name](angle), idx)
+        if owner[q] is None:
+            pending[q].append(rotation)
+        else:
+            left, _, runs = owner[q]
+            runs[len(runs) - 2 + q - left].append(rotation)
+    return [_fused_op(*slot) for slot in slots]
+
+
+def adjoint_ops(ops: list[AnsatzOp]) -> list[CircuitOp]:
     """Reversed order, conjugate-transposed matrices."""
-    out = []
-    for op in reversed(ops):
-        out.append(AnsatzOp(op.sites, op.matrix.conj().T, op.kind,
-                            op.param_indices, op.angles, op.reverse))
-    return out
+    return [CircuitOp(op.sites, op.matrix.conj().T) for op in reversed(ops)]
 
 
 def apply_ansatz(a: Ansatz, theta: np.ndarray, psi_in: MPS, policy: TruncationPolicy) -> MPS:
@@ -347,23 +440,5 @@ def trotter_initialize(a: Ansatz, ham: XYZHamiltonian, dt: float, bits: str | No
 
 def export_circuit_records(a: Ansatz, theta: np.ndarray) -> list[str]:
     """Primitive gate-list lines (rz/ry/cx) for the circuit at given angles."""
-    lines = []
-    for op in ansatz_ops(a, theta):
-        if op.kind == "init":
-            q = op.sites[0]
-            p0, p1, p2 = op.angles
-            lines.append(format_gate_line("rz", [q], [p2]))
-            lines.append(format_gate_line("ry", [q], [p1]))
-            lines.append(format_gate_line("rz", [q], [p0]))
-        elif op.kind == "field":
-            lines.append(format_gate_line("rz", [op.sites[0]], [op.angles[0]]))
-        else:
-            left, right = op.sites
-            control, target = (right, left) if op.reverse else (left, right)
-            t1, t2, t3, t4 = op.angles
-            lines.append(format_gate_line("cx", [control, target]))
-            lines.append(format_gate_line("rz", [control], [t2]))
-            lines.append(format_gate_line("ry", [control], [t1]))
-            lines.append(format_gate_line("rz", [target], [t4]))
-            lines.append(format_gate_line("ry", [target], [t3]))
-    return lines
+    return [format_gate_line(name, qubits, () if angle is None else (angle,))
+            for name, qubits, angle, _ in _primitive_gates(a, _checked_theta(a, theta))]

@@ -12,13 +12,16 @@ rotation with generator eigenvalues +-1/2, so dC/dtheta_j equals
 modulus-squared amplitude. Two evaluation strategies are provided:
 "reevaluation" literally runs the 2P shifted cost evaluations, while the
 default "environments" strategy evaluates each derivative as one overlap
-<W_m| dO_m^dag |prefix_m>. One gradient costs a backward (adjoint) sweep with
-checkpoints, a rebuild of each checkpoint segment and a forward sweep of the
-weighted bra state, plus O(chi^3) amortized window work per parametrized op,
-because the overlap environments are reused while the tensors they absorbed
-are unchanged. The two strategies agree exactly only when no sweep truncates;
-under a binding bond cap each sweep truncates differently, and neither is the
-derivative of the untruncated cost.
+<W_m| dO_m^dag |prefix_m>, where O_m is one fused two-site slot of the
+ansatz. One gradient costs a backward (adjoint) sweep with checkpoints, a
+rebuild of each checkpoint segment and a forward sweep of the weighted bra
+state, plus per slot one window: amortized O(chi^3) environment work (the
+overlap environments are reused while the tensors they absorbed are
+unchanged), one O(chi^3) contraction into a 4x4 operator E, and O(P) 4x4
+products for the slot's P angles (12 to 18 plus trainable fields). The two
+strategies agree exactly only when no sweep truncates; under a binding bond
+cap each sweep truncates differently, and neither is the derivative of the
+untruncated cost.
 """
 from __future__ import annotations
 
@@ -302,17 +305,13 @@ def _reuse_or_extend(envs, keys, step, bras, kets, count: int) -> np.ndarray:
     return envs[count]
 
 
-def _local_operator(left: np.ndarray, right: np.ndarray, bra: MPS, ket: MPS,
-                    sites: tuple[int, ...]) -> np.ndarray:
-    """E[s, t] = <bra| (|s><t| on sites) |ket> given the outside environments.
+def _local_operator(left: np.ndarray, right: np.ndarray, bra: MPS, ket: MPS, i: int) -> np.ndarray:
+    """E[s, t] = <bra| (|s><t| on sites i, i + 1) |ket> given the outside environments.
 
-    <bra| mat |ket> = sum(E * mat) for any operator mat on the sites.
+    <bra| mat |ket> = sum(E * mat) for any operator mat on the pair.
     """
-    i = sites[0]
     x = np.tensordot(left, bra.tensors[i].conj(), axes=([0], [0]))  # (b, s, c)
     x = np.tensordot(x, ket.tensors[i], axes=([0], [0]))  # (s, c, t, d)
-    if len(sites) == 1:
-        return np.tensordot(x, right, axes=([1, 3], [0, 1]))  # (s, t)
     y = np.tensordot(bra.tensors[i + 1].conj(), right, axes=([2], [0]))  # (c, s, e)
     y = np.tensordot(y, ket.tensors[i + 1], axes=([2], [2]))  # (c, s, d, t)
     e = np.tensordot(x, y, axes=([1, 3], [0, 2]))  # (s1, t1, s2, t2)
@@ -390,8 +389,8 @@ def _gradient_environments(
     dC/dtheta_j = -2 Re <W_m| dO_m^dag/dtheta_j |prefix_m> where prefix_m is
     the target propagated through the adjoint gates after op m and W_m is the
     amplitude-weighted flip-string state propagated through ops 1..m-1.
-    Each window contracts into one local operator E, and every angle of the
-    op is then the O(d^2) product of E with that angle's derivative matrix.
+    Each slot's window contracts into one 4x4 local operator E, and every
+    angle of the slot is then the sum of E times that angle's derivative matrix.
     Returns the gradient together with the cost value, which falls out of the
     same adjoint sweep.
     """
@@ -415,21 +414,20 @@ def _gradient_environments(
     segment: dict[int, MPS] = {}
     for m in range(1, m_total + 1):
         op = ops[m - 1]
-        if op.param_indices:
-            if m not in segment:
-                # rebuild prefix states for this checkpoint segment
-                hi = min(((m - 1) // _CHECKPOINT_STRIDE + 1) * _CHECKPOINT_STRIDE, m_total)
-                seg_state = checkpoints[hi]
-                segment = {hi: seg_state}
-                for mm in range(hi, m - 1, -1):
-                    seg_state = mpslib.apply_ops(seg_state, (adj[m_total - mm],), policy)
-                    segment[mm - 1] = seg_state
-            prefix = segment[m] if m in segment else checkpoints[m]
-            left = envs.left(bra, prefix, op.sites[0])
-            right = envs.right(bra, prefix, op.sites[-1])
-            e = _local_operator(left, right, bra, prefix, op.sites)
-            # <W| dM^dag |prefix> = sum_{s,t} E[s, t] conj(dM[t, s])
-            vals = np.tensordot(op.dmatrices().conj(), e, axes=([1, 2], [1, 0]))
-            grad[list(op.param_indices)] = -2.0 * vals.real
+        if m not in segment:
+            # rebuild prefix states for this checkpoint segment
+            hi = min(((m - 1) // _CHECKPOINT_STRIDE + 1) * _CHECKPOINT_STRIDE, m_total)
+            seg_state = checkpoints[hi]
+            segment = {hi: seg_state}
+            for mm in range(hi, m - 1, -1):
+                seg_state = mpslib.apply_ops(seg_state, (adj[m_total - mm],), policy)
+                segment[mm - 1] = seg_state
+        prefix = segment[m] if m in segment else checkpoints[m]
+        left = envs.left(bra, prefix, op.sites[0])
+        right = envs.right(bra, prefix, op.sites[1])
+        e = _local_operator(left, right, bra, prefix, op.sites[0])
+        # <W| dM^dag |prefix> = sum_{s,t} E[s, t] conj(dM[t, s])
+        vals = np.tensordot(op.dmatrices().conj(), e, axes=([1, 2], [1, 0]))
+        grad[list(op.param_indices)] = -2.0 * vals.real
         bra = mpslib.apply_ops(bra, (op,), policy)
     return grad, _evaluate(phi, cfg.k, cfg.alphas)

@@ -58,10 +58,11 @@ class OptimizationTrace:
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["iter", "cost", "infidelity", "grad_norm", "alpha1", "seconds"])
+            writer.writerow(["iter", "cost", "infidelity", "grad_norm", "alpha1", "seconds", "note"])
             for r in self.records:
                 writer.writerow([r.iteration, f"{r.cost:.16e}", f"{r.infidelity:.16e}",
-                                 f"{r.grad_norm:.16e}", f"{r.alpha1:.16g}", f"{r.seconds:.3f}"])
+                                 f"{r.grad_norm:.16e}", f"{r.alpha1:.16g}", f"{r.seconds:.3f}",
+                                 r.note])
 
 
 def _two_loop(grad: np.ndarray, s_list: list[np.ndarray], y_list: list[np.ndarray]) -> np.ndarray:

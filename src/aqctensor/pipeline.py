@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import numbers
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import yaml
@@ -337,6 +337,7 @@ def _optimize_phases(
         return cost_local_truncated(ansatz, t, target, terminal_cfg).total
 
     full_trace = OptimizationTrace()
+    stop_reasons = []
     candidates = [theta0]
     theta = theta0
     offset = 0
@@ -360,8 +361,10 @@ def _optimize_phases(
         theta, phase_trace = minimize(evaluate, theta, opt_cfg, cost_fn=cost_only,
                                       alpha1=alpha1, iteration_offset=offset)
         offset = phase_trace.records[-1].iteration  # the next start record repeats it
-        full_trace.records.extend(phase_trace.records)
+        elapsed = full_trace.records[-1].seconds if full_trace.records else 0.0
+        full_trace.records.extend(replace(r, seconds=elapsed + r.seconds) for r in phase_trace.records)
         full_trace.stop_reason = phase_trace.stop_reason
+        stop_reasons.append(phase_trace.stop_reason)
         candidates.append(theta)
         if remaining <= 0:
             break
@@ -369,7 +372,10 @@ def _optimize_phases(
     terminal_values = [terminal_cost(t) for t in candidates]
     best_idx = int(np.argmin(terminal_values))
     info = {
-        "phases": [{"fraction": f, "alphas": list(a)} for f, a in phases],
+        # stop_reason is None for a phase that did not run
+        "phases": [{"fraction": f, "alphas": list(a),
+                    "stop_reason": stop_reasons[i] if i < len(stop_reasons) else None}
+                   for i, (f, a) in enumerate(phases)],
         # every phase that ran put one start record before its iterations
         "iterations": len(full_trace.records) - (len(candidates) - 1),
         "stop_reason": full_trace.stop_reason,
@@ -417,11 +423,12 @@ def _append_stage(cfg, ham, psi0, a1, ansatz, gt_policy, evolution_policy) -> di
 def _sweep(cfg: RunConfig, mode: str) -> RunReport:
     """Shared worker for the equal-depth and half-depth comparisons."""
     grid = cfg.t_grid or [cfg.t * f for f in (0.2, 0.4, 0.6, 0.8, 1.0)]
+    # every grid point's config is checked before the first one runs
+    subs = [RunConfig(**{**cfg.to_dict(), "t": float(t), "t_grid": None}) for t in grid]
     report = RunReport(config=cfg.to_dict())
     report.conventions["mode"] = mode
     rows = []
-    for t in grid:
-        sub = RunConfig(**{**cfg.to_dict(), "t": float(t), "t_grid": None})
+    for sub in subs:
         t0 = time.perf_counter()
         sub_report, trace = run_aqctensor(sub, raise_on_error=True)
         depth_ansatz = sub_report.depths["ansatz"]
@@ -430,10 +437,10 @@ def _sweep(cfg: RunConfig, mode: str) -> RunReport:
         )
         if mode == "equal" and depth_ansatz != depth_trotter:
             raise AssertionError(
-                f"depth mismatch at t={t}: ansatz {depth_ansatz} vs trotter {depth_trotter}"
+                f"depth mismatch at t={sub.t}: ansatz {depth_ansatz} vs trotter {depth_trotter}"
             )
         rows.append({
-            "t": float(t),
+            "t": sub.t,
             "depth_ansatz": depth_ansatz,
             "depth_trotter": depth_trotter,
             "f_a1_gt": sub_report.fidelities["a1_vs_gt"],

@@ -10,11 +10,12 @@ from aqctensor.ansatz import (
     build_brickwork_ansatz,
     cnot_depth,
     export_circuit_records,
+    initial_rotation,
     solve_triplet_angles,
     triplet_unitary,
     trotter_initialize,
 )
-from aqctensor.gates import CX_FORWARD, CX_REVERSED, op_from_record, parse_gate_line
+from aqctensor.gates import CX_FORWARD, CX_REVERSED, CircuitOp, op_from_record, parse_gate_line, rz
 from aqctensor.hamiltonian import (
     XYZHamiltonian,
     build_trotter_schedule,
@@ -122,6 +123,54 @@ class TestDerivativeMatrices:
                 np.testing.assert_allclose(dm, (shifted[0] - shifted[1]) / 4, atol=1e-14)
                 checked.add(j)
         assert checked == set(range(a.num_params))
+
+
+def per_gate_ops(a, theta):
+    """The circuit one gate at a time, as it reads before slot fusion."""
+    ops = [CircuitOp((q,), initial_rotation(theta[3 * q: 3 * q + 3])) for q in range(a.n)]
+    blocks = iter(a.blocks)
+    field = 3 * a.n + 4 * a.num_blocks
+    for tag, pairs in a.columns:
+        if tag == "field":
+            for q in range(a.n):
+                angle = theta[field + q] if a.trainable_fields else a.field_phis[q] / 2
+                ops.append(CircuitOp((q,), rz(angle)))
+            field += a.n if a.trainable_fields else 0
+            continue
+        for _ in range(len(pairs) * a.b):
+            blk = next(blocks)
+            angles = theta[blk.param_offset: blk.param_offset + 4]
+            ops.append(CircuitOp(blk.pair, block_unitary(angles, blk.reversed)))
+    return ops
+
+
+class TestFusion:
+    @pytest.mark.parametrize("n", [2, 3, 5, 6])
+    @pytest.mark.parametrize("l", [1, 2])
+    @pytest.mark.parametrize("trainable_fields", [False, True])
+    def test_one_op_per_slot_equals_per_gate_circuit(self, n, l, trainable_fields):
+        rng = np.random.default_rng(100 * n + 10 * l + trainable_fields)
+        h = tuple(rng.uniform(-0.8, 0.8, n))
+        ham = XYZHamiltonian((0.75,) * (n - 1), (0.75,) * (n - 1), (1.5,) * (n - 1), h)
+        a = build_brickwork_ansatz(n, l, ham, 0.3, trainable_fields=trainable_fields)
+        theta = rng.uniform(-np.pi, np.pi, a.num_params)
+        ops = ansatz_ops(a, theta)
+        assert len(ops) == len(a.slot_multiset())
+        assert all(len(op.sites) == 2 for op in ops)
+        start = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        start /= np.linalg.norm(start)
+        np.testing.assert_allclose(sv_apply_schedule(start, ops),
+                                   sv_apply_schedule(start, per_gate_ops(a, theta)),
+                                   rtol=0, atol=1e-12)
+
+    def test_fused_matrices_are_unitary(self):
+        ham = random_xyz(6, 0.375, 1.125, seed=14)
+        a = build_brickwork_ansatz(6, 2, ham, 0.2, trainable_fields=True)
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            for op in ansatz_ops(a, rng.uniform(-np.pi, np.pi, a.num_params)):
+                np.testing.assert_allclose(op.matrix.conj().T @ op.matrix, np.eye(4),
+                                           rtol=0, atol=1e-12)
 
 
 class TestTripletSolve:

@@ -28,7 +28,7 @@ class TestRun:
         assert report["optimization"]["trace_file"] == "trace.csv"
         assert 0 <= report["fidelities"]["a1_vs_gt"] <= 1 + 1e-9
         trace_lines = (out / "trace.csv").read_text().splitlines()
-        assert trace_lines[0] == "iter,cost,infidelity,grad_norm,alpha1,seconds"
+        assert trace_lines[0] == "iter,cost,infidelity,grad_norm,alpha1,seconds,note"
         assert len(trace_lines) >= 2
         assert (out / "circuit.txt").exists()
         manifest = json.loads((out / "manifest.json").read_text())
@@ -150,6 +150,23 @@ class TestSweep:
         code = run_cli("sweep", "--preset", "xxx", "--n", "4", "--layers", "1",
                        "--time", "0.8", "--out", str(tmp_path / "sweep"))
         assert code == EXIT_RUNTIME
+
+
+    def test_bad_grid_point_fails_before_any_run(self, tmp_path, monkeypatch):
+        import yaml
+
+        from aqctensor import pipeline
+
+        calls = []
+        monkeypatch.setattr(pipeline, "run_aqctensor",
+                            lambda cfg, raise_on_error=False: calls.append(cfg))
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump({"preset": "xxx", "n": 4, "layers": 1,
+                                            "t_grid": [0.5, -1.0]}))
+        out = tmp_path / "sweep"
+        assert run_cli("sweep", "--config", str(cfg_path), "--out", str(out)) == EXIT_USAGE
+        assert calls == []
+        assert not (out / "sweep.csv").exists()
 
 
 class TestExportCircuit:

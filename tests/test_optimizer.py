@@ -95,4 +95,15 @@ class TestContracts:
         path = tmp_path / "trace.csv"
         trace.write_csv(str(path))
         header = path.read_text().splitlines()[0]
-        assert header == "iter,cost,infidelity,grad_norm,alpha1,seconds"
+        assert header == "iter,cost,infidelity,grad_norm,alpha1,seconds,note"
+
+    def test_csv_carries_notes(self, tmp_path):
+        def lying(x):
+            return float(x @ x), -2.0 * x
+
+        _, trace = minimize(lying, np.array([1.0, -1.0]), OptimizerConfig(max_iter=10))
+        path = tmp_path / "trace.csv"
+        trace.write_csv(str(path))
+        rows = path.read_text().splitlines()
+        assert rows[1].endswith(",")  # the start record has no note
+        assert rows[-1].endswith(",line_search_failed")

@@ -170,6 +170,17 @@ class TestRun:
         assert max(numbers) == report.optimization["iterations"]
         assert all(a <= b for a, b in zip(numbers, numbers[1:]))
 
+    @pytest.mark.parametrize("max_iter", [1, 4])
+    def test_trace_explains_each_phase(self, max_iter):
+        report, trace = run_aqctensor(tiny_config(max_iter=max_iter), raise_on_error=True)
+        seconds = [r.seconds for r in trace.records]
+        assert all(a <= b for a, b in zip(seconds, seconds[1:]))  # monotone across phases
+        reasons = [p["stop_reason"] for p in report.optimization["phases"]]
+        assert len(reasons) == 2
+        assert reasons[0] in ("max_iter", "cost_tol", "grad_tol", "line_search_failed")
+        # max_iter=1 leaves no budget for the second phase
+        assert reasons[1] == (None if max_iter == 1 else report.optimization["stop_reason"])
+
     def test_guaranteed_improvement_floor(self):
         # even with a tiny budget the returned parameters are never worse
         # than the Trotter start under the terminal cost
