@@ -29,6 +29,7 @@ from . import mps as mpslib
 from .gates import (
     CX_FORWARD,
     CX_REVERSED,
+    ROTATIONS,
     CircuitOp,
     Y,
     Z,
@@ -153,96 +154,73 @@ def initial_rotation(angles: np.ndarray) -> np.ndarray:
     return rz(a) @ ry(b) @ rz(c)
 
 
-_ROTATIONS = {"ry": ry, "rz": rz}
-_GENERATORS = {"ry": -0.5j * Y, "rz": -0.5j * Z}  # d/dt exp(-i t G / 2) = -i G / 2 exp(...)
 _I2 = np.eye(2, dtype=complex)
 _I4 = np.eye(4, dtype=complex)
 
 
-def _kron2(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left (x) right for 2x2 factors on a (left, right) pair; either may be a stack."""
-    out = left[..., :, None, :, None] * right[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (4, 4))
-
-
-def _product(mats) -> np.ndarray:
-    """Time-ordered product: the first matrix acts first (rightmost)."""
-    if not mats:
-        return _I2
-    out = mats[0]
-    for m in mats[1:]:
-        out = m @ out
+def _on_pair(m: np.ndarray, side: int) -> np.ndarray:
+    """A 2x2 matrix on the left (side 0) or right (side 1) qubit of a pair, as a 4x4 factor."""
+    out = np.zeros((4, 4), dtype=complex)
+    if side == 0:
+        out[0::2, 0::2] = out[1::2, 1::2] = m  # m (x) I
+    else:
+        out[:2, :2] = out[2:, 2:] = m  # I (x) m
     return out
 
 
-def _rotation_tables(theta: np.ndarray) -> dict[str, np.ndarray]:
-    """ry(theta_j) and rz(theta_j) for every angle at once, each stacked (P, 2, 2)."""
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    y = np.stack([c, -s, s, c], axis=-1).astype(complex).reshape(-1, 2, 2)
-    z = np.zeros((theta.size, 2, 2), dtype=complex)
-    z[:, 0, 0], z[:, 1, 1] = np.exp(-0.5j * theta), np.exp(0.5j * theta)
-    return {"ry": y, "rz": z}
+# d/dt exp(-i t G / 2) = -i G / 2 exp(-i t G / 2), on either qubit of a pair
+_GENERATORS = {(name, side): _on_pair(-0.5j * g, side)
+               for name, g in (("ry", Y), ("rz", Z)) for side in (0, 1)}
+
+Factor = tuple[np.ndarray, np.ndarray | None, int]  # (4x4 factor, its -iG/2 or None, parameter index)
 
 
-Rotation = tuple[str, np.ndarray, int]  # (ry | rz, 2x2 matrix, parameter index or -1 when fixed)
+def _prefix_products(factors) -> list[np.ndarray]:
+    """[I, F0, F1 F0, ...]: the product of the first j factors at position j."""
+    out = [_I4]
+    for f, _, _ in factors:
+        out.append(f.dot(out[-1]))  # ndarray.dot: less call overhead than @ on 4x4
+    return out
 
 
 @dataclass(frozen=True)
 class AnsatzOp:
-    """One fused two-site slot: its CNOT blocks and the rotations absorbed next to them.
+    """One fused two-site slot: its CNOTs and the rotations absorbed next to them.
 
-    runs[2 s + side] lists, in time order, the rotations on the left (side 0)
-    or right (side 1) qubit after the slot's s-th CNOT; runs 0 and 1 act
-    before the first CNOT. matrix is the product of all of them.
+    factors lists every gate of the slot in time order as a 4x4 factor on the
+    pair: a CNOT, or a rotation R as R (x) I or I (x) R. A trainable rotation
+    carries its generator term -iG/2, lifted the same way, and its parameter
+    index; a CNOT or a fixed rotation carries None. matrix is the product.
     """
 
     sites: tuple[int, int]
-    cnots: tuple[np.ndarray, ...]
-    runs: tuple[tuple[Rotation, ...], ...]
+    factors: tuple[Factor, ...]
     matrix: np.ndarray
     param_indices: tuple[int, ...]
 
     def dmatrices(self) -> np.ndarray:
         """Derivatives of matrix with respect to each angle in param_indices, stacked (P, 4, 4).
 
-        An angle drives one rotation R_j = exp(-i t G / 2), so its derivative
-        is L (-i G / 2 R_j) R, with L and R the suffix and prefix products of
-        the slot's factors around R_j.
+        The angle of factor j drives R_j = exp(-i t G / 2), so its derivative
+        is S_{j+1} (-iG/2) R_j P_j, with P_j and S_{j+1} the products of the
+        factors before and after it.
         """
-        products, segments = _segments(self.runs)
-        before = [_I4]  # before[s]: the factors ahead of segment s
-        for cx, seg in zip(self.cnots, segments):
-            before.append(cx @ seg @ before[-1])
-        after = [_I4]  # after[s], built from the end: the factors behind segment s
-        for cx, seg in zip(reversed(self.cnots), reversed(segments[1:])):
-            after.append(after[-1] @ seg @ cx)
-        after.reverse()
-        out = [np.empty((0, 4, 4), dtype=complex)]
-        for r, run in enumerate(self.runs):
-            mats = [mat for _, mat, _ in run]
-            d = [_product(mats[j + 1:]) @ _GENERATORS[name] @ _product(mats[:j + 1])
-                 for j, (name, _, idx) in enumerate(run) if idx >= 0]
-            if d:
-                s, side = divmod(r, 2)
-                d = np.array(d)
-                local = _kron2(d, products[r + 1]) if side == 0 else _kron2(products[r - 1], d)
-                out.append(after[s] @ local @ before[s])
-        return np.concatenate(out)
+        prefix = _prefix_products(self.factors)
+        suffix = _I4
+        afters, gens, befores = [], [], []
+        for j in range(len(self.factors) - 1, -1, -1):
+            f, g, _ = self.factors[j]
+            if g is not None:
+                afters.append(suffix)
+                gens.append(g)
+                befores.append(prefix[j + 1])
+            suffix = suffix.dot(f)
+        return (np.array(afters) @ np.array(gens) @ np.array(befores))[::-1]
 
 
-def _segments(runs) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Each run's 2x2 product, and each (left, right) run pair's 4x4 product."""
-    products = [_product([mat for _, mat, _ in run]) for run in runs]
-    return products, [_kron2(products[s], products[s + 1]) for s in range(0, len(runs), 2)]
-
-
-def _fused_op(left: int, cnots: list[np.ndarray], runs: list[list[Rotation]]) -> AnsatzOp:
-    _, segments = _segments(runs)
-    m = segments[0]
-    for cx, seg in zip(cnots, segments[1:]):
-        m = seg @ (cx @ m)
-    params = tuple(idx for run in runs for _, _, idx in run if idx >= 0)
-    return AnsatzOp((left, left + 1), tuple(cnots), tuple(map(tuple, runs)), m, params)
+def _fused_op(left: int, factors: list[Factor]) -> AnsatzOp:
+    params = tuple(idx for _, g, idx in factors if g is not None)
+    return AnsatzOp((left, left + 1), tuple(factors), _prefix_products(factors)[-1], params)
 
 
 def _checked_theta(a: Ansatz, theta: np.ndarray) -> np.ndarray:
@@ -289,31 +267,34 @@ def ansatz_ops(a: Ansatz, theta: np.ndarray) -> list[AnsatzOp]:
     touched the qubit it joins the next one there, as its first factor.
     """
     theta = _checked_theta(a, theta)
-    slots: list[tuple[int, list, list]] = []  # (left site, cnots, runs)
+    slots: list[tuple[int, list[Factor]]] = []  # (left site, factors)
     owner: list[tuple | None] = [None] * a.n  # slot that last touched each qubit
-    pending: list[list[Rotation]] = [[] for _ in range(a.n)]
+    pending: list[list[tuple]] = [[] for _ in range(a.n)]  # rotations before any slot
     blocks = 0
-    tables = _rotation_tables(theta)
     for name, qubits, angle, idx in _primitive_gates(a, theta):
         if name == "cx":
             if blocks % a.b == 0:
                 left = min(qubits)
-                slot = (left, [], [pending[left], pending[left + 1]])
-                pending[left], pending[left + 1] = [], []
+                slot = (left, [])
+                for side in (0, 1):
+                    slot[1].extend(_rotation_factor(*rot, side) for rot in pending[left + side])
+                    pending[left + side] = []
                 owner[left] = owner[left + 1] = slot
                 slots.append(slot)
             blocks += 1
-            slot[1].append(CX_FORWARD if qubits[0] < qubits[1] else CX_REVERSED)
-            slot[2].extend(([], []))
-            continue
-        q = qubits[0]
-        rotation = (name, tables[name][idx] if idx >= 0 else _ROTATIONS[name](angle), idx)
-        if owner[q] is None:
-            pending[q].append(rotation)
+            cx = CX_FORWARD if qubits[0] < qubits[1] else CX_REVERSED
+            slot[1].append((cx, None, -1))
+        elif owner[qubits[0]] is None:
+            pending[qubits[0]].append((name, angle, idx))
         else:
-            left, _, runs = owner[q]
-            runs[len(runs) - 2 + q - left].append(rotation)
+            left, factors = owner[qubits[0]]
+            factors.append(_rotation_factor(name, angle, idx, qubits[0] - left))
     return [_fused_op(*slot) for slot in slots]
+
+
+def _rotation_factor(name: str, angle: float, idx: int, side: int) -> Factor:
+    gen = _GENERATORS[name, side] if idx >= 0 else None
+    return _on_pair(ROTATIONS[name](angle), side), gen, idx
 
 
 def adjoint_ops(ops: list[AnsatzOp]) -> list[CircuitOp]:

@@ -38,7 +38,7 @@ def rz(theta: float) -> np.ndarray:
     return np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]])
 
 
-_ROTATIONS = {"rx": rx, "ry": ry, "rz": rz}
+ROTATIONS = {"rx": rx, "ry": ry, "rz": rz}
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,6 @@ def op_from_record(name: str, qubits: Sequence[int], angles: Sequence[float]) ->
             raise ValueError(f"cx requires adjacent qubits, got {qubits}")
         mat = CX_FORWARD if c < t else CX_REVERSED
         return CircuitOp((min(c, t), max(c, t)), mat, "cx")
-    if name in _ROTATIONS:
-        return CircuitOp((qubits[0],), _ROTATIONS[name](angles[0]), name)
+    if name in ROTATIONS:
+        return CircuitOp((qubits[0],), ROTATIONS[name](angles[0]), name)
     raise ValueError(f"unknown gate name {name!r}")
