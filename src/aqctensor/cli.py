@@ -230,7 +230,10 @@ def cmd_export_circuit(args) -> int:
         return EXIT_USAGE
     cfg = RunConfig.from_dict(raw_config)
     out = _out_dir(args.out or cfg.out_dir)
-    _write_circuit(cfg, report["theta_opt"], out)
+    try:
+        _write_circuit(cfg, report["theta_opt"], out)
+    except (TypeError, ValueError) as exc:  # a theta_opt of wrong length, non-numbers or NaN
+        raise ConfigError(f"report {args.report} does not fit its config: {exc}") from exc
     _write_manifest(out, ["circuit.txt"])
     return EXIT_OK
 
@@ -287,7 +290,7 @@ def run_self_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     ansatz = build_brickwork_ansatz(n, l, ham, 0.2)
     theta = trotter_initialize(ansatz, ham, 0.2, bits="1010")
     theta = theta + rng.normal(0, 0.1, theta.size)
-    cfg = CostConfig(k=1, alphas=((n - 1) / n,), policy=policy)
+    cfg = CostConfig(alphas=((n - 1) / n,), policy=policy)
     g = gradient(ansatz, theta, target, cfg)
     g_fd = gradient_fd(ansatz, theta, target, cfg)
     dev = float(np.max(np.abs(g - g_fd)))

@@ -13,15 +13,15 @@ modulus-squared amplitude. Two evaluation strategies are provided:
 "reevaluation" literally runs the 2P shifted cost evaluations, while the
 default "environments" strategy evaluates each derivative as one overlap
 <W_m| dO_m^dag |prefix_m>, where O_m is one fused two-site slot of the
-ansatz. One gradient costs a backward (adjoint) sweep with checkpoints, a
-rebuild of each checkpoint segment and a forward sweep of the weighted bra
-state, plus per slot one window: amortized O(chi^3) environment work (the
-overlap environments are reused while the tensors they absorbed are
-unchanged), one O(chi^3) contraction into a 4x4 operator E, and O(P) 4x4
-products for the slot's P angles (12 to 18 plus trainable fields). The two
-strategies agree exactly only when no sweep truncates; under a binding bond
-cap each sweep truncates differently, and neither is the derivative of the
-untruncated cost.
+ansatz. One gradient costs one backward (adjoint) sweep that keeps every
+prefix state and one forward sweep of the weighted bra state, 2M two-site
+gates for M slots, plus per slot one window: amortized O(chi^3) environment
+work (the overlap environments are reused while the tensors they absorbed
+are unchanged), one O(chi^3) contraction into a 4x4 operator E, and O(P)
+4x4 products for the slot's P angles (12 to 18 plus trainable fields). The
+two strategies agree exactly only when no sweep truncates; under a binding
+bond cap each sweep truncates differently, and neither is the derivative of
+the untruncated cost.
 """
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ from .ansatz import Ansatz, adjoint_ops, ansatz_ops, apply_ansatz_adjoint
 from .mps import MPS, TruncationPolicy
 
 _BRUTE_FORCE_LIMIT = 14
-_CHECKPOINT_STRIDE = 32
 
 
 def default_alpha_schedule(n: int) -> tuple[tuple[float, tuple[float, ...]], ...]:
@@ -45,20 +44,17 @@ def default_alpha_schedule(n: int) -> tuple[tuple[float, tuple[float, ...]], ...
 
 @dataclass(frozen=True)
 class CostConfig:
-    """Truncation order, weights, and the policy used inside evaluation.
+    """Weights of the order-1..k flip terms, and the policy used inside evaluation."""
 
-    alphas has length k (weights of the order-1..k flip terms).
-    """
-
-    k: int = 1
     alphas: tuple[float, ...] = ()
     policy: TruncationPolicy = field(default_factory=TruncationPolicy)
 
+    @property
+    def k(self) -> int:
+        """Truncation order: one weight per flip order."""
+        return len(self.alphas)
+
     def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError("truncation order k must be >= 0")
-        if len(self.alphas) != self.k:
-            raise ValueError(f"need {self.k} weights, got {len(self.alphas)}")
         if any(not np.isfinite(a) or a < 0 for a in self.alphas):
             raise ValueError("weights must be finite and >= 0")
 
@@ -160,10 +156,10 @@ def gradient(
     """Parameter-shift gradient of the truncated local cost.
 
     Both methods return (C(theta_j + pi/2) - C(theta_j - pi/2)) / 2 for every
-    trainable angle; "environments" computes the same values from a
-    checkpointed adjoint sweep, the checkpoint-segment rebuild and a forward
-    bra sweep instead of 2P cost evaluations. The values are exact when no
-    sweep truncates (policy chi_max and cutoff never bind).
+    trainable angle; "environments" computes the same values from one
+    backward sweep that keeps every prefix state and one forward bra sweep
+    instead of 2P cost evaluations. The values are exact when no sweep
+    truncates (policy chi_max and cutoff never bind).
     """
     if method == "environments":
         return _gradient_environments(a, theta, target, cfg)[0]
@@ -384,7 +380,7 @@ def variance_probe(
 def _gradient_environments(
     a: Ansatz, theta: np.ndarray, target: MPS, cfg: CostConfig
 ) -> tuple[np.ndarray, CostValue]:
-    """One adjoint sweep (checkpointed) + one forward bra sweep + local windows.
+    """Backward sweep keeping every prefix state + forward bra sweep + local windows.
 
     dC/dtheta_j = -2 Re <W_m| dO_m^dag/dtheta_j |prefix_m> where prefix_m is
     the target propagated through the adjoint gates after op m and W_m is the
@@ -396,33 +392,18 @@ def _gradient_environments(
     """
     policy = cfg.policy
     ops = ansatz_ops(a, theta)
-    adj = adjoint_ops(ops)  # adj[i] is (O_{M-i})^dag
-    m_total = len(ops)
 
-    # backward pass: prefix_m for m = M..0, checkpointed every stride ops
-    checkpoints: dict[int, MPS] = {m_total: target}
-    state = target
-    for m in range(m_total, 0, -1):
-        state = mpslib.apply_ops(state, (adj[m_total - m],), policy)
-        if (m - 1) % _CHECKPOINT_STRIDE == 0:
-            checkpoints[m - 1] = state
-    phi = mpslib.normalize(state)
+    # backward sweep: prefixes[i] = prefix_{M-i}, the target after i adjoint ops
+    prefixes = [target]
+    for op in adjoint_ops(ops):
+        prefixes.append(mpslib.apply_ops(prefixes[-1], (op,), policy))
+    phi = mpslib.normalize(prefixes.pop())
     grad = np.zeros(theta.size)
     bra = _weighted_bra_state(phi, cfg.k, cfg.alphas)
     envs = _OverlapEnvironments()
 
-    segment: dict[int, MPS] = {}
-    for m in range(1, m_total + 1):
-        op = ops[m - 1]
-        if m not in segment:
-            # rebuild prefix states for this checkpoint segment
-            hi = min(((m - 1) // _CHECKPOINT_STRIDE + 1) * _CHECKPOINT_STRIDE, m_total)
-            seg_state = checkpoints[hi]
-            segment = {hi: seg_state}
-            for mm in range(hi, m - 1, -1):
-                seg_state = mpslib.apply_ops(seg_state, (adj[m_total - mm],), policy)
-                segment[mm - 1] = seg_state
-        prefix = segment[m] if m in segment else checkpoints[m]
+    for op in ops:
+        prefix = prefixes.pop()
         left = envs.left(bra, prefix, op.sites[0])
         right = envs.right(bra, prefix, op.sites[1])
         e = _local_operator(left, right, bra, prefix, op.sites[0])

@@ -28,12 +28,10 @@ class TruncationPolicy:
 
     chi_max: hard cap on kept singular values (None = unbounded).
     cutoff: relative threshold; singular values below cutoff * s_max are dropped.
-    renormalize: rescale kept singular values so the state norm is preserved.
     """
 
     chi_max: int | None = None
     cutoff: float = 1e-12
-    renormalize: bool = True
 
     def __post_init__(self) -> None:
         if self.chi_max is not None and self.chi_max < 1:
@@ -218,8 +216,8 @@ def apply_two_site_gate(
     The orthogonality center is moved onto the touched pair first so the local
     SVD truncation is globally optimal, and ends on the RIGHT site
     (left_site + 1). Dropped squared singular-value mass is added to
-    discarded_weight; kept singular values are rescaled when
-    policy.renormalize is set.
+    discarded_weight; kept singular values are rescaled so the state norm is
+    preserved.
     """
     if not 0 <= left_site < psi.n - 1:
         raise ValueError(f"left_site {left_site} out of range for {psi.n} qubits")
@@ -255,7 +253,7 @@ def apply_two_site_gate(
             left_site, keep, len(s), discarded,
         )
     s = s[:keep]
-    if policy.renormalize and kept > 0:
+    if kept > 0:
         s = s * math.sqrt(total / kept)
 
     tensors[left_site] = uu[:, :keep].reshape(chi_l, 2, keep)

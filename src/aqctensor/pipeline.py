@@ -180,7 +180,7 @@ def resolve_alpha_schedule(cfg: RunConfig) -> tuple[tuple[float, tuple[float, ..
     try:
         phases = [(float(frac), tuple(float(a) for a in alphas)) for frac, alphas in cfg.alpha_schedule]
         for _, alphas in phases:
-            CostConfig(k=len(alphas), alphas=alphas)  # checks the weights
+            CostConfig(alphas=alphas)  # checks the weights
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad alpha schedule {cfg.alpha_schedule!r}: {exc}") from exc
     if not phases or abs(sum(f for f, _ in phases) - 1.0) > 1e-9:
@@ -331,7 +331,7 @@ def _optimize_phases(
 ) -> tuple[np.ndarray, OptimizationTrace, dict]:
     """Run the alpha-schedule phases; pick the best theta under the terminal cost."""
     phases = resolve_alpha_schedule(cfg)
-    terminal_cfg = CostConfig(k=0, alphas=(), policy=policy)
+    terminal_cfg = CostConfig(policy=policy)
 
     def terminal_cost(t: np.ndarray) -> float:
         return cost_local_truncated(ansatz, t, target, terminal_cfg).total
@@ -346,8 +346,7 @@ def _optimize_phases(
         budget = round(cfg.max_iter * fraction) if idx < len(phases) - 1 else remaining
         budget = max(1, min(budget, remaining))
         remaining -= budget
-        k = len(alphas)
-        phase_cfg = CostConfig(k=k, alphas=alphas, policy=policy)
+        phase_cfg = CostConfig(alphas=alphas, policy=policy)
         opt_cfg = OptimizerConfig(max_iter=budget, grad_tol=cfg.grad_tol, cost_tol=cfg.cost_tol)
 
         def evaluate(t: np.ndarray, _cfg=phase_cfg):

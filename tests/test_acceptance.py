@@ -137,7 +137,7 @@ def test_criterion_05_gradient_exactness():
         a = build_brickwork_ansatz(n, l, ham, 0.2)
         theta = rng.uniform(-np.pi, np.pi, a.num_params)
         target = random_mps(n, seed=seed + 1)
-        cfg = CostConfig(k=1, alphas=((n - 1) / n,), policy=EXACT)
+        cfg = CostConfig(alphas=((n - 1) / n,), policy=EXACT)
         g = gradient(a, theta, target, cfg)
         g_fd = gradient_fd(a, theta, target, cfg)
         worst = max(worst, float(np.max(np.abs(g - g_fd))))
@@ -158,7 +158,7 @@ def test_criterion_06_local_cost_equivalence():
         a = build_brickwork_ansatz(n, 2, ham, 0.2)
         theta = rng.uniform(-np.pi, np.pi, a.num_params)
         target = random_mps(n, seed=seed + 2)
-        cfg = CostConfig(k=n, alphas=alphas, policy=EXACT)
+        cfg = CostConfig(alphas=alphas, policy=EXACT)
         truncated = cost_local_truncated(a, theta, target, cfg).total
         brute = cost_full_local_bruteforce(a, theta, target, EXACT)
         worst = max(worst, abs(truncated - brute))

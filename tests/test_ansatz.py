@@ -323,7 +323,7 @@ class TestTrainableFields:
         rng = np.random.default_rng(42)
         theta = rng.uniform(-np.pi, np.pi, a.num_params)
         target = random_mps(4, seed=43)
-        cfg = CostConfig(k=1, alphas=(0.75,), policy=EXACT)
+        cfg = CostConfig(alphas=(0.75,), policy=EXACT)
         g = gradient(a, theta, target, cfg)
         assert g.size == a.num_params
         np.testing.assert_allclose(g, gradient_fd(a, theta, target, cfg), atol=1e-6)

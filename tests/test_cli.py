@@ -200,3 +200,20 @@ class TestExportCircuit:
         bad = tmp_path / "report.json"
         bad.write_text(json.dumps({"config": {"n": 4}, "theta_opt": []}))
         assert run_cli("export-circuit", "--report", str(bad)) == EXIT_USAGE
+
+    @pytest.mark.parametrize("damage", ["one_short", "non_number", "nan"])
+    def test_unusable_theta_is_usage_error(self, tmp_path, damage):
+        from aqctensor.ansatz import build_brickwork_ansatz
+        from aqctensor.pipeline import RunConfig, resolve_hamiltonian
+
+        config = {"preset": "xxz", "n": 4, "layers": 1, "t": 0.6}
+        cfg = RunConfig.from_dict(config)
+        theta = [0.1] * build_brickwork_ansatz(4, 1, resolve_hamiltonian(cfg), cfg.dt).num_params
+        theta[-1] = {"non_number": "x", "nan": float("nan")}.get(damage)
+        if damage == "one_short":
+            theta.pop()
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps({"config": config, "theta_opt": theta}))
+        out = tmp_path / "export"
+        assert run_cli("export-circuit", "--report", str(bad), "--out", str(out)) == EXIT_USAGE
+        assert not (out / "circuit.txt").exists()

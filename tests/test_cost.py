@@ -52,14 +52,14 @@ class TestCostLocalTruncated:
     def test_alpha_zero_equals_global(self):
         ham, a, theta = make_instance(5, 1, seed=4)
         target = random_mps(5, seed=40)
-        cfg = CostConfig(k=1, alphas=(0.0,), policy=EXACT)
+        cfg = CostConfig(alphas=(0.0,), policy=EXACT)
         local = cost_local_truncated(a, theta, target, cfg)
         assert local.total == cost_global(a, theta, target, EXACT).total
 
     def test_zero_at_own_output(self):
         ham, a, theta = make_instance(4, 1, seed=5)
         target = apply_ansatz(a, theta, from_product_state("0000"), EXACT)
-        cfg = CostConfig(k=1, alphas=(0.75,), policy=EXACT)
+        cfg = CostConfig(alphas=(0.75,), policy=EXACT)
         value = cost_local_truncated(a, theta, target, cfg)
         assert value.total == pytest.approx(0.0, abs=1e-10)
         assert value.flip_terms[0] == pytest.approx(0.0, abs=1e-10)
@@ -69,14 +69,14 @@ class TestCostLocalTruncated:
         ham, a, theta = make_instance(n, 2, seed=6)
         target = random_mps(n, seed=60)
         alphas = tuple((n - m) / n for m in range(1, n + 1))
-        cfg = CostConfig(k=n, alphas=alphas, policy=EXACT)
+        cfg = CostConfig(alphas=alphas, policy=EXACT)
         truncated = cost_local_truncated(a, theta, target, cfg).total
         brute = cost_full_local_bruteforce(a, theta, target, EXACT)
         assert truncated == pytest.approx(brute, abs=1e-12)
 
     def test_order_above_n_rejected(self):
         ham, a, theta = make_instance(3, 1, seed=7)
-        cfg = CostConfig(k=4, alphas=(1, 1, 1, 1), policy=EXACT)
+        cfg = CostConfig(alphas=(1, 1, 1, 1), policy=EXACT)
         with pytest.raises(ValueError):
             cost_local_truncated(a, theta, random_mps(3, seed=70), cfg)
 
@@ -86,7 +86,7 @@ class TestCostLocalTruncated:
         target = random_mps(n, seed=80)
         totals = []
         for k in range(n + 1):
-            cfg = CostConfig(k=k, alphas=(0.5,) * k, policy=EXACT)
+            cfg = CostConfig(alphas=(0.5,) * k, policy=EXACT)
             totals.append(cost_local_truncated(a, theta, target, cfg).total)
         for higher, lower in zip(totals[1:], totals[:-1]):
             assert higher <= lower + 1e-12
@@ -94,7 +94,7 @@ class TestCostLocalTruncated:
     def test_global_phase_invariance(self):
         ham, a, theta = make_instance(4, 1, seed=9)
         target = random_mps(4, seed=90)
-        cfg = CostConfig(k=1, alphas=(0.75,), policy=EXACT)
+        cfg = CostConfig(alphas=(0.75,), policy=EXACT)
         base = cost_local_truncated(a, theta, target, cfg).total
 
         rotated = target.copy()
@@ -120,7 +120,7 @@ class TestBruteForce:
         theta = rng.uniform(-np.pi, np.pi, a.num_params)
         target = random_mps(2, seed=5)
         # weight (n-m)/n kills the full-flip term only at n=1; at n=2 compare to k=n
-        cfg = CostConfig(k=2, alphas=(0.5, 0.0), policy=EXACT)
+        cfg = CostConfig(alphas=(0.5, 0.0), policy=EXACT)
         assert cost_full_local_bruteforce(a, theta, target, EXACT) == pytest.approx(
             cost_local_truncated(a, theta, target, cfg).total, abs=1e-12
         )
@@ -137,7 +137,7 @@ class TestGradient:
         ham, a, _ = make_instance(4, 1, seed=11)
         theta = trotter_initialize(a, ham, 0.2, bits="1010")
         target = apply_ansatz(a, theta, from_product_state("0000"), EXACT)
-        cfg = CostConfig(k=1, alphas=(0.75,), policy=EXACT)
+        cfg = CostConfig(alphas=(0.75,), policy=EXACT)
         g = gradient(a, theta, target, cfg)
         assert np.max(np.abs(g)) <= 1e-6
 
@@ -145,7 +145,7 @@ class TestGradient:
     def test_matches_finite_differences(self, seed):
         ham, a, theta = make_instance(4, 1, seed=seed)
         target = random_mps(4, seed=seed + 100)
-        cfg = CostConfig(k=1, alphas=(0.75,), policy=EXACT)
+        cfg = CostConfig(alphas=(0.75,), policy=EXACT)
         g = gradient(a, theta, target, cfg)
         g_fd = gradient_fd(a, theta, target, cfg)
         np.testing.assert_allclose(g, g_fd, atol=1e-6)
@@ -155,7 +155,7 @@ class TestGradient:
 
         ham, a, theta = make_instance(5, 1, seed=29)
         target = random_mps(5, seed=129)
-        cfg = CostConfig(k=1, alphas=(0.8,), policy=EXACT)
+        cfg = CostConfig(alphas=(0.8,), policy=EXACT)
         value, grad = cost_and_gradient(a, theta, target, cfg)
         assert value.total == cost_local_truncated(a, theta, target, cfg).total
         np.testing.assert_array_equal(grad, gradient(a, theta, target, cfg))
@@ -163,7 +163,7 @@ class TestGradient:
     def test_environment_and_reevaluation_agree(self):
         ham, a, theta = make_instance(5, 2, seed=23)
         target = random_mps(5, seed=123)
-        cfg = CostConfig(k=1, alphas=(0.8,), policy=EXACT)
+        cfg = CostConfig(alphas=(0.8,), policy=EXACT)
         g_env = gradient(a, theta, target, cfg, method="environments")
         g_rev = gradient(a, theta, target, cfg, method="reevaluation")
         np.testing.assert_allclose(g_env, g_rev, atol=1e-12)
@@ -171,7 +171,7 @@ class TestGradient:
     def test_global_cost_gradient(self):
         ham, a, theta = make_instance(4, 1, seed=24)
         target = random_mps(4, seed=124)
-        cfg = CostConfig(k=0, alphas=(), policy=EXACT)
+        cfg = CostConfig(alphas=(), policy=EXACT)
         np.testing.assert_allclose(
             gradient(a, theta, target, cfg), gradient_fd(a, theta, target, cfg), atol=1e-6
         )
@@ -179,7 +179,7 @@ class TestGradient:
     def test_k2_gradient(self):
         ham, a, theta = make_instance(4, 1, seed=25)
         target = random_mps(4, seed=125)
-        cfg = CostConfig(k=2, alphas=(0.75, 0.5), policy=EXACT)
+        cfg = CostConfig(alphas=(0.75, 0.5), policy=EXACT)
         np.testing.assert_allclose(
             gradient(a, theta, target, cfg), gradient_fd(a, theta, target, cfg), atol=1e-6
         )
@@ -187,7 +187,7 @@ class TestGradient:
     def test_length_covers_exactly_the_trainable_angles(self):
         ham, a, theta = make_instance(4, 1, seed=26)
         target = random_mps(4, seed=126)
-        cfg = CostConfig(k=1, alphas=(0.5,), policy=EXACT)
+        cfg = CostConfig(alphas=(0.5,), policy=EXACT)
         assert gradient(a, theta, target, cfg).size == a.num_params
 
     def test_unknown_method(self):
@@ -198,7 +198,7 @@ class TestGradient:
     def test_fd_richardson_consistency(self):
         ham, a, theta = make_instance(4, 1, seed=28)
         target = random_mps(4, seed=128)
-        cfg = CostConfig(k=1, alphas=(0.75,), policy=EXACT)
+        cfg = CostConfig(alphas=(0.75,), policy=EXACT)
         exact = gradient(a, theta, target, cfg)
         err_h = np.linalg.norm(gradient_fd(a, theta, target, cfg, h=2e-3) - exact)
         err_h2 = np.linalg.norm(gradient_fd(a, theta, target, cfg, h=1e-3) - exact)

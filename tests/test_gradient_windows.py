@@ -8,7 +8,7 @@ the re-evaluation oracle (2P shifted cost sweeps) does not.
 import numpy as np
 import pytest
 
-from aqctensor import cost
+from aqctensor import cost, mps
 from aqctensor.ansatz import (
     adjoint_ops,
     ansatz_ops,
@@ -78,13 +78,15 @@ def chain_instance(n, l, seed, chi_max, trainable_fields=False):
     a = build_brickwork_ansatz(n, l, ham, 0.3, trainable_fields=trainable_fields)
     theta = trotter_initialize(a, ham, 0.3, bits=bits)
     theta = theta + np.random.default_rng(seed).normal(0, 0.2, a.num_params)
-    cfg = CostConfig(k=1, alphas=((n - 1) / n,), policy=TruncationPolicy(chi_max=chi_max))
+    cfg = CostConfig(alphas=((n - 1) / n,), policy=TruncationPolicy(chi_max=chi_max))
     return a, theta, target, cfg
 
 
-@pytest.mark.parametrize("trainable_fields", [False, True])
-def test_matches_rebuild_oracle_under_binding_chi_cap(trainable_fields):
-    a, theta, target, cfg = chain_instance(12, 2, 5, chi_max=4, trainable_fields=trainable_fields)
+@pytest.mark.parametrize("n, trainable_fields", [(12, False), (12, True), (16, False)],
+                         ids=["False", "True", "n16-False"])
+def test_matches_rebuild_oracle_under_binding_chi_cap(n, trainable_fields):
+    # n=16 gives 38 slots, the longest adjoint sweep of any gradient test
+    a, theta, target, cfg = chain_instance(n, 2, 5, chi_max=4, trainable_fields=trainable_fields)
     # the cap must bind, or the re-evaluation oracle would already cover this case
     assert apply_ansatz_adjoint(a, theta, target, cfg.policy).discarded_weight > 1e-6
     _, grad = cost_and_gradient(a, theta, target, cfg)
@@ -93,9 +95,24 @@ def test_matches_rebuild_oracle_under_binding_chi_cap(trainable_fields):
 
 def test_matches_rebuild_oracle_k0_exact():
     a, theta, target, _ = chain_instance(7, 2, 3, chi_max=None)
-    cfg = CostConfig(k=0, alphas=(), policy=EXACT)
+    cfg = CostConfig(alphas=(), policy=EXACT)
     _, grad = cost_and_gradient(a, theta, target, cfg)
     np.testing.assert_allclose(grad, rebuild_gradient(a, theta, target, cfg), rtol=0, atol=1e-12)
+
+
+def test_gradient_applies_two_gates_per_slot(monkeypatch):
+    # one backward sweep and one bra sweep; no prefix state is rebuilt
+    a, theta, target, cfg = chain_instance(8, 2, 2, chi_max=None)
+    calls = [0]
+    apply_two_site_gate = mps.apply_two_site_gate
+
+    def counted(*args):
+        calls[0] += 1
+        return apply_two_site_gate(*args)
+
+    monkeypatch.setattr(mps, "apply_two_site_gate", counted)
+    cost_and_gradient(a, theta, target, cfg)
+    assert calls[0] == 2 * len(ansatz_ops(a, theta))
 
 
 def _env_steps(monkeypatch, n):

@@ -162,7 +162,7 @@ class TestTwoSiteGate:
 
     def test_renormalization_keeps_unit_norm(self):
         rng = np.random.default_rng(16)
-        policy = TruncationPolicy(chi_max=2, renormalize=True)
+        policy = TruncationPolicy(chi_max=2)
         psi = from_product_state("010101")
         from scipy.stats import unitary_group
 
@@ -225,7 +225,6 @@ class TestTruncationPolicy:
         policy = TruncationPolicy()
         assert policy.chi_max is None
         assert policy.cutoff == 1e-12
-        assert policy.renormalize
 
 
 class TestInvariants:
