@@ -47,6 +47,7 @@ from .mps import (
     fidelity,
     from_product_state,
     inner_product,
+    iter_ops,
     max_bond,
     normalize,
 )

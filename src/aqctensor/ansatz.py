@@ -38,7 +38,8 @@ from .gates import (
     ry,
     rz,
 )
-from .hamiltonian import XYZHamiltonian, build_trotter_schedule, triplet_angles, two_site_unitary
+from .hamiltonian import (XYZHamiltonian, build_trotter_schedule, sweep_order, triplet_angles,
+                          two_site_unitary)
 from .mps import MPS, TruncationPolicy
 
 
@@ -261,10 +262,11 @@ def _primitive_gates(a: Ansatz, theta: np.ndarray):
 
 
 def ansatz_ops(a: Ansatz, theta: np.ndarray) -> list[AnsatzOp]:
-    """The circuit at the given parameters as one fused op per two-site slot, in order.
+    """The circuit at the given parameters as one fused op per two-site slot, column by column.
 
     A rotation joins the last slot that touched its qubit; before any slot has
-    touched the qubit it joins the next one there, as its first factor.
+    touched the qubit it joins the next one there, as its first factor. The
+    slots of a column come in sweep_order.
     """
     theta = _checked_theta(a, theta)
     slots: list[tuple[int, list[Factor]]] = []  # (left site, factors)
@@ -289,7 +291,8 @@ def ansatz_ops(a: Ansatz, theta: np.ndarray) -> list[AnsatzOp]:
         else:
             left, factors = owner[qubits[0]]
             factors.append(_rotation_factor(name, angle, idx, qubits[0] - left))
-    return [_fused_op(*slot) for slot in slots]
+    fused = iter([_fused_op(*slot) for slot in slots])
+    return [op for tag, pairs in a.columns for op in sweep_order(tag, [next(fused) for _ in pairs])]
 
 
 def _rotation_factor(name: str, angle: float, idx: int, side: int) -> Factor:

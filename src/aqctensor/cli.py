@@ -155,7 +155,7 @@ def _write_circuit(cfg, theta, out: Path) -> None:
     if cfg.append_steps > 0:
         dt_app = cfg.append_dt if cfg.append_dt is not None else cfg.dt
         lines += schedule_gate_records(ham, dt_app, cfg.append_steps)
-    write_gate_list(lines, str(out / "circuit.txt"))
+    write_gate_list(lines, str(_out_dir(out) / "circuit.txt"))  # made once theta is checked
 
 
 def _run_pipeline(args, append_allowed: bool) -> int:
@@ -229,7 +229,7 @@ def cmd_export_circuit(args) -> int:
         print("error: report carries no optimized parameters", file=sys.stderr)
         return EXIT_USAGE
     cfg = RunConfig.from_dict(raw_config)
-    out = _out_dir(args.out or cfg.out_dir)
+    out = Path(args.out or cfg.out_dir)
     try:
         _write_circuit(cfg, report["theta_opt"], out)
     except (TypeError, ValueError) as exc:  # a theta_opt of wrong length, non-numbers or NaN

@@ -394,12 +394,11 @@ def _gradient_environments(
     ops = ansatz_ops(a, theta)
 
     # backward sweep: prefixes[i] = prefix_{M-i}, the target after i adjoint ops
-    prefixes = [target]
-    for op in adjoint_ops(ops):
-        prefixes.append(mpslib.apply_ops(prefixes[-1], (op,), policy))
+    prefixes = [target, *mpslib.iter_ops(target, adjoint_ops(ops), policy)]
     phi = mpslib.normalize(prefixes.pop())
     grad = np.zeros(theta.size)
     bra = _weighted_bra_state(phi, cfg.k, cfg.alphas)
+    bras = mpslib.iter_ops(bra, ops, policy)
     envs = _OverlapEnvironments()
 
     for op in ops:
@@ -410,5 +409,5 @@ def _gradient_environments(
         # <W| dM^dag |prefix> = sum_{s,t} E[s, t] conj(dM[t, s])
         vals = np.tensordot(op.dmatrices().conj(), e, axes=([1, 2], [1, 0]))
         grad[list(op.param_indices)] = -2.0 * vals.real
-        bra = mpslib.apply_ops(bra, (op,), policy)
+        bra = next(bras)
     return grad, _evaluate(phi, cfg.k, cfg.alphas)

@@ -14,7 +14,7 @@ only at the circuit boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -153,6 +153,15 @@ def _field_column(ham: XYZHamiltonian, dt: float) -> Column:
     return Column("field", gates)
 
 
+def sweep_order(tag: str, items: Sequence) -> Sequence:
+    """A column's gates in the order they are applied: odd-full columns run right to left.
+
+    A column's gates act on disjoint pairs and commute. Alternating directions
+    sweep back and forth, about one QR step per gate in mps.iter_ops.
+    """
+    return items[::-1] if tag == "odd-full" else items
+
+
 def build_trotter_schedule(ham: XYZHamiltonian, dt: float, steps: int) -> GateSchedule:
     """Fused schedule realizing (U_trott(dt))^steps.
 
@@ -194,7 +203,7 @@ def tebd_evolve(
     # tensors it replaces are freed as the column runs, not at its end
     held = [psi0]
     for col in schedule.columns:
-        held.append(mpslib.apply_ops(held.pop(), col.gates, policy))
+        held.append(mpslib.apply_ops(held.pop(), sweep_order(col.tag, col.gates), policy))
         max_chi = max(max_chi, mpslib.max_bond(held[0]))
     psi = mpslib.normalize(held[0])
     if stats is not None:

@@ -6,6 +6,9 @@ dimension 1. The orthogonality center, when tracked, is the index of the single
 non-isometric tensor; tensors left of it are left-orthonormal, tensors right of
 it are right-orthonormal.
 
+A two-site gate leaves the center on the side of the next one, so an op list
+sweeping back and forth needs about one QR step per gate.
+
 All operations return new MPS values; inputs are never mutated.
 """
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -209,15 +212,15 @@ def canonicalize(psi: MPS, center: int) -> MPS:
 
 
 def apply_two_site_gate(
-    psi: MPS, u: np.ndarray, left_site: int, policy: TruncationPolicy
+    psi: MPS, u: np.ndarray, left_site: int, policy: TruncationPolicy, end_left: bool = False
 ) -> MPS:
     """Apply a 4x4 unitary to (left_site, left_site + 1) with SVD truncation.
 
     The orthogonality center is moved onto the touched pair first so the local
-    SVD truncation is globally optimal, and ends on the RIGHT site
-    (left_site + 1). Dropped squared singular-value mass is added to
-    discarded_weight; kept singular values are rescaled so the state norm is
-    preserved.
+    SVD truncation is globally optimal, and ends on the right site
+    (left_site + 1), or on left_site when end_left is set. The dropped share of
+    the pair's squared singular-value mass is added to discarded_weight; kept
+    singular values are rescaled so the state norm is preserved.
     """
     if not 0 <= left_site < psi.n - 1:
         raise ValueError(f"left_site {left_site} out of range for {psi.n} qubits")
@@ -246,7 +249,7 @@ def apply_two_site_gate(
         keep = min(keep, policy.chi_max)
     keep = max(keep, 1)
     kept = float(np.sum(s[:keep] ** 2))
-    discarded = max(total - kept, 0.0)
+    discarded = float(np.sum(s[keep:] ** 2))
     if discarded > 0:
         logger.debug(
             "truncation at bond %d: kept %d of %d, discarded weight %.3e",
@@ -256,20 +259,33 @@ def apply_two_site_gate(
     if kept > 0:
         s = s * math.sqrt(total / kept)
 
-    tensors[left_site] = uu[:, :keep].reshape(chi_l, 2, keep)
-    tensors[left_site + 1] = (s[:, None] * vh[:keep]).reshape(keep, 2, chi_r)
-    out.center = left_site + 1
+    uu, vh = (uu[:, :keep] * s, vh[:keep]) if end_left else (uu[:, :keep], s[:, None] * vh[:keep])
+    tensors[left_site] = uu.reshape(chi_l, 2, keep)
+    tensors[left_site + 1] = vh.reshape(keep, 2, chi_r)
+    out.center = left_site if end_left else left_site + 1
     out.discarded_weight = psi.discarded_weight + discarded / total if total > 0 else psi.discarded_weight
     return out
 
 
-def apply_ops(psi: MPS, ops: Iterable, policy: TruncationPolicy) -> MPS:
-    """Apply ops with .sites and .matrix in order; the one gate-list path onto an MPS."""
+def iter_ops(psi: MPS, ops: Iterable, policy: TruncationPolicy) -> Iterator[MPS]:
+    """Apply ops with .sites and .matrix in order, yielding the state after each.
+
+    A two-site gate ends on its left site when the next two-site op lies further left.
+    """
+    ops = list(ops)
+    following = iter([op.sites[0] for op in ops if len(op.sites) == 2][1:] + [psi.n])
     for op in ops:
         if len(op.sites) == 1:
             psi = apply_single_site_gate(psi, op.matrix, op.sites[0])
         else:
-            psi = apply_two_site_gate(psi, op.matrix, op.sites[0], policy)
+            psi = apply_two_site_gate(psi, op.matrix, op.sites[0], policy, next(following) < op.sites[0])
+        yield psi
+
+
+def apply_ops(psi: MPS, ops: Iterable, policy: TruncationPolicy) -> MPS:
+    """The state after all ops of iter_ops; the one gate-list path onto an MPS."""
+    for psi in iter_ops(psi, ops, policy):
+        pass
     return psi
 
 

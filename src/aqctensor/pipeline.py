@@ -329,16 +329,16 @@ def _optimize_phases(
     cfg: RunConfig,
     policy: TruncationPolicy,
 ) -> tuple[np.ndarray, OptimizationTrace, dict]:
-    """Run the alpha-schedule phases; pick the best theta under the terminal cost."""
+    """Run the alpha-schedule phases; pick the best theta under the terminal cost.
+
+    A candidate's terminal cost is the infidelity of its trace record: the first
+    one for theta0, a phase's first lowest-cost one for its result.
+    """
     phases = resolve_alpha_schedule(cfg)
-    terminal_cfg = CostConfig(policy=policy)
-
-    def terminal_cost(t: np.ndarray) -> float:
-        return cost_local_truncated(ansatz, t, target, terminal_cfg).total
-
     full_trace = OptimizationTrace()
     stop_reasons = []
     candidates = [theta0]
+    terminal_values = []
     theta = theta0
     offset = 0
     remaining = cfg.max_iter
@@ -365,10 +365,12 @@ def _optimize_phases(
         full_trace.stop_reason = phase_trace.stop_reason
         stop_reasons.append(phase_trace.stop_reason)
         candidates.append(theta)
+        if not terminal_values:
+            terminal_values.append(phase_trace.records[0].infidelity)
+        terminal_values.append(min(phase_trace.records, key=lambda r: r.cost).infidelity)
         if remaining <= 0:
             break
 
-    terminal_values = [terminal_cost(t) for t in candidates]
     best_idx = int(np.argmin(terminal_values))
     info = {
         # stop_reason is None for a phase that did not run

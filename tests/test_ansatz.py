@@ -333,21 +333,23 @@ class TestTrainableFields:
 
 class TestExport:
     def test_round_trip_reproduces_circuit(self, tmp_path):
-        rng = np.random.default_rng(12)
-        base = random_xyz(4, 0.375, 1.125, seed=13)
-        ham = XYZHamiltonian(base.alpha, base.beta, base.delta, (0.1, -0.2, 0.3, 0.0))
-        a = build_brickwork_ansatz(4, 1, ham, 0.2)
-        theta = rng.uniform(-np.pi, np.pi, a.num_params)
-
         from aqctensor.gates import read_gate_list, write_gate_list
 
-        path = tmp_path / "circuit.txt"
-        write_gate_list(export_circuit_records(a, theta), str(path))
-        ops = [op_from_record(*rec) for rec in read_gate_list(str(path))]
+        rng = np.random.default_rng(12)
+        # n=6, l=2: odd-full columns of two slots, which ansatz_ops runs right to left
+        for n, l, h in ((4, 1, (0.1, -0.2, 0.3, 0.0)), (6, 2, (0.1, -0.2, 0.3, 0.0, 0.2, -0.1))):
+            base = random_xyz(n, 0.375, 1.125, seed=13)
+            ham = XYZHamiltonian(base.alpha, base.beta, base.delta, h)
+            a = build_brickwork_ansatz(n, l, ham, 0.2)
+            theta = rng.uniform(-np.pi, np.pi, a.num_params)
 
-        direct = sv_apply_schedule(basis_state("0000"), ansatz_ops(a, theta))
-        parsed = sv_apply_schedule(basis_state("0000"), ops)
-        np.testing.assert_allclose(parsed, direct, atol=1e-12)
+            path = tmp_path / f"circuit-{n}.txt"
+            write_gate_list(export_circuit_records(a, theta), str(path))
+            ops = [op_from_record(*rec) for rec in read_gate_list(str(path))]
+
+            direct = sv_apply_schedule(basis_state("0" * n), ansatz_ops(a, theta))
+            parsed = sv_apply_schedule(basis_state("0" * n), ops)
+            np.testing.assert_allclose(parsed, direct, atol=1e-12)
 
     def test_parse_gate_line(self):
         name, qubits, angles = parse_gate_line("ry q3 0.25")

@@ -216,4 +216,4 @@ class TestExportCircuit:
         bad.write_text(json.dumps({"config": config, "theta_opt": theta}))
         out = tmp_path / "export"
         assert run_cli("export-circuit", "--report", str(bad), "--out", str(out)) == EXIT_USAGE
-        assert not (out / "circuit.txt").exists()
+        assert not out.exists()

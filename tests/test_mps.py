@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from aqctensor.gates import CX_FORWARD, rz
+from aqctensor.gates import CX_FORWARD, CircuitOp, rz
 from aqctensor.hamiltonian import random_xyz, tebd_evolve
 from aqctensor.mps import (
+    MPS,
     TruncationPolicy,
     amplitude,
     apply_single_site_gate,
@@ -12,6 +13,7 @@ from aqctensor.mps import (
     fidelity,
     from_product_state,
     inner_product,
+    iter_ops,
     max_bond,
     normalize,
     norm,
@@ -150,6 +152,30 @@ class TestTwoSiteGate:
         out = apply_two_site_gate(psi, np.eye(4), 2, EXACT)
         assert out.center == 3
 
+    def test_end_left_moves_the_weights_not_the_state(self):
+        from scipy.stats import unitary_group
+
+        psi = random_mps(6, seed=17)
+        u = unitary_group.rvs(4, random_state=np.random.default_rng(17))
+        right = apply_two_site_gate(psi, u, 2, EXACT)
+        left = apply_two_site_gate(psi, u, 2, EXACT, True)
+        assert left.center == 2
+        assert_canonical(left)
+        np.testing.assert_allclose(mps_to_statevector(left), mps_to_statevector(right),
+                                   rtol=0, atol=1e-12)
+
+    def test_discarded_weight_is_the_dropped_mass(self):
+        # |00> + 1e-14 |11>: the cutoff drops a Schmidt value of 1e-14, a mass
+        # of 1e-28, far below the rounding error of the pair's norm
+        a = np.zeros((1, 2, 2), dtype=complex)
+        a[0, 0, 0], a[0, 1, 1] = 1.0, 1e-14
+        b = np.zeros((2, 2, 1), dtype=complex)
+        b[0, 0, 0] = b[1, 1, 0] = 1.0
+        out = apply_two_site_gate(MPS([a, b], center=0), np.eye(4), 0,
+                                  TruncationPolicy(cutoff=1e-12))
+        assert max_bond(out) == 1
+        assert out.discarded_weight == pytest.approx(1e-28, rel=1e-9, abs=0)
+
     def test_chi_max_enforced(self):
         rng = np.random.default_rng(15)
         policy = TruncationPolicy(chi_max=3)
@@ -171,6 +197,17 @@ class TestTwoSiteGate:
                 psi = apply_two_site_gate(psi, unitary_group.rvs(4, random_state=rng), i, policy)
         assert norm(psi) == pytest.approx(1.0, abs=1e-12)
         assert psi.discarded_weight > 0
+
+
+class TestIterOps:
+    def test_each_gate_ends_next_to_the_following_one(self):
+        u = np.eye(4)
+        ops = [CircuitOp((3, 4), u), CircuitOp((1, 2), u), CircuitOp((0,), np.eye(2)),
+               CircuitOp((0, 1), u), CircuitOp((2, 3), u)]
+        states = list(iter_ops(random_mps(6, seed=18), ops, EXACT))
+        assert len(states) == len(ops)
+        # a single-site op keeps the center; the last gate has no successor
+        assert [psi.center for psi in states] == [3, 1, 1, 1, 3]
 
 
 class TestCanonicalize:

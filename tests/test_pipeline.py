@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from aqctensor.hamiltonian import XYZHamiltonian
@@ -180,6 +181,29 @@ class TestRun:
         assert reasons[0] in ("max_iter", "cost_tol", "grad_tol", "line_search_failed")
         # max_iter=1 leaves no budget for the second phase
         assert reasons[1] == (None if max_iter == 1 else report.optimization["stop_reason"])
+
+    @pytest.mark.parametrize("max_iter", [1, 4])
+    def test_terminal_costs_are_trace_values(self, max_iter):
+        # the trace's infidelity at a theta is the k=0 cost sweep at that theta, bit for bit
+        from aqctensor.ansatz import build_brickwork_ansatz, trotter_initialize
+        from aqctensor.cost import cost_global
+
+        cfg = tiny_config(preset="random-xyz", seed=5, max_iter=max_iter)
+        report, trace = run_aqctensor(cfg, raise_on_error=True)
+        opt = report.optimization
+        ham = resolve_hamiltonian(cfg)
+        ansatz = build_brickwork_ansatz(cfg.n, cfg.layers, ham, cfg.dt)
+        theta0 = trotter_initialize(ansatz, ham, cfg.dt, bits=resolve_initial_bits(cfg))
+        _, gt_policy = make_policies(cfg)
+        target = ground_truth(ham, from_product_state(resolve_initial_bits(cfg)), cfg.t,
+                              cfg.dt, gt_policy)
+        infidelities = [r.infidelity.hex() for r in trace.records]
+        assert opt["terminal_cost_theta0"].hex() == infidelities[0]
+        assert opt["terminal_cost_final"].hex() in infidelities
+        for value, theta in ((opt["terminal_cost_theta0"], theta0),
+                             (opt["terminal_cost_final"], report.theta_opt)):
+            swept = cost_global(ansatz, np.array(theta), target, gt_policy).total
+            assert value.hex() == swept.hex()
 
     def test_guaranteed_improvement_floor(self):
         # even with a tiny budget the returned parameters are never worse

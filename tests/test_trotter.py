@@ -200,6 +200,22 @@ class TestTebdEvolve:
         ratio = max_drift(0.2, 5) / max_drift(0.1, 10)
         assert 2.5 <= ratio <= 6.5
 
+    def test_one_qr_step_per_two_site_gate(self, monkeypatch):
+        # odd-full columns run right to left, so the center never walks back
+        # across the chain between columns
+        from aqctensor import mps
+
+        calls = [0]
+        for name in ("_shift_center_right", "_shift_center_left"):
+            def counted(*args, _step=getattr(mps, name)):
+                calls[0] += 1
+                return _step(*args)
+            monkeypatch.setattr(mps, name, counted)
+        ham = random_xyz(12, 0.375, 1.125, seed=19)
+        tebd_evolve(from_product_state("10" * 6), ham, 0.2, 4, EXACT)
+        gates = sum(len(c.gates) for c in build_trotter_schedule(ham, 0.2, 4).two_site_columns())
+        assert calls[0] <= gates
+
     def test_stats_reporting(self):
         ham = XYZHamiltonian.uniform(6, 0.75, 0.75, 0.75)
         stats = {}
