@@ -167,17 +167,14 @@ def build_trotter_schedule(ham: XYZHamiltonian, dt: float, steps: int) -> GateSc
 
     steps+1 even columns (the first and last are half-steps, interior ones are
     fused full steps), steps odd columns, and 2*steps field columns, in the
-    order even-half, (field, odd-full, field, even)*steps.
+    order even-half, (field, odd-full, field, even)*steps; each distinct column is built once.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    cols = [_pair_column(ham, 0, dt / 2, "even-half")]
-    for s in range(steps):
-        cols.append(_field_column(ham, dt))
-        cols.append(_pair_column(ham, 1, dt, "odd-full"))
-        cols.append(_field_column(ham, dt))
-        last = s == steps - 1
-        cols.append(_pair_column(ham, 0, dt / 2 if last else dt, "even-half" if last else "even-full"))
+    even_half = _pair_column(ham, 0, dt / 2, "even-half")
+    field, odd = _field_column(ham, dt), _pair_column(ham, 1, dt, "odd-full")
+    inner = [field, odd, field, _pair_column(ham, 0, dt, "even-full")] if steps > 1 else []
+    cols = [even_half, *(inner * (steps - 1)), field, odd, field, even_half]
     return GateSchedule(ham.n, dt, steps, tuple(cols))
 
 

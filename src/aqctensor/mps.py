@@ -74,8 +74,10 @@ class MPS:
     def n(self) -> int:
         return len(self.tensors)
 
-    def copy(self) -> "MPS":
-        return MPS(list(self.tensors), self.center, self.discarded_weight)
+    def copy(self) -> "MPS":  # no __post_init__: the bonds were checked when self was made
+        out = object.__new__(MPS)
+        out.__dict__.update(self.__dict__, tensors=list(self.tensors))
+        return out
 
     def bond_dims(self) -> list[int]:
         """Internal bond dimensions (length n - 1)."""
@@ -227,10 +229,10 @@ def apply_two_site_gate(
     u = np.asarray(u)
     _check_unitary(u, 4)
 
-    if psi.center is None or not left_site <= psi.center <= left_site + 1:
-        target = left_site if (psi.center is None or psi.center < left_site) else left_site + 1
-        psi = canonicalize(psi, target)
-    out = psi.copy()
+    if psi.center is not None and left_site <= psi.center <= left_site + 1:
+        out = psi.copy()
+    else:  # canonicalize returns a fresh copy
+        out = canonicalize(psi, left_site if psi.center is None or psi.center < left_site else left_site + 1)
     tensors = out.tensors
 
     a, b = tensors[left_site], tensors[left_site + 1]
@@ -263,7 +265,7 @@ def apply_two_site_gate(
     tensors[left_site] = uu.reshape(chi_l, 2, keep)
     tensors[left_site + 1] = vh.reshape(keep, 2, chi_r)
     out.center = left_site if end_left else left_site + 1
-    out.discarded_weight = psi.discarded_weight + discarded / total if total > 0 else psi.discarded_weight
+    out.discarded_weight += discarded / total if total > 0 else 0.0
     return out
 
 

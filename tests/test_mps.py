@@ -128,6 +128,39 @@ class TestSingleSiteGate:
         assert norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestConstruction:
+    def test_bad_bonds_rejected(self):
+        with pytest.raises(ValueError):
+            MPS([])
+        with pytest.raises(ValueError):
+            MPS([np.zeros((2, 2, 1))])
+        with pytest.raises(ValueError):
+            MPS([np.zeros((1, 2, 2)), np.zeros((3, 2, 1))])
+
+    def test_copy_skips_the_bond_checks(self, monkeypatch):
+        psi = random_mps(5, seed=21)
+        checks = [0]
+        monkeypatch.setattr(MPS, "__post_init__", lambda self: checks.__setitem__(0, checks[0] + 1))
+        out = psi.copy()
+        assert checks[0] == 0
+        assert (out.center, out.discarded_weight) == (psi.center, psi.discarded_weight)
+        out.tensors[0] = None
+        assert psi.tensors[0] is not None
+
+    @pytest.mark.parametrize("center", [0, 2, 3, 5])
+    def test_two_site_gate_copies_the_state_once(self, center, monkeypatch):
+        psi = canonicalize(random_mps(6, seed=22), center)
+        copies = [0]
+
+        def counted(self, _copy=MPS.copy):
+            copies[0] += 1
+            return _copy(self)
+
+        monkeypatch.setattr(MPS, "copy", counted)
+        apply_two_site_gate(psi, np.eye(4), 2, EXACT)
+        assert copies[0] == 1
+
+
 class TestTwoSiteGate:
     def test_identity_gate(self):
         psi = random_mps(5, seed=11)

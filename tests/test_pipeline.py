@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aqctensor.hamiltonian import XYZHamiltonian
-from aqctensor.mps import TruncationPolicy, from_product_state
+from aqctensor.mps import TruncationPolicy, fidelity, from_product_state, max_bond
 from aqctensor.pipeline import (
     ConfigError,
     RunConfig,
@@ -57,6 +57,11 @@ class TestConfig:
             tiny_config(cutoff=False)
         cfg = tiny_config(t=2, chi_max=None, append_dt=1, cutoff=0)
         assert cfg.dt == 1.0 and cfg.chi_max is None
+
+    @pytest.mark.parametrize("append_dt", [0.0, -0.25])
+    def test_append_dt_must_be_positive(self, append_dt):
+        with pytest.raises(ConfigError):
+            tiny_config(append_steps=1, append_dt=append_dt)
 
     def test_file_round_trip(self, tmp_path):
         import yaml
@@ -221,6 +226,59 @@ class TestRun:
         assert app["verified"] is True
         assert app["fidelity_final_vs_gt"] >= app["fidelity_trotter_matched_vs_gt"] - 1e-9
         assert app["depth_final"] == report.depths["ansatz"] + 3 * (2 * 2 + 1)
+
+
+def rerun_reference(ham, psi0, t_total, dt, policy):
+    """Oracle: the appended steps' reference evolved afresh from t=0."""
+    return ground_truth(ham, psi0, t_total, dt, policy)
+
+
+def run_recording_references(cfg, monkeypatch):
+    """run_aqctensor, plus the states ground_truth returned: the target, then its continuation."""
+    from aqctensor import pipeline
+
+    states, evolve = [], pipeline.ground_truth
+
+    def recorded(*args, **kwargs):
+        states.append(evolve(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(pipeline, "ground_truth", recorded)
+    report, _ = run_aqctensor(cfg, raise_on_error=True)
+    return report, states
+
+
+class TestAppendReference:
+    @pytest.mark.parametrize("overrides", [
+        dict(n=8, t=2.0, layers=4, preset="xxx", chi_max=None),
+        dict(n=6, t=1.2, layers=2, preset="random-xyz", seed=4, chi_max=8),  # gt cap 32 > 2^3
+    ])
+    def test_continuation_matches_rerun_from_zero(self, overrides, monkeypatch):
+        cfg = tiny_config(max_iter=1, append_steps=2, **overrides)
+        report, (target, continued) = run_recording_references(cfg, monkeypatch)
+        _, gt_policy = make_policies(cfg)
+        psi0 = from_product_state(resolve_initial_bits(cfg))
+        oracle = rerun_reference(resolve_hamiltonian(cfg), psi0, report.append["t_total"], cfg.dt,
+                                 gt_policy)
+        assert fidelity(continued, oracle) == pytest.approx(1.0, abs=1e-12)
+        if gt_policy.chi_max is not None:
+            assert max_bond(oracle) < gt_policy.chi_max  # the cap does not bind
+        assert report.append["ground_truth_dt"] == pytest.approx(cfg.dt / 10, rel=1e-14)
+
+    def test_reports_the_fine_step_and_the_whole_history(self, monkeypatch):
+        # dt = 0.5, dt_app = 0.3, k = 2: 12 fine steps of 0.05 continue the target;
+        # the gt cap of 4 binds, so both stretches of the history discard weight
+        cfg = tiny_config(n=6, t=1.0, layers=2, max_iter=1, chi_max=1, append_steps=2,
+                          append_dt=0.3)
+        report, (target, continued) = run_recording_references(cfg, monkeypatch)
+        app = report.append
+        k, dt_app = 2, 0.3
+        assert app["ground_truth_dt"] == k * dt_app / round(10 * k * dt_app / cfg.dt)
+        assert app["ground_truth_discarded_weight"] == continued.discarded_weight
+        assert continued.discarded_weight > target.discarded_weight > 0
+        assert report.discarded_weights["ground_truth"] == target.discarded_weight
+        assert app["verified"] is (continued.discarded_weight <= cfg.discard_budget)
+        assert "continues the target from t" in report.conventions["append_reference"]
 
 
 class TestSweeps:

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
+from aqctensor import hamiltonian
+from aqctensor.gates import CircuitOp
 from aqctensor.hamiltonian import (
+    Column,
+    GateSchedule,
     XYZHamiltonian,
     build_trotter_schedule,
     expectation_energy,
     field_rotation,
     random_xyz,
+    schedule_gate_records,
     tebd_evolve,
     total_sz,
     two_site_unitary,
@@ -149,6 +154,59 @@ class TestSchedule:
         forward = dense_schedule_product(ham, 0.19, 1)
         backward = dense_schedule_product(ham, -0.19, 1)
         np.testing.assert_allclose(forward @ backward, np.eye(64), atol=1e-10)
+
+
+def fresh_schedule(ham: XYZHamiltonian, dt: float, steps: int) -> GateSchedule:
+    """Oracle: the fused schedule with every column built afresh, gate by gate."""
+
+    def pairs(start, tau, tag):
+        return Column(tag, tuple(
+            CircuitOp((i, i + 1), two_site_unitary(ham.alpha[i], ham.beta[i], ham.delta[i], tau), "u2")
+            for i in range(start, ham.n - 1, 2)))
+
+    def fields():
+        return Column("field", tuple(CircuitOp((j,), field_rotation(ham.h[j], dt), "field")
+                                     for j in range(ham.n)))
+
+    cols = [pairs(0, dt / 2, "even-half")]
+    for s in range(steps):
+        last = s == steps - 1
+        cols += [fields(), pairs(1, dt, "odd-full"), fields(),
+                 pairs(0, dt / 2 if last else dt, "even-half" if last else "even-full")]
+    return GateSchedule(ham.n, dt, steps, tuple(cols))
+
+
+class TestColumnReuse:
+    @staticmethod
+    def ham():
+        base = random_xyz(7, 0.375, 1.125, seed=21)
+        return XYZHamiltonian(base.alpha, base.beta, base.delta, (0.3, -0.2, 0.5, 0.1, 0.0, 0.4, -0.6))
+
+    @pytest.mark.parametrize("steps", [1, 5, 40])
+    def test_each_distinct_column_is_built_once(self, steps, monkeypatch):
+        ham = self.ham()
+        calls = [0]
+
+        def counted(*args, _build=hamiltonian.two_site_unitary):
+            calls[0] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(hamiltonian, "two_site_unitary", counted)
+        build_trotter_schedule(ham, 0.1, steps)
+        assert calls[0] <= 3 * (ham.n - 1)
+
+    @pytest.mark.parametrize("steps", [1, 5, 40])
+    def test_columns_equal_a_fresh_build(self, steps, monkeypatch):
+        ham = self.ham()
+        built, fresh = build_trotter_schedule(ham, 0.1, steps), fresh_schedule(ham, 0.1, steps)
+        assert [c.tag for c in built.columns] == [c.tag for c in fresh.columns]
+        for col, want in zip(built.columns, fresh.columns):
+            assert [g.sites for g in col.gates] == [g.sites for g in want.gates]
+            assert all(np.array_equal(g.matrix, w.matrix) for g, w in zip(col.gates, want.gates))
+        assert built.cnot_depth() == fresh.cnot_depth()
+        records = schedule_gate_records(ham, 0.1, steps)
+        monkeypatch.setattr(hamiltonian, "build_trotter_schedule", fresh_schedule)
+        assert schedule_gate_records(ham, 0.1, steps) == records
 
 
 class TestTebdEvolve:
