@@ -1,10 +1,19 @@
 """Hilbert-Schmidt state-overlap costs over MPS amplitudes, and their gradients.
 
 The global cost is 1 - |<0|V^dag(theta)|psi_t>|^2. The truncated local cost
-subtracts alpha_m-weighted sums of |<0| X_{j1}..X_{jm} V^dag |psi_t>|^2 over
-all bit-flip patterns of weight m = 1..k; every term is an amplitude of the
+subtracts alpha_m-weighted sums F_m = sum_{|s|=m} |<s| V^dag |psi_t>|^2 over
+all bit-flip patterns s of weight m = 1..k; every term is an amplitude of the
 single state |phi> = V^dag |psi_t>, so one adjoint circuit application feeds
 the whole cost.
+
+One flip-count construct serves every order 0 <= k <= n: the counter MPO of
+Crosswhite & Bacon (arXiv:0708.1221) applied to phi, with one bond sector per
+flip count c = 0..k. Sector 0 (all-zero prefix) and sector k (all-zero
+suffix) take one channel each and sectors 1..k-1 carry phi's bond chi, so the
+gradient's weighted bra sum_{|s|<=k} w_{|s|} a_s |s> has bond 1 at k=0, 2 at
+k=1 and 2 + (k-1) chi above. The flip terms come from one sector-diagonal
+pass over the same tensors: O(n) scalar products at k <= 1 after the
+O(n chi^2) all-zero boundary vectors, O(n (k-1) chi^3) above.
 
 Gradients use the parameter-shift rule: every trainable angle sits in a
 rotation with generator eigenvalues +-1/2, so dC/dtheta_j equals
@@ -25,7 +34,6 @@ the untruncated cost.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,50 +76,69 @@ class CostValue:
     flip_terms: tuple[float, ...] = ()
 
 
-def _flip_string(n: int, flipped: tuple[int, ...]) -> str:
-    bits = ["0"] * n
-    for j in flipped:
-        bits[j] = "1"
-    return "".join(bits)
+def _sector(c: int, k: int, chi: int) -> slice:
+    """Channels of flip-count sector c on a bond where phi has dimension chi.
+
+    Sectors 0 and k (k >= 1) take one channel each, sectors 1..k-1 chi each.
+    """
+    start = 0 if c == 0 else 1 + (c - 1) * chi
+    return slice(start, start + (chi if 0 < c < k else 1))
 
 
-def _weight01_amplitudes(phi: MPS) -> tuple[complex, np.ndarray]:
-    """Amplitudes of the all-zeros string and of all n single-flip strings.
+def _flip_count(phi: MPS, k: int, alphas: tuple[float, ...]) -> tuple[MPS, CostValue]:
+    """Weighted bra state and cost value of phi from one flip-count construct.
 
-    One left and one right pass of boundary vectors, O(n chi^2) total.
+    Each bond holds the sectors [0 | 1 .. k-1 | k] (see _sector). Sector 0
+    stands for the all-zero prefix, whose amplitude row zero_left[j] enters
+    every step out of it; sector k stands for the all-zero suffix, whose
+    column zero_right[j + 1] enters every step into it. The last bond keeps
+    one channel per flip count: weighted by (1, *alphas) it closes the bra,
+    and its sector norms, accumulated block by block while the tensors are
+    built, are the flip terms F_c.
     """
     n = phi.n
-    left = [np.ones(1, dtype=complex)]
+    if k > n:
+        raise ValueError(f"truncation order {k} exceeds qubit count {n}")
+    zero_left = [np.ones((1, 1))]  # zero_left[j]: sites < j all 0, shape (1, chi_j)
     for t in phi.tensors:
-        left.append(left[-1] @ t[:, 0, :])
-    right = [np.ones(1, dtype=complex)] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        right[j] = phi.tensors[j][:, 0, :] @ right[j + 1]
-    a0 = complex(left[n][0])
-    flips = np.array(
-        [complex(left[j] @ phi.tensors[j][:, 1, :] @ right[j + 1]) for j in range(n)]
-    )
-    return a0, flips
+        zero_left.append(zero_left[-1].dot(t[:, 0, :]))
+    zero_right = [np.ones((1, 1))]  # reversed below: sites >= j all 0, shape (chi_j, 1)
+    for t in reversed(phi.tensors):
+        zero_right.append(t[:, 0, :].dot(zero_right[-1]))
+    zero_right.reverse()
+    norms = [np.ones((1, 1))] + [np.zeros((1, 1))] * k  # bond 0 holds the empty prefix
+    tensors = []
+    for j, t in enumerate(phi.tensors):
+        dl, dr = t.shape[0], t.shape[2]
+        x = np.zeros((_sector(k, k, dl).stop, 2, _sector(k, k, dr).stop), dtype=complex)
+        new = [0.0] * (k + 1)
+        for c in range(k + 1):
+            for p in range(min(2, k + 1 - c)):  # bit p moves sector c to c + p
+                if p == 0 and (c == k > 0 or c == 0 and j < n - 1):
+                    end = -1 if c else 0  # a one-channel sector continues; sector 0 closes at the end
+                    x[end, 0, end] = 1.0
+                    new[c] = new[c] + norms[c]
+                    continue
+                block = t[:, p, :]
+                if c == 0:
+                    block = zero_left[j].dot(block)
+                if c + p == k:
+                    block = block.dot(zero_right[j + 1])
+                x[_sector(c, k, dl), p, _sector(c + p, k, dr)] = block
+                new[c + p] = new[c + p] + block.conj().T.dot(norms[c]).dot(block)
+        norms = new
+        tensors.append(x)
+    tensors[0] = tensors[0][:1]  # the chain starts in sector 0
+    tensors[-1] = tensors[-1].dot(np.array([1.0, *alphas])[:, None])
+    flip_terms = tuple(float(f[0, 0].real) for f in norms)
+    total = infidelity = 1.0 - flip_terms[0]
+    for a, f in zip(alphas, flip_terms[1:]):
+        total -= a * f
+    return MPS(tensors), CostValue(total, infidelity, flip_terms[1:])
 
 
 def _evaluate(phi: MPS, k: int, alphas: tuple[float, ...]) -> CostValue:
-    if k > phi.n:
-        raise ValueError(f"truncation order {k} exceeds qubit count {phi.n}")
-    if k == 0:
-        a0 = mpslib.amplitude(phi, "0" * phi.n)
-        return CostValue(1.0 - abs(a0) ** 2, 1.0 - abs(a0) ** 2)
-    a0, flips = _weight01_amplitudes(phi)
-    infidelity = 1.0 - abs(a0) ** 2
-    flip_terms = [float(np.sum(np.abs(flips) ** 2))]
-    for m in range(2, k + 1):
-        term = 0.0
-        for combo in itertools.combinations(range(phi.n), m):
-            term += abs(mpslib.amplitude(phi, _flip_string(phi.n, combo))) ** 2
-        flip_terms.append(term)
-    total = infidelity
-    for a, t in zip(alphas, flip_terms):
-        total -= a * t
-    return CostValue(total, infidelity, tuple(flip_terms))
+    return _flip_count(phi, k, alphas)[1]
 
 
 def cost_global(a: Ansatz, theta: np.ndarray, target: MPS, policy: TruncationPolicy) -> CostValue:
@@ -156,10 +183,11 @@ def gradient(
     """Parameter-shift gradient of the truncated local cost.
 
     Both methods return (C(theta_j + pi/2) - C(theta_j - pi/2)) / 2 for every
-    trainable angle; "environments" computes the same values from one
-    backward sweep that keeps every prefix state and one forward bra sweep
-    instead of 2P cost evaluations. The values are exact when no sweep
-    truncates (policy chi_max and cutoff never bind).
+    trainable angle, at any order 0 <= k <= n; "environments" computes the
+    same values from one backward sweep that keeps every prefix state and
+    one forward sweep of the flip-count bra (bond 1, 2 or 2 + (k-1) chi at
+    k = 0, 1, >= 2) instead of 2P cost evaluations. The values are exact
+    when no sweep truncates (policy chi_max and cutoff never bind).
     """
     if method == "environments":
         return _gradient_environments(a, theta, target, cfg)[0]
@@ -179,7 +207,7 @@ def cost_and_gradient(
 def gradient_fd(
     a: Ansatz, theta: np.ndarray, target: MPS, cfg: CostConfig, h: float = 1e-5
 ) -> np.ndarray:
-    """Central finite differences; verification oracle and fallback."""
+    """Central finite differences; verification oracle."""
     theta = np.asarray(theta, dtype=float)
     grad = np.zeros(theta.size)
     for j in range(theta.size):
@@ -208,47 +236,10 @@ def _gradient_reevaluation(a: Ansatz, theta: np.ndarray, target: MPS, cfg: CostC
 def _weighted_bra_state(phi: MPS, k: int, alphas: tuple[float, ...]) -> MPS:
     """MPS of sum_s w_s a_s |s> over flip strings of weight <= k.
 
-    w is 1 for the zero string and alphas[m-1] for weight m. Bond dimension 2
-    for k <= 1; higher orders build densely (size-guarded).
+    w is 1 for the zero string and alphas[m-1] for weight m. The flip-count
+    construct gives it bond 1 at k=0, 2 at k=1 and 2 + (k-1) chi above.
     """
-    n = phi.n
-    if k <= 1:
-        a0, flips = _weight01_amplitudes(phi)
-        c0 = a0  # weight-0 coefficient is 1 * a0
-        cj = (alphas[0] * flips) if k == 1 else np.zeros(n, dtype=complex)
-        if n == 1:
-            t = np.zeros((1, 2, 1), dtype=complex)
-            t[0, 0, 0] = c0
-            t[0, 1, 0] = cj[0]
-            return MPS([t])
-        tensors = []
-        first = np.zeros((1, 2, 2), dtype=complex)
-        first[0, 0, 0] = 1.0
-        first[0, 1, 1] = cj[0]
-        tensors.append(first)
-        for i in range(1, n - 1):
-            t = np.zeros((2, 2, 2), dtype=complex)
-            t[0, 0, 0] = 1.0
-            t[0, 1, 1] = cj[i]
-            t[1, 0, 1] = 1.0
-            tensors.append(t)
-        last = np.zeros((2, 2, 1), dtype=complex)
-        last[0, 0, 0] = c0
-        last[0, 1, 0] = cj[n - 1]
-        last[1, 0, 0] = 1.0
-        tensors.append(last)
-        return MPS(tensors)
-    if n > _BRUTE_FORCE_LIMIT:
-        raise ValueError(f"gradient with k >= 2 is limited to {_BRUTE_FORCE_LIMIT} qubits")
-    from .statevector import statevector_to_mps
-
-    vec = np.zeros(2**n, dtype=complex)
-    vec[0] = mpslib.amplitude(phi, "0" * n)
-    for m in range(1, k + 1):
-        for combo in itertools.combinations(range(n), m):
-            bits = _flip_string(n, combo)
-            vec[int(bits, 2)] = alphas[m - 1] * mpslib.amplitude(phi, bits)
-    return statevector_to_mps(vec)
+    return _flip_count(phi, k, alphas)[0]
 
 
 def _env_step_left(env: np.ndarray, tb: np.ndarray, tk: np.ndarray) -> np.ndarray:
@@ -385,10 +376,11 @@ def _gradient_environments(
     dC/dtheta_j = -2 Re <W_m| dO_m^dag/dtheta_j |prefix_m> where prefix_m is
     the target propagated through the adjoint gates after op m and W_m is the
     amplitude-weighted flip-string state propagated through ops 1..m-1.
-    Each slot's window contracts into one 4x4 local operator E, and every
-    angle of the slot is then the sum of E times that angle's derivative matrix.
-    Returns the gradient together with the cost value, which falls out of the
-    same adjoint sweep.
+    One flip-count construct over phi gives both that bra (bond 2 + (k-1) chi
+    at most) and the cost value, so the all-zero boundary vectors are built
+    once. Each slot's window contracts into one 4x4 local operator E, and
+    every angle of the slot is then the sum of E times that angle's
+    derivative matrix. Returns the gradient together with the cost value.
     """
     policy = cfg.policy
     ops = ansatz_ops(a, theta)
@@ -397,7 +389,7 @@ def _gradient_environments(
     prefixes = [target, *mpslib.iter_ops(target, adjoint_ops(ops), policy)]
     phi = mpslib.normalize(prefixes.pop())
     grad = np.zeros(theta.size)
-    bra = _weighted_bra_state(phi, cfg.k, cfg.alphas)
+    bra, value = _flip_count(phi, cfg.k, cfg.alphas)
     bras = mpslib.iter_ops(bra, ops, policy)
     envs = _OverlapEnvironments()
 
@@ -410,4 +402,4 @@ def _gradient_environments(
         vals = np.tensordot(op.dmatrices().conj(), e, axes=([1, 2], [1, 0]))
         grad[list(op.param_indices)] = -2.0 * vals.real
         bra = next(bras)
-    return grad, _evaluate(phi, cfg.k, cfg.alphas)
+    return grad, value

@@ -104,6 +104,10 @@ class RunConfig:
             raise ConfigError("append_steps must be >= 0")
         if self.append_dt is not None and self.append_dt <= 0:
             raise ConfigError("append_dt must be positive")
+        if self.max_iter < 1:
+            raise ConfigError("max_iter must be >= 1")
+        if self.grad_tol <= 0 or self.cost_tol <= 0:
+            raise ConfigError("grad_tol and cost_tol must be positive")
         if self.preset is not None and self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; choose from {PRESETS}")
         if self.preset is None and self.hamiltonian is None:
@@ -188,6 +192,8 @@ def resolve_alpha_schedule(cfg: RunConfig) -> tuple[tuple[float, tuple[float, ..
         raise ConfigError(f"bad alpha schedule {cfg.alpha_schedule!r}: {exc}") from exc
     if not phases or abs(sum(f for f, _ in phases) - 1.0) > 1e-9:
         raise ConfigError("alpha schedule fractions must sum to 1")
+    if any(len(alphas) > cfg.n for _, alphas in phases):
+        raise ConfigError(f"an alpha schedule phase has more weights than the {cfg.n} qubits")
     return tuple(phases)
 
 

@@ -83,6 +83,26 @@ class TestDerivedConfigErrors:
                        "--alpha-schedule", schedule, "--out", str(tmp_path))
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_more_weights_than_qubits_is_usage_error(self, tmp_path, command):
+        out = tmp_path / "out"
+        code = run_cli(command, "--preset", "xxx", "--n", "4", "--layers", "1", "--time", "0.6",
+                       "--alpha-schedule", "[[1.0, [0.5, 0.5, 0.5, 0.5, 0.5]]]", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", [{"max_iter": 0}, {"max_iter": -3}, {"grad_tol": 0.0},
+                                         {"cost_tol": 0.0}], ids=["max_iter_0", "max_iter_neg3",
+                                                                  "grad_tol_0", "cost_tol_0"])
+    def test_bad_optimizer_setting_is_usage_error(self, tmp_path, setting):
+        import yaml
+
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump({"preset": "xxx", "n": 4, "layers": 1, "t": 0.6, **setting}))
+        out = tmp_path / "out"
+        assert run_cli("compile", "--config", str(cfg_path), "--out", str(out)) == EXIT_USAGE
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flag, value", [("evolve", "--chi-max", "0"),
                                                       ("run", "--cutoff", "2")])
     def test_bad_truncation_is_usage_error(self, tmp_path, command, flag, value):

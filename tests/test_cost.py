@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from aqctensor.ansatz import apply_ansatz, build_brickwork_ansatz, trotter_initialize
+from aqctensor.ansatz import apply_ansatz, apply_ansatz_adjoint, build_brickwork_ansatz, trotter_initialize
 from aqctensor.cost import (
     CostConfig,
+    _evaluate,
+    _weighted_bra_state,
+    cost_and_gradient,
     cost_full_local_bruteforce,
     cost_global,
     cost_local_truncated,
@@ -13,9 +16,9 @@ from aqctensor.cost import (
     probe_gradient_samples,
     variance_probe,
 )
-from aqctensor.hamiltonian import XYZHamiltonian, random_xyz
-from aqctensor.mps import fidelity, from_product_state
-from aqctensor.statevector import random_mps
+from aqctensor.hamiltonian import XYZHamiltonian, random_xyz, tebd_evolve
+from aqctensor.mps import fidelity, from_product_state, max_bond
+from aqctensor.statevector import mps_to_statevector, random_mps
 
 from conftest import EXACT
 
@@ -27,6 +30,31 @@ def make_instance(n, l, seed, dt=0.2, bits=None):
     bits = bits or ("10" * n)[:n]
     theta = trotter_initialize(a, ham, dt, bits=bits) + rng.normal(0, 0.15, 3 * n + 4 * a.num_blocks)
     return ham, a, theta
+
+
+def flip_reference(vec, k, alphas):
+    """Dense sum_{|s|<=k} w_{|s|} a_s |s> and F_m = sum_{|s|=m} |a_s|^2 for m = 0..k."""
+    n = int(np.log2(vec.size))
+    idx = np.arange(vec.size)
+    flips = sum((idx >> b) & 1 for b in range(n))
+    weights = np.array([1.0, *alphas])
+    bra = np.where(flips <= k, weights[np.minimum(flips, k)] * vec, 0.0)
+    terms = [float(np.sum(np.abs(vec[flips == m]) ** 2)) for m in range(k + 1)]
+    return bra, terms
+
+
+def dense_amplitudes(psi):
+    """Amplitude vector of an MPS (site 0 most significant), contracted half by half."""
+
+    def contract(block, tensors):
+        for t in tensors:
+            block = np.tensordot(block, t, axes=(1, 0)).reshape(-1, t.shape[2])
+        return block
+
+    half = psi.n // 2
+    left = contract(np.ones((1, 1)), psi.tensors[:half])
+    right = contract(np.eye(left.shape[1]), psi.tensors[half:]).reshape(left.shape[1], -1)
+    return (left @ right).reshape(-1)
 
 
 class TestCostGlobal:
@@ -107,6 +135,31 @@ class TestCostLocalTruncated:
         assert cost_local_truncated(a, shifted, target, cfg).total == pytest.approx(base, abs=1e-12)
 
 
+class TestFlipCount:
+    """The flip-count construct against the dense amplitudes of the same state."""
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_bra_and_flip_terms_match_dense(self, k):
+        n = 6
+        phi = random_mps(n, seed=40, entangling_layers=4)
+        alphas = tuple(0.9 - 0.1 * m for m in range(k))
+        bra_ref, terms = flip_reference(mps_to_statevector(phi), k, alphas)
+        bra = _weighted_bra_state(phi, k, alphas)
+        np.testing.assert_allclose(mps_to_statevector(bra), bra_ref, atol=1e-12)
+        value = _evaluate(phi, k, alphas)
+        assert value.infidelity_term == pytest.approx(1.0 - terms[0], abs=1e-12)
+        np.testing.assert_allclose(value.flip_terms, terms[1:], atol=1e-12)
+        expected = 1.0 - terms[0] - sum(w * f for w, f in zip(alphas, terms[1:]))
+        assert value.total == pytest.approx(expected, abs=1e-12)
+        assert max_bond(phi) == 8
+        if k == 0:
+            assert bra.bond_dims() == [1] * (n - 1)
+        elif k == 1:
+            assert bra.bond_dims() == [2] * (n - 1)
+        else:
+            assert max_bond(bra) <= 2 + (k - 1) * max_bond(phi)
+
+
 class TestBruteForce:
     def test_perfect_match(self):
         ham, a, theta = make_instance(4, 1, seed=10)
@@ -183,6 +236,26 @@ class TestGradient:
         np.testing.assert_allclose(
             gradient(a, theta, target, cfg), gradient_fd(a, theta, target, cfg), atol=1e-6
         )
+
+    def test_k2_gradient_at_n20(self):
+        """k=2 beyond the dense limit: sampled central differences and the dense flip terms."""
+        n, h = 20, 1e-5
+        ham, a, theta = make_instance(n, 1, seed=30)
+        target = tebd_evolve(from_product_state("10" * 10), ham, 0.2, 2, EXACT)
+        cfg = CostConfig(alphas=(0.9, 0.6), policy=EXACT)
+        value, grad = cost_and_gradient(a, theta, target, cfg)
+        for j in np.random.default_rng(30).choice(a.num_params, 8, replace=False):
+            tp, tm = theta.copy(), theta.copy()
+            tp[j] += h
+            tm[j] -= h
+            fd = (cost_local_truncated(a, tp, target, cfg).total
+                  - cost_local_truncated(a, tm, target, cfg).total) / (2 * h)
+            assert abs(grad[j] - fd) < 1e-6
+        phi = apply_ansatz_adjoint(a, theta, target, EXACT)
+        _, terms = flip_reference(dense_amplitudes(phi), 2, cfg.alphas)
+        assert value.infidelity_term == pytest.approx(1.0 - terms[0], abs=1e-12)
+        np.testing.assert_allclose(value.flip_terms, terms[1:], atol=1e-12)
+        assert value.total == pytest.approx(1.0 - terms[0] - 0.9 * terms[1] - 0.6 * terms[2], abs=1e-12)
 
     def test_length_covers_exactly_the_trainable_angles(self):
         ham, a, theta = make_instance(4, 1, seed=26)
