@@ -7,7 +7,6 @@ append further Trotter steps to the optimized circuit.
 """
 from .ansatz import (
     Ansatz,
-    CNOTBlock,
     apply_ansatz,
     apply_ansatz_adjoint,
     block_unitary,

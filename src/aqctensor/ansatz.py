@@ -4,7 +4,8 @@ The circuit starts with three trainable rotations Rz Ry Rz on every qubit,
 then mirrors the fused second-order Trotter layout column for column: every
 two-site gate slot becomes a triplet of CNOT blocks (outer two with reversed
 CNOT direction) and every field column keeps its fixed, non-trainable
-rotations.
+rotations. The slot list Ansatz.columns is the only description of the
+circuit; _block states where each block's angles sit in theta.
 
 A CNOT block is a CNOT followed by Ry(t1) Rz(t2) on the control line and
 Ry(t3) Rz(t4) on the target line. With this layout a triplet reproduces the
@@ -44,38 +45,14 @@ from .mps import MPS, TruncationPolicy
 
 
 @dataclass(frozen=True)
-class CNOTBlock:
-    """One CNOT block: placement plus the offset of its 4 angles."""
-
-    control: int
-    target: int
-    param_offset: int
-
-    def __post_init__(self) -> None:
-        if abs(self.control - self.target) != 1:
-            raise ValueError("CNOT blocks act on nearest neighbours only")
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (min(self.control, self.target), max(self.control, self.target))
-
-    @property
-    def reversed(self) -> bool:
-        """True when the control sits on the right qubit of the pair."""
-        return self.control > self.target
-
-
-@dataclass(frozen=True)
 class Ansatz:
     """Structure of the parametric circuit (no angle values)."""
 
     n: int
     l: int
-    b: int
     dt: float
     field_phis: tuple[float, ...]  # per-qubit fixed angle h_i * dt (one full step)
     columns: tuple[tuple[str, tuple[int, ...]], ...]  # (tag, left sites of pair slots)
-    blocks: tuple[CNOTBlock, ...]
     trainable_fields: bool = False  # promote the field rotations into the parameter list
 
     @property
@@ -87,11 +64,11 @@ class Ansatz:
 
     @property
     def num_params(self) -> int:
-        return 3 * self.n + 4 * len(self.blocks) + self.num_field_params
+        return 3 * self.n + 4 * self.num_blocks + self.num_field_params
 
     @property
     def num_blocks(self) -> int:
-        return len(self.blocks)
+        return 3 * sum(len(pairs) for _, pairs in self.columns)
 
     def slot_multiset(self) -> list[tuple[str, int]]:
         """(column tag, pair left site) for every two-site slot, in order."""
@@ -102,8 +79,19 @@ class Ansatz:
         return out
 
 
+def _block(a: Ansatz, s: int, k: int, left: int) -> tuple[int, int, int]:
+    """(control, target, first angle) of block k = 0, 1, 2 of two-site slot s on (left, left + 1).
+
+    The parameter layout: 3 initial angles per qubit, then block k of slot s
+    owns angles 3n + 12s + 4k .. +4 and is reversed (control on the right
+    qubit) when k is even; the trainable field angles come after all blocks.
+    """
+    offset = 3 * a.n + 12 * s + 4 * k
+    return (left + 1, left, offset) if k % 2 == 0 else (left, left + 1, offset)
+
+
 def build_brickwork_ansatz(
-    n: int, l: int, ham: XYZHamiltonian, dt: float, b: int = 3, trainable_fields: bool = False
+    n: int, l: int, ham: XYZHamiltonian, dt: float, trainable_fields: bool = False
 ) -> Ansatz:
     """Ansatz mirroring build_trotter_schedule(ham, dt, l) column for column."""
     if n < 2:
@@ -113,23 +101,9 @@ def build_brickwork_ansatz(
     if ham.n != n:
         raise ValueError(f"Hamiltonian has {ham.n} sites, expected {n}")
     schedule = build_trotter_schedule(ham, dt, l)
-    columns = []
-    blocks: list[CNOTBlock] = []
-    offset = 3 * n
-    for col in schedule.columns:
-        if col.tag == "field":
-            columns.append(("field", ()))
-            continue
-        pairs = tuple(g.sites[0] for g in col.gates)
-        columns.append((col.tag, pairs))
-        for i in pairs:
-            for k in range(b):
-                rev = k % 2 == 0  # outer blocks of a triplet point the other way
-                control, target = (i + 1, i) if rev else (i, i + 1)
-                blocks.append(CNOTBlock(control, target, offset))
-                offset += 4
-    return Ansatz(n, l, b, dt, tuple(h * dt for h in ham.h), tuple(columns), tuple(blocks),
-                  trainable_fields)
+    columns = tuple((col.tag, () if col.tag == "field" else tuple(g.sites[0] for g in col.gates))
+                    for col in schedule.columns)
+    return Ansatz(n, l, dt, tuple(h * dt for h in ham.h), columns, trainable_fields)
 
 
 # --- gate matrices -----------------------------------------------------------
@@ -238,9 +212,9 @@ def _primitive_gates(a: Ansatz, theta: np.ndarray):
     for q in range(a.n):  # initial_rotation: Rz(theta_3q) Ry(theta_3q+1) Rz(theta_3q+2)
         for name, j in (("rz", 3 * q + 2), ("ry", 3 * q + 1), ("rz", 3 * q)):
             yield name, (q,), theta[j], j
-    block_iter = iter(a.blocks)
-    field_base = 3 * a.n + 4 * len(a.blocks)
+    field_base = 3 * a.n + 4 * a.num_blocks
     field_column = 0
+    s = 0  # two-site slot index
     for tag, pairs in a.columns:
         if tag == "field":
             for q in range(a.n):
@@ -251,14 +225,15 @@ def _primitive_gates(a: Ansatz, theta: np.ndarray):
                     yield "rz", (q,), a.field_phis[q] / 2, -1
             field_column += 1
             continue
-        for _ in range(len(pairs) * a.b):
-            blk = next(block_iter)
-            o = blk.param_offset
-            yield "cx", (blk.control, blk.target), None, -1
-            yield "rz", (blk.control,), theta[o + 1], o + 1
-            yield "ry", (blk.control,), theta[o], o
-            yield "rz", (blk.target,), theta[o + 3], o + 3
-            yield "ry", (blk.target,), theta[o + 2], o + 2
+        for left in pairs:
+            for k in range(3):
+                control, target, o = _block(a, s, k, left)
+                yield "cx", (control, target), None, -1
+                yield "rz", (control,), theta[o + 1], o + 1
+                yield "ry", (control,), theta[o], o
+                yield "rz", (target,), theta[o + 3], o + 3
+                yield "ry", (target,), theta[o + 2], o + 2
+            s += 1
 
 
 def ansatz_ops(a: Ansatz, theta: np.ndarray) -> list[AnsatzOp]:
@@ -275,7 +250,7 @@ def ansatz_ops(a: Ansatz, theta: np.ndarray) -> list[AnsatzOp]:
     blocks = 0
     for name, qubits, angle, idx in _primitive_gates(a, theta):
         if name == "cx":
-            if blocks % a.b == 0:
+            if blocks % 3 == 0:  # the first of a slot's three blocks opens it
                 left = min(qubits)
                 slot = (left, [])
                 for side in (0, 1):
@@ -320,8 +295,9 @@ def apply_ansatz_adjoint(a: Ansatz, theta: np.ndarray, target: MPS, policy: Trun
 
 
 def cnot_depth(a: Ansatz) -> int:
-    """CNOT depth of the ansatz (one CNOT per block)."""
-    return cnot_depth_from_pairs((b.pair for b in a.blocks), a.n)
+    """CNOT depth of the ansatz (one CNOT per block, three blocks per slot)."""
+    return cnot_depth_from_pairs(((i, i + 1) for _, pairs in a.columns for i in pairs
+                                  for _ in range(3)), a.n)
 
 
 # --- Trotter initialization --------------------------------------------------
@@ -334,8 +310,8 @@ def solve_triplet_angles(alpha: float, beta: float, delta: float, dt: float) -> 
     block 1 (reversed): control Ry(phi) Rz(-pi/2);
     block 2 (normal):  control Rz(theta), target Ry(lam);
     block 3 (reversed): target Rz(pi/2).
-    The assignment is verified against the dense exponential and polished by a
-    deterministic least-squares solve if it ever drifts above 1e-10.
+    The closed form is an identity; it is still checked against the dense
+    exponential, and a distance above 1e-10 raises RuntimeError.
     """
     theta, phi, lam = triplet_angles(alpha, beta, delta, dt)
     angles = np.array([phi, -np.pi / 2, 0, 0,
@@ -343,7 +319,7 @@ def solve_triplet_angles(alpha: float, beta: float, delta: float, dt: float) -> 
                        0, 0, 0, np.pi / 2])
     target = two_site_unitary(alpha, beta, delta, dt)
     if _triplet_distance(angles, target) > 1e-10:
-        angles = _polish_triplet(angles, target)
+        raise RuntimeError("closed-form triplet angles miss the two-site exponential")
     return angles
 
 
@@ -362,30 +338,12 @@ def _triplet_distance(angles: np.ndarray, target: np.ndarray) -> float:
     return float(np.linalg.norm(t - phase * target))
 
 
-def _polish_triplet(seed: np.ndarray, target: np.ndarray) -> np.ndarray:
-    from scipy.optimize import least_squares
-
-    def resid(ang):
-        t = triplet_unitary(ang)
-        tr = np.trace(target.conj().T @ t)
-        phase = tr / abs(tr) if abs(tr) > 1e-12 else 1.0
-        d = t - phase * target
-        return np.concatenate([d.real.ravel(), d.imag.ravel()])
-
-    result = least_squares(resid, seed, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    if _triplet_distance(result.x, target) > 1e-10:
-        raise RuntimeError("triplet solve failed to reach the exactness floor")
-    return result.x
-
-
 def trotter_initialize(a: Ansatz, ham: XYZHamiltonian, dt: float, bits: str | None = None) -> np.ndarray:
     """Parameters at which V(theta) |0...0> equals the l-step Trotter state.
 
     bits selects the product state whose preparation is folded into the
     initial rotations (Ry(pi) on '1' sites); default all zeros.
     """
-    if a.b != 3:
-        raise ValueError("Trotter initialization requires b = 3 blocks per slot")
     if ham.n != a.n or abs(a.dt - dt) > 1e-15:
         raise ValueError("ansatz was not built for this Hamiltonian / time step")
     phis = tuple(h * dt for h in ham.h)
@@ -401,21 +359,15 @@ def trotter_initialize(a: Ansatz, ham: XYZHamiltonian, dt: float, bits: str | No
         if ch == "1":
             theta[3 * q + 1] = np.pi  # Rz(0) Ry(pi) Rz(0) |0> = |1>
     if a.trainable_fields:
-        field_base = 3 * a.n + 4 * len(a.blocks)
+        field_base = 3 * a.n + 4 * a.num_blocks
         for f in range(a.num_field_params // a.n):
             for q in range(a.n):
                 theta[field_base + f * a.n + q] = a.field_phis[q] / 2
 
-    block_iter = iter(a.blocks)
-    for tag, pairs in a.columns:
-        if tag == "field":
-            continue
+    for s, (tag, i) in enumerate(a.slot_multiset()):
         tau = dt / 2 if tag == "even-half" else dt
-        for i in pairs:
-            angles = solve_triplet_angles(ham.alpha[i], ham.beta[i], ham.delta[i], tau)
-            for k in range(3):
-                blk = next(block_iter)
-                theta[blk.param_offset: blk.param_offset + 4] = angles[4 * k: 4 * k + 4]
+        o = _block(a, s, 0, i)[2]  # the slot's three blocks own 12 consecutive angles
+        theta[o: o + 12] = solve_triplet_angles(ham.alpha[i], ham.beta[i], ham.delta[i], tau)
     return theta
 
 

@@ -18,19 +18,18 @@ O(n chi^2) all-zero boundary vectors, O(n (k-1) chi^3) above.
 Gradients use the parameter-shift rule: every trainable angle sits in a
 rotation with generator eigenvalues +-1/2, so dC/dtheta_j equals
 (C(theta_j + pi/2) - C(theta_j - pi/2)) / 2, term by term for each
-modulus-squared amplitude. Two evaluation strategies are provided:
-"reevaluation" literally runs the 2P shifted cost evaluations, while the
-default "environments" strategy evaluates each derivative as one overlap
+modulus-squared amplitude. Instead of running the 2P shifted cost
+evaluations, the gradient evaluates each derivative as one overlap
 <W_m| dO_m^dag |prefix_m>, where O_m is one fused two-site slot of the
 ansatz. One gradient costs one backward (adjoint) sweep that keeps every
 prefix state and one forward sweep of the weighted bra state, 2M two-site
 gates for M slots, plus per slot one window: amortized O(chi^3) environment
 work (the overlap environments are reused while the tensors they absorbed
 are unchanged), one O(chi^3) contraction into a 4x4 operator E, and O(P)
-4x4 products for the slot's P angles (12 to 18 plus trainable fields). The
-two strategies agree exactly only when no sweep truncates; under a binding
-bond cap each sweep truncates differently, and neither is the derivative of
-the untruncated cost.
+4x4 products for the slot's P angles (12 to 18 plus trainable fields). It
+equals the shifted-cost difference exactly only when no sweep truncates;
+under a binding bond cap each sweep truncates differently, and the result is
+not the derivative of the untruncated cost.
 """
 from __future__ import annotations
 
@@ -173,27 +172,17 @@ def cost_full_local_bruteforce(
 # --- gradients ---------------------------------------------------------------
 
 
-def gradient(
-    a: Ansatz,
-    theta: np.ndarray,
-    target: MPS,
-    cfg: CostConfig,
-    method: str = "environments",
-) -> np.ndarray:
+def gradient(a: Ansatz, theta: np.ndarray, target: MPS, cfg: CostConfig) -> np.ndarray:
     """Parameter-shift gradient of the truncated local cost.
 
-    Both methods return (C(theta_j + pi/2) - C(theta_j - pi/2)) / 2 for every
-    trainable angle, at any order 0 <= k <= n; "environments" computes the
-    same values from one backward sweep that keeps every prefix state and
-    one forward sweep of the flip-count bra (bond 1, 2 or 2 + (k-1) chi at
-    k = 0, 1, >= 2) instead of 2P cost evaluations. The values are exact
-    when no sweep truncates (policy chi_max and cutoff never bind).
+    (C(theta_j + pi/2) - C(theta_j - pi/2)) / 2 for every trainable angle, at
+    any order 0 <= k <= n, from one backward sweep that keeps every prefix
+    state and one forward sweep of the flip-count bra (bond 1, 2 or
+    2 + (k-1) chi at k = 0, 1, >= 2) instead of 2P cost evaluations. The
+    values are exact when no sweep truncates (policy chi_max and cutoff never
+    bind).
     """
-    if method == "environments":
-        return _gradient_environments(a, theta, target, cfg)[0]
-    if method == "reevaluation":
-        return _gradient_reevaluation(a, theta, target, cfg)
-    raise ValueError(f"unknown gradient method {method!r}")
+    return _gradient_environments(a, theta, target, cfg)[0]
 
 
 def cost_and_gradient(
@@ -217,19 +206,6 @@ def gradient_fd(
         cp = cost_local_truncated(a, tp, target, cfg).total
         cm = cost_local_truncated(a, tm, target, cfg).total
         grad[j] = (cp - cm) / (2 * h)
-    return grad
-
-
-def _gradient_reevaluation(a: Ansatz, theta: np.ndarray, target: MPS, cfg: CostConfig) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    grad = np.zeros(theta.size)
-    for j in range(theta.size):
-        tp, tm = theta.copy(), theta.copy()
-        tp[j] += np.pi / 2
-        tm[j] -= np.pi / 2
-        cp = cost_local_truncated(a, tp, target, cfg).total
-        cm = cost_local_truncated(a, tm, target, cfg).total
-        grad[j] = (cp - cm) / 2.0
     return grad
 
 

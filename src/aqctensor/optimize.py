@@ -15,15 +15,17 @@ from typing import Callable
 import numpy as np
 
 
+MEMORY = 10  # (s, y) pairs kept
+ARMIJO_C1 = 1e-4
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 30
+MAX_EXPANSIONS = 8  # doublings tried when the unit step passes trivially
+CURVATURE_EPS = 1e-10  # s.y acceptance threshold for memory pairs
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iter: int = 30
-    memory: int = 10
-    armijo_c1: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 30
-    max_expansions: int = 8  # doublings tried when the unit step passes trivially
-    curvature_eps: float = 1e-10  # s.y acceptance threshold for memory pairs
     grad_tol: float = 1e-9  # infinity norm
     cost_tol: float = 1e-300  # minimum decrease per accepted step; default = exact stagnation
 
@@ -32,8 +34,6 @@ class OptimizerConfig:
             raise ValueError("max_iter must be >= 1")
         if self.grad_tol <= 0 or self.cost_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -135,13 +135,13 @@ def minimize(
             direction = -grad
             note = "direction_reset"
 
-        step, new_cost = _backtrack(cost_fn, theta, cost, grad, direction, cfg)
+        step, new_cost = _backtrack(cost_fn, theta, cost, grad, direction)
         if step is None:
             # quasi-Newton direction failed; retry along steepest descent
             s_list.clear()
             y_list.clear()
             direction = -grad / max(1.0, gnorm)
-            step, new_cost = _backtrack(cost_fn, theta, cost, grad, direction, cfg)
+            step, new_cost = _backtrack(cost_fn, theta, cost, grad, direction)
             note = "line_search_fallback"
             if step is None:
                 trace.stop_reason = "line_search_failed"
@@ -156,11 +156,11 @@ def minimize(
         s = new_theta - theta
         y = new_grad - grad
         sy = float(s @ y)
-        if sy > cfg.curvature_eps * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        if sy > CURVATURE_EPS * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             s_list.append(s)
             y_list.append(y)
             consecutive_skips = 0
-            if len(s_list) > cfg.memory:
+            if len(s_list) > MEMORY:
                 s_list.pop(0)
                 y_list.pop(0)
         else:
@@ -186,7 +186,7 @@ def minimize(
     return best_theta, trace
 
 
-def _backtrack(cost_fn, theta, cost, grad, direction, cfg) -> tuple[float | None, float | None]:
+def _backtrack(cost_fn, theta, cost, grad, direction) -> tuple[float | None, float | None]:
     """Armijo backtracking with expansion; returns (step, cost at step) or (None, None).
 
     When the unit step already satisfies sufficient decrease the step is
@@ -196,19 +196,19 @@ def _backtrack(cost_fn, theta, cost, grad, direction, cfg) -> tuple[float | None
     slope = float(grad @ direction)
     step = 1.0
     candidate = cost_fn(theta + step * direction)
-    if candidate <= cost + cfg.armijo_c1 * step * slope:
+    if candidate <= cost + ARMIJO_C1 * step * slope:
         best = (step, candidate)
-        for _ in range(cfg.max_expansions):
+        for _ in range(MAX_EXPANSIONS):
             step *= 2.0
             candidate = cost_fn(theta + step * direction)
-            if candidate <= cost + cfg.armijo_c1 * step * slope:
+            if candidate <= cost + ARMIJO_C1 * step * slope:
                 best = (step, candidate)
             else:
                 break
         return best
-    for _ in range(cfg.max_backtracks):
-        step *= cfg.backtrack_factor
+    for _ in range(MAX_BACKTRACKS):
+        step *= BACKTRACK_FACTOR
         candidate = cost_fn(theta + step * direction)
-        if candidate <= cost + cfg.armijo_c1 * step * slope:
+        if candidate <= cost + ARMIJO_C1 * step * slope:
             return step, candidate
     return None, None

@@ -96,6 +96,10 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         _check_field_types(self)
+        if self.n < 2:
+            raise ConfigError("n must be >= 2")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.t <= 0:
             raise ConfigError("t must be positive")
         if self.layers < 1:

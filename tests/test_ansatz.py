@@ -82,12 +82,13 @@ class TestStructure:
             assert a.num_params == 3 * n + 4 * a.num_blocks
 
     def test_triplet_reversal_convention(self):
+        # each slot's blocks read cx (i+1, i), (i, i+1), (i+1, i) in the exported circuit
         ham = XYZHamiltonian.uniform(4, 1, 1, 1)
         a = build_brickwork_ansatz(4, 2, ham, 0.1)
-        for t in range(0, a.num_blocks, 3):
-            outer1, middle, outer2 = a.blocks[t: t + 3]
-            assert outer1.reversed and outer2.reversed and not middle.reversed
-            assert outer1.pair == middle.pair == outer2.pair
+        lines = export_circuit_records(a, np.zeros(a.num_params))
+        cx = [tuple(parse_gate_line(line)[1]) for line in lines if line.startswith("cx")]
+        expected = [q for _, i in a.slot_multiset() for q in ((i + 1, i), (i, i + 1), (i + 1, i))]
+        assert cx == expected
 
 
 class TestBlockUnitary:
@@ -128,7 +129,7 @@ class TestDerivativeMatrices:
 def per_gate_ops(a, theta):
     """The circuit one gate at a time, as it reads before slot fusion."""
     ops = [CircuitOp((q,), initial_rotation(theta[3 * q: 3 * q + 3])) for q in range(a.n)]
-    blocks = iter(a.blocks)
+    slot = 0
     field = 3 * a.n + 4 * a.num_blocks
     for tag, pairs in a.columns:
         if tag == "field":
@@ -137,10 +138,12 @@ def per_gate_ops(a, theta):
                 ops.append(CircuitOp((q,), rz(angle)))
             field += a.n if a.trainable_fields else 0
             continue
-        for _ in range(len(pairs) * a.b):
-            blk = next(blocks)
-            angles = theta[blk.param_offset: blk.param_offset + 4]
-            ops.append(CircuitOp(blk.pair, block_unitary(angles, blk.reversed)))
+        for i in pairs:
+            # block k of slot s owns angles 3n + 12s + 4k .. +4, reversed when k is even
+            for k in range(3):
+                o = 3 * a.n + 12 * slot + 4 * k
+                ops.append(CircuitOp((i, i + 1), block_unitary(theta[o: o + 4], k % 2 == 0)))
+            slot += 1
     return ops
 
 
@@ -193,6 +196,18 @@ class TestTripletSolve:
 
 
 class TestTrotterInitialize:
+    @pytest.mark.parametrize("trainable_fields", [False, True])
+    def test_each_slot_slice_is_its_triplet_solve(self, trainable_fields):
+        ham = random_xyz(5, 0.375, 1.125, seed=16)
+        dt = 0.3
+        a = build_brickwork_ansatz(5, 2, ham, dt, trainable_fields=trainable_fields)
+        theta = trotter_initialize(a, ham, dt)
+        for s, (tag, i) in enumerate(a.slot_multiset()):
+            tau = dt / 2 if tag == "even-half" else dt
+            o = 3 * a.n + 12 * s
+            np.testing.assert_array_equal(
+                theta[o: o + 12], solve_triplet_angles(ham.alpha[i], ham.beta[i], ham.delta[i], tau))
+
     def test_cost_against_trotter_target_is_zero(self):
         ham = random_xyz(6, 0.375, 1.125, seed=4)
         dt, l = 0.25, 2

@@ -110,6 +110,18 @@ class TestDerivedConfigErrors:
                        flag, value, "--out", str(tmp_path))
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["run", "evolve", "sweep"])
+    @pytest.mark.parametrize("preset, n, seed", [("xxx", "1", "0"), ("xxx", "0", "0"),
+                                                 ("random-xyz", "1", "0"),
+                                                 ("random-xyz", "4", "-1")],
+                             ids=["xxx_n1", "xxx_n0", "random_n1", "random_seed_neg1"])
+    def test_bad_size_or_seed_is_usage_error(self, tmp_path, command, preset, n, seed):
+        out = tmp_path / "out"
+        code = run_cli(command, "--preset", preset, "--n", n, "--seed", seed, "--layers", "1",
+                       "--time", "0.6", "--max-iter", "1", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
     def test_hamiltonian_without_beta_is_usage_error(self, tmp_path):
         import yaml
 

@@ -78,8 +78,6 @@ class TestContracts:
             OptimizerConfig(max_iter=0)
         with pytest.raises(ValueError):
             OptimizerConfig(grad_tol=0.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(backtrack_factor=1.5)
 
     def test_extras_feed_the_trace(self):
         def f(x):
