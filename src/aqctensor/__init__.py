@@ -19,10 +19,8 @@ from .cost import (
     CostValue,
     cost_and_gradient,
     cost_full_local_bruteforce,
-    cost_global,
     cost_local_truncated,
     default_alpha_schedule,
-    gradient,
     gradient_fd,
     variance_probe,
 )
@@ -30,7 +28,6 @@ from .hamiltonian import (
     GateSchedule,
     XYZHamiltonian,
     build_trotter_schedule,
-    field_rotation,
     random_xyz,
     tebd_evolve,
     two_site_unitary,

@@ -49,7 +49,6 @@ class Ansatz:
     """Structure of the parametric circuit (no angle values)."""
 
     n: int
-    l: int
     dt: float
     field_phis: tuple[float, ...]  # per-qubit fixed angle h_i * dt (one full step)
     columns: tuple[tuple[str, tuple[int, ...]], ...]  # (tag, left sites of pair slots)
@@ -103,7 +102,7 @@ def build_brickwork_ansatz(
     schedule = build_trotter_schedule(ham, dt, l)
     columns = tuple((col.tag, () if col.tag == "field" else tuple(g.sites[0] for g in col.gates))
                     for col in schedule.columns)
-    return Ansatz(n, l, dt, tuple(h * dt for h in ham.h), columns, trainable_fields)
+    return Ansatz(n, dt, tuple(h * dt for h in ham.h), columns, trainable_fields)
 
 
 # --- gate matrices -----------------------------------------------------------

@@ -24,6 +24,13 @@ EXIT_RUNTIME = 3
 EXIT_VERIFY = 4
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aqctensor",
@@ -58,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the oracle-equivalence and gradient self-checks")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
 
     p = sub.add_parser("export-circuit", help="write the optimized circuit as a gate list")
     p.add_argument("--report", required=True, help="report.json from a previous run")
@@ -153,8 +160,7 @@ def _write_circuit(cfg, theta, out: Path) -> None:
                                     trainable_fields=cfg.trainable_fields)
     lines = export_circuit_records(ansatz, theta)
     if cfg.append_steps > 0:
-        dt_app = cfg.append_dt if cfg.append_dt is not None else cfg.dt
-        lines += schedule_gate_records(ham, dt_app, cfg.append_steps)
+        lines += schedule_gate_records(ham, cfg.dt_app, cfg.append_steps)
     write_gate_list(lines, str(_out_dir(out) / "circuit.txt"))  # made once theta is checked
 
 
@@ -196,12 +202,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .pipeline import experiment_equal_depth, experiment_half_depth, write_sweep_csv
+    from .pipeline import sweep, write_sweep_csv
 
     cfg = load_config(args)
     out = _out_dir(cfg.out_dir)
-    driver = experiment_equal_depth if args.mode == "equal" else experiment_half_depth
-    report = driver(cfg)
+    report = sweep(cfg, args.mode)
     report.write(str(out / "sweep_report.json"))
     write_sweep_csv(report, str(out / "sweep.csv"))
     _write_manifest(out, ["sweep_report.json", "sweep.csv"])
@@ -241,9 +246,9 @@ def cmd_export_circuit(args) -> int:
 def run_self_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     """Oracle-equivalence and gradient suites used by the verify subcommand."""
     from .ansatz import build_brickwork_ansatz, trotter_initialize
-    from .cost import CostConfig, gradient, gradient_fd
+    from .cost import CostConfig, cost_and_gradient, gradient_fd
     from .hamiltonian import random_xyz, tebd_evolve
-    from .mps import TruncationPolicy, from_product_state
+    from .mps import EXACT, from_product_state
     from .statevector import mps_to_statevector, sv_fidelity
 
     from scipy.stats import unitary_group
@@ -255,7 +260,6 @@ def run_self_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     results = []
 
     worst = 0.0
-    policy = TruncationPolicy(cutoff=0.0)
     for i in range(5):
         n = int(rng.integers(4, 9))
         bits = "".join(rng.choice(["0", "1"]) for _ in range(n))
@@ -264,7 +268,7 @@ def run_self_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
         for layer in range(3):
             for j in range(layer % 2, n - 1, 2):
                 u = unitary_group.rvs(4, random_state=rng)
-                psi = apply_two_site_gate(psi, u, j, policy)
+                psi = apply_two_site_gate(psi, u, j, EXACT)
                 dense = apply_gate(dense, u, (j, j + 1))
         worst = max(worst, float(np.max(np.abs(mps_to_statevector(psi) - dense))))
     results.append(("oracle_amplitudes", worst < 1e-10, f"max amplitude deviation {worst:.2e}"))
@@ -274,7 +278,7 @@ def run_self_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
         n = 6
         ham = random_xyz(n, 0.375, 1.125, seed=seed + i)
         psi0 = from_product_state("101010")
-        evolved = tebd_evolve(psi0, ham, 0.1, 2, policy)
+        evolved = tebd_evolve(psi0, ham, 0.1, 2, EXACT)
         from .hamiltonian import build_trotter_schedule
         from .statevector import sv_apply_schedule
 
@@ -285,13 +289,12 @@ def run_self_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
 
     n, l = 4, 1
     ham = random_xyz(n, 0.375, 1.125, seed=seed + 5)
-    policy = TruncationPolicy(cutoff=0.0)
-    target = tebd_evolve(from_product_state("1010"), ham, 0.2, l, policy)
+    target = tebd_evolve(from_product_state("1010"), ham, 0.2, l, EXACT)
     ansatz = build_brickwork_ansatz(n, l, ham, 0.2)
     theta = trotter_initialize(ansatz, ham, 0.2, bits="1010")
     theta = theta + rng.normal(0, 0.1, theta.size)
-    cfg = CostConfig(alphas=((n - 1) / n,), policy=policy)
-    g = gradient(ansatz, theta, target, cfg)
+    cfg = CostConfig(alphas=((n - 1) / n,), policy=EXACT)
+    g = cost_and_gradient(ansatz, theta, target, cfg)[1]
     g_fd = gradient_fd(ansatz, theta, target, cfg)
     dev = float(np.max(np.abs(g - g_fd)))
     results.append(("gradient_vs_fd", dev < 1e-6, f"max component deviation {dev:.2e}"))

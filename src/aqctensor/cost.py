@@ -39,9 +39,7 @@ import numpy as np
 
 from . import mps as mpslib
 from .ansatz import Ansatz, adjoint_ops, ansatz_ops, apply_ansatz_adjoint
-from .mps import MPS, TruncationPolicy
-
-_BRUTE_FORCE_LIMIT = 14
+from .mps import EXACT, MPS, TruncationPolicy
 
 
 def default_alpha_schedule(n: int) -> tuple[tuple[float, tuple[float, ...]], ...]:
@@ -136,35 +134,21 @@ def _flip_count(phi: MPS, k: int, alphas: tuple[float, ...]) -> tuple[MPS, CostV
     return MPS(tensors), CostValue(total, infidelity, flip_terms[1:])
 
 
-def _evaluate(phi: MPS, k: int, alphas: tuple[float, ...]) -> CostValue:
-    return _flip_count(phi, k, alphas)[1]
-
-
-def cost_global(a: Ansatz, theta: np.ndarray, target: MPS, policy: TruncationPolicy) -> CostValue:
-    """1 - |<0...0| V^dag(theta) |target>|^2."""
-    phi = apply_ansatz_adjoint(a, theta, target, policy)
-    return _evaluate(phi, 0, ())
-
-
 def cost_local_truncated(a: Ansatz, theta: np.ndarray, target: MPS, cfg: CostConfig) -> CostValue:
-    """Truncated local cost of order cfg.k with weights cfg.alphas."""
+    """Truncated local cost of order cfg.k with weights cfg.alphas.
+
+    With no weights (k = 0) it is the global cost 1 - |<0...0| V^dag(theta) |target>|^2.
+    """
     phi = apply_ansatz_adjoint(a, theta, target, cfg.policy)
-    return _evaluate(phi, cfg.k, cfg.alphas)
+    return _flip_count(phi, cfg.k, cfg.alphas)[1]
 
 
-def cost_full_local_bruteforce(
-    a: Ansatz, theta: np.ndarray, target: MPS, policy: TruncationPolicy | None = None
-) -> float:
+def cost_full_local_bruteforce(a: Ansatz, theta: np.ndarray, target: MPS) -> float:
     """Untruncated local cost by enumerating all 2^n strings with weights (n-|s|)/n."""
-    n = a.n
-    if n > _BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute-force enumeration is limited to {_BRUTE_FORCE_LIMIT} qubits, got {n}")
     from .statevector import mps_to_statevector
 
-    if policy is None:
-        policy = TruncationPolicy(cutoff=0.0)
-    phi = apply_ansatz_adjoint(a, theta, target, policy)
-    amps = mps_to_statevector(phi)
+    n = a.n
+    amps = mps_to_statevector(apply_ansatz_adjoint(a, theta, target, EXACT))
     weights = np.array([(n - bin(idx).count("1")) / n for idx in range(2**n)])
     return float(1.0 - np.sum(weights * np.abs(amps) ** 2))
 
@@ -172,24 +156,44 @@ def cost_full_local_bruteforce(
 # --- gradients ---------------------------------------------------------------
 
 
-def gradient(a: Ansatz, theta: np.ndarray, target: MPS, cfg: CostConfig) -> np.ndarray:
-    """Parameter-shift gradient of the truncated local cost.
-
-    (C(theta_j + pi/2) - C(theta_j - pi/2)) / 2 for every trainable angle, at
-    any order 0 <= k <= n, from one backward sweep that keeps every prefix
-    state and one forward sweep of the flip-count bra (bond 1, 2 or
-    2 + (k-1) chi at k = 0, 1, >= 2) instead of 2P cost evaluations. The
-    values are exact when no sweep truncates (policy chi_max and cutoff never
-    bind).
-    """
-    return _gradient_environments(a, theta, target, cfg)[0]
-
-
 def cost_and_gradient(
     a: Ansatz, theta: np.ndarray, target: MPS, cfg: CostConfig
 ) -> tuple[CostValue, np.ndarray]:
-    """Cost and its parameter-shift gradient from one shared adjoint sweep."""
-    grad, value = _gradient_environments(a, theta, target, cfg)
+    """Truncated local cost and its parameter-shift gradient from one shared adjoint sweep.
+
+    (C(theta_j + pi/2) - C(theta_j - pi/2)) / 2 for every trainable angle, at
+    any order 0 <= k <= n, from one backward sweep that keeps every prefix
+    state and one forward sweep of the flip-count bra instead of 2P cost
+    evaluations: dC/dtheta_j = -2 Re <W_m| dO_m^dag/dtheta_j |prefix_m> where
+    prefix_m is the target propagated through the adjoint gates after op m
+    and W_m is the amplitude-weighted flip-string state propagated through
+    ops 1..m-1. One flip-count construct over phi gives both that bra (bond
+    1, 2 or 2 + (k-1) chi at k = 0, 1, >= 2) and the cost value. Each slot's
+    window contracts into one 4x4 local operator E, and every angle of the
+    slot is then the sum of E times that angle's derivative matrix. The
+    values are exact when no sweep truncates (policy chi_max and cutoff
+    never bind).
+    """
+    policy = cfg.policy
+    ops = ansatz_ops(a, theta)
+
+    # backward sweep: prefixes[i] = prefix_{M-i}, the target after i adjoint ops
+    prefixes = [target, *mpslib.iter_ops(target, adjoint_ops(ops), policy)]
+    phi = mpslib.normalize(prefixes.pop())
+    grad = np.zeros(theta.size)
+    bra, value = _flip_count(phi, cfg.k, cfg.alphas)
+    bras = mpslib.iter_ops(bra, ops, policy)
+    envs = _OverlapEnvironments()
+
+    for op in ops:
+        prefix = prefixes.pop()
+        left = envs.left(bra, prefix, op.sites[0])
+        right = envs.right(bra, prefix, op.sites[1])
+        e = _local_operator(left, right, bra, prefix, op.sites[0])
+        # <W| dM^dag |prefix> = sum_{s,t} E[s, t] conj(dM[t, s])
+        vals = np.tensordot(op.dmatrices().conj(), e, axes=([1, 2], [1, 0]))
+        grad[list(op.param_indices)] = -2.0 * vals.real
+        bra = next(bras)
     return value, grad
 
 
@@ -207,15 +211,6 @@ def gradient_fd(
         cm = cost_local_truncated(a, tm, target, cfg).total
         grad[j] = (cp - cm) / (2 * h)
     return grad
-
-
-def _weighted_bra_state(phi: MPS, k: int, alphas: tuple[float, ...]) -> MPS:
-    """MPS of sum_s w_s a_s |s> over flip strings of weight <= k.
-
-    w is 1 for the zero string and alphas[m-1] for weight m. The flip-count
-    construct gives it bond 1 at k=0, 2 at k=1 and 2 + (k-1) chi above.
-    """
-    return _flip_count(phi, k, alphas)[0]
 
 
 def _env_step_left(env: np.ndarray, tb: np.ndarray, tk: np.ndarray) -> np.ndarray:
@@ -342,40 +337,3 @@ def variance_probe(
 ) -> float:
     """Monte-Carlo estimate of Var[dC_k / dtheta_component] for the product case."""
     return float(np.var(probe_gradient_samples(n, k, samples, seed, component, weights)))
-
-
-def _gradient_environments(
-    a: Ansatz, theta: np.ndarray, target: MPS, cfg: CostConfig
-) -> tuple[np.ndarray, CostValue]:
-    """Backward sweep keeping every prefix state + forward bra sweep + local windows.
-
-    dC/dtheta_j = -2 Re <W_m| dO_m^dag/dtheta_j |prefix_m> where prefix_m is
-    the target propagated through the adjoint gates after op m and W_m is the
-    amplitude-weighted flip-string state propagated through ops 1..m-1.
-    One flip-count construct over phi gives both that bra (bond 2 + (k-1) chi
-    at most) and the cost value, so the all-zero boundary vectors are built
-    once. Each slot's window contracts into one 4x4 local operator E, and
-    every angle of the slot is then the sum of E times that angle's
-    derivative matrix. Returns the gradient together with the cost value.
-    """
-    policy = cfg.policy
-    ops = ansatz_ops(a, theta)
-
-    # backward sweep: prefixes[i] = prefix_{M-i}, the target after i adjoint ops
-    prefixes = [target, *mpslib.iter_ops(target, adjoint_ops(ops), policy)]
-    phi = mpslib.normalize(prefixes.pop())
-    grad = np.zeros(theta.size)
-    bra, value = _flip_count(phi, cfg.k, cfg.alphas)
-    bras = mpslib.iter_ops(bra, ops, policy)
-    envs = _OverlapEnvironments()
-
-    for op in ops:
-        prefix = prefixes.pop()
-        left = envs.left(bra, prefix, op.sites[0])
-        right = envs.right(bra, prefix, op.sites[1])
-        e = _local_operator(left, right, bra, prefix, op.sites[0])
-        # <W| dM^dag |prefix> = sum_{s,t} E[s, t] conj(dM[t, s])
-        vals = np.tensordot(op.dmatrices().conj(), e, axes=([1, 2], [1, 0]))
-        grad[list(op.param_indices)] = -2.0 * vals.real
-        bra = next(bras)
-    return grad, value

@@ -47,7 +47,6 @@ class CircuitOp:
 
     sites: tuple[int, ...]
     matrix: np.ndarray
-    label: str = ""
 
 
 def cnot_depth_from_pairs(pairs: Iterable[tuple[int, int]], n: int) -> int:
@@ -111,7 +110,7 @@ def op_from_record(name: str, qubits: Sequence[int], angles: Sequence[float]) ->
         if abs(c - t) != 1:
             raise ValueError(f"cx requires adjacent qubits, got {qubits}")
         mat = CX_FORWARD if c < t else CX_REVERSED
-        return CircuitOp((min(c, t), max(c, t)), mat, "cx")
+        return CircuitOp((min(c, t), max(c, t)), mat)
     if name in ROTATIONS:
-        return CircuitOp((qubits[0],), ROTATIONS[name](angles[0]), name)
+        return CircuitOp((qubits[0],), ROTATIONS[name](angles[0]))
     raise ValueError(f"unknown gate name {name!r}")

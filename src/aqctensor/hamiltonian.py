@@ -99,11 +99,6 @@ def two_site_unitary(alpha: float, beta: float, delta: float, dt: float) -> np.n
     return expm(1j * gen)
 
 
-def field_rotation(h: float, dt: float, half: bool = True) -> np.ndarray:
-    """exp(-i h Sz dt / 2) when half, else exp(-i h Sz dt)."""
-    return rz(h * dt * (0.5 if half else 1.0))
-
-
 @dataclass(frozen=True)
 class Column:
     """One layer of non-overlapping gates with its role tag."""
@@ -117,8 +112,6 @@ class GateSchedule:
     """Fused second-order Trotter circuit: an ordered list of columns."""
 
     n: int
-    dt: float
-    steps: int
     columns: tuple[Column, ...]
 
     def flat_gates(self) -> Iterator[CircuitOp]:
@@ -139,17 +132,14 @@ class GateSchedule:
 
 def _pair_column(ham: XYZHamiltonian, start: int, tau: float, tag: str) -> Column:
     gates = tuple(
-        CircuitOp((i, i + 1), two_site_unitary(ham.alpha[i], ham.beta[i], ham.delta[i], tau), "u2")
+        CircuitOp((i, i + 1), two_site_unitary(ham.alpha[i], ham.beta[i], ham.delta[i], tau))
         for i in range(start, ham.n - 1, 2)
     )
     return Column(tag, gates)
 
 
 def _field_column(ham: XYZHamiltonian, dt: float) -> Column:
-    gates = tuple(
-        CircuitOp((j,), field_rotation(ham.h[j], dt, half=True), "field")
-        for j in range(ham.n)
-    )
+    gates = tuple(CircuitOp((j,), rz(ham.h[j] * dt / 2)) for j in range(ham.n))
     return Column("field", gates)
 
 
@@ -175,7 +165,7 @@ def build_trotter_schedule(ham: XYZHamiltonian, dt: float, steps: int) -> GateSc
     field, odd = _field_column(ham, dt), _pair_column(ham, 1, dt, "odd-full")
     inner = [field, odd, field, _pair_column(ham, 0, dt, "even-full")] if steps > 1 else []
     cols = [even_half, *(inner * (steps - 1)), field, odd, field, even_half]
-    return GateSchedule(ham.n, dt, steps, tuple(cols))
+    return GateSchedule(ham.n, tuple(cols))
 
 
 def tebd_evolve(

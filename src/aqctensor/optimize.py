@@ -135,13 +135,13 @@ def minimize(
             direction = -grad
             note = "direction_reset"
 
-        step, new_cost = _backtrack(cost_fn, theta, cost, grad, direction)
+        step = _backtrack(cost_fn, theta, cost, grad, direction)
         if step is None:
             # quasi-Newton direction failed; retry along steepest descent
             s_list.clear()
             y_list.clear()
             direction = -grad / max(1.0, gnorm)
-            step, new_cost = _backtrack(cost_fn, theta, cost, grad, direction)
+            step = _backtrack(cost_fn, theta, cost, grad, direction)
             note = "line_search_fallback"
             if step is None:
                 trace.stop_reason = "line_search_failed"
@@ -186,8 +186,8 @@ def minimize(
     return best_theta, trace
 
 
-def _backtrack(cost_fn, theta, cost, grad, direction) -> tuple[float | None, float | None]:
-    """Armijo backtracking with expansion; returns (step, cost at step) or (None, None).
+def _backtrack(cost_fn, theta, cost, grad, direction) -> float | None:
+    """Armijo backtracking with expansion; returns the accepted step, or None.
 
     When the unit step already satisfies sufficient decrease the step is
     doubled while it keeps satisfying it, which prevents stagnation on
@@ -195,20 +195,16 @@ def _backtrack(cost_fn, theta, cost, grad, direction) -> tuple[float | None, flo
     """
     slope = float(grad @ direction)
     step = 1.0
-    candidate = cost_fn(theta + step * direction)
-    if candidate <= cost + ARMIJO_C1 * step * slope:
-        best = (step, candidate)
+    if cost_fn(theta + step * direction) <= cost + ARMIJO_C1 * step * slope:
         for _ in range(MAX_EXPANSIONS):
-            step *= 2.0
-            candidate = cost_fn(theta + step * direction)
-            if candidate <= cost + ARMIJO_C1 * step * slope:
-                best = (step, candidate)
-            else:
+            trial = step * 2.0
+            # "not <=" rather than ">": a NaN cost also ends the expansion
+            if not cost_fn(theta + trial * direction) <= cost + ARMIJO_C1 * trial * slope:
                 break
-        return best
+            step = trial
+        return step
     for _ in range(MAX_BACKTRACKS):
         step *= BACKTRACK_FACTOR
-        candidate = cost_fn(theta + step * direction)
-        if candidate <= cost + ARMIJO_C1 * step * slope:
-            return step, candidate
-    return None, None
+        if cost_fn(theta + step * direction) <= cost + ARMIJO_C1 * step * slope:
+            return step
+    return None

@@ -121,9 +121,10 @@ class RunConfig:
     def dt(self) -> float:
         return self.t / self.layers
 
-    @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
-        return cls.from_dict(read_config_file(path))
+    @property
+    def dt_app(self) -> float:
+        """Time step of the appended Trotter steps."""
+        return self.append_dt if self.append_dt is not None else self.dt
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -403,7 +404,7 @@ def _optimize_phases(
 
 def _append_stage(cfg, ham, psi0, target, a1, ansatz, gt_policy, evolution_policy) -> dict:
     """Append k Trotter steps to the optimized state; continue the target from t as their reference."""
-    dt_app = cfg.append_dt if cfg.append_dt is not None else cfg.dt
+    dt_app = cfg.dt_app
     k = cfg.append_steps
     t_total = cfg.t + k * dt_app
 
@@ -433,8 +434,14 @@ def _append_stage(cfg, ham, psi0, target, a1, ansatz, gt_policy, evolution_polic
 # --- experiment drivers -------------------------------------------------------
 
 
-def _sweep(cfg: RunConfig, mode: str) -> RunReport:
-    """Shared worker for the equal-depth and half-depth comparisons."""
+def sweep(cfg: RunConfig, mode: str) -> RunReport:
+    """l-layer ansatz vs a Trotter circuit over a time grid.
+
+    mode "equal" compares with the l-step Trotter circuit at asserted-equal
+    CNOT depth, mode "half" with the 2l-step one (twice the CNOT depth).
+    """
+    if mode not in ("equal", "half"):
+        raise ValueError(f"unknown sweep mode {mode!r}; choose 'equal' or 'half'")
     grid = cfg.t_grid or [cfg.t * f for f in (0.2, 0.4, 0.6, 0.8, 1.0)]
     # every grid point's config is checked before the first one runs
     subs = [RunConfig(**{**cfg.to_dict(), "t": float(t), "t_grid": None}) for t in grid]
@@ -465,16 +472,6 @@ def _sweep(cfg: RunConfig, mode: str) -> RunReport:
         })
     report.sweep = rows
     return report
-
-
-def experiment_equal_depth(cfg: RunConfig) -> RunReport:
-    """l-layer ansatz vs the l-step Trotter circuit at asserted-equal CNOT depth."""
-    return _sweep(cfg, "equal")
-
-
-def experiment_half_depth(cfg: RunConfig) -> RunReport:
-    """l-layer ansatz vs the 2l-step Trotter circuit (twice the CNOT depth)."""
-    return _sweep(cfg, "half")
 
 
 def write_sweep_csv(report: RunReport, path: str) -> None:

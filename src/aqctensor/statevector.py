@@ -12,7 +12,7 @@ import numpy as np
 
 from .gates import SZ
 from .hamiltonian import XYZHamiltonian
-from .mps import MPS, TruncationPolicy, apply_two_site_gate, from_product_state
+from .mps import EXACT, MPS, apply_two_site_gate, from_product_state
 
 MAX_QUBITS_CIRCUIT = 14
 MAX_QUBITS_EVOLUTION = 12
@@ -23,21 +23,10 @@ def _guard(n: int, limit: int, what: str) -> None:
         raise ValueError(f"{what} is limited to {limit} qubits, got {n}")
 
 
-def basis_index(bits: str) -> int:
-    return int(bits, 2)
-
-
-def zero_state(n: int) -> np.ndarray:
-    _guard(n, MAX_QUBITS_CIRCUIT, "dense simulation")
-    vec = np.zeros(2**n, dtype=complex)
-    vec[0] = 1.0
-    return vec
-
-
 def basis_state(bits: str) -> np.ndarray:
-    vec = zero_state(len(bits))
-    vec[0] = 0.0
-    vec[basis_index(bits)] = 1.0
+    _guard(len(bits), MAX_QUBITS_CIRCUIT, "dense simulation")
+    vec = np.zeros(2 ** len(bits), dtype=complex)
+    vec[int(bits, 2)] = 1.0
     return vec
 
 
@@ -147,9 +136,8 @@ def random_mps(n: int, seed: int, entangling_layers: int = 2) -> MPS:
     rng = np.random.default_rng(seed)
     bits = "".join(rng.choice(["0", "1"]) for _ in range(n))
     psi = from_product_state(bits)
-    policy = TruncationPolicy(cutoff=0.0)
     for layer in range(entangling_layers):
         for i in range(layer % 2, n - 1, 2):
             u = unitary_group.rvs(4, random_state=rng)
-            psi = apply_two_site_gate(psi, u, i, policy)
+            psi = apply_two_site_gate(psi, u, i, EXACT)
     return psi

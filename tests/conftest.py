@@ -3,15 +3,13 @@ import pytest
 from scipy.stats import unitary_group
 
 from aqctensor.mps import (
+    EXACT,
     MPS,
-    TruncationPolicy,
     apply_single_site_gate,
     apply_two_site_gate,
     from_product_state,
 )
 from aqctensor.statevector import apply_gate, basis_state
-
-EXACT = TruncationPolicy(cutoff=0.0)
 
 
 @pytest.fixture

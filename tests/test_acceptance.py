@@ -18,10 +18,9 @@ from aqctensor.ansatz import (
 )
 from aqctensor.cost import (
     CostConfig,
+    cost_and_gradient,
     cost_full_local_bruteforce,
-    cost_global,
     cost_local_truncated,
-    gradient,
     gradient_fd,
     variance_probe,
 )
@@ -87,7 +86,7 @@ def test_criterion_02_trotter_order():
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_criterion_03_trotter_initialization_exactness(preset):
-    """cost_global at the Trotter start <= 1e-8 (MPS) and <= 1e-10 (dense), n=8 l=4."""
+    """Global cost at the Trotter start <= 1e-8 (MPS) and <= 1e-10 (dense), n=8 l=4."""
     n, l, t = 8, 4, 2.0
     dt = t / l
     cfg = RunConfig(n=n, t=t, layers=l, preset=preset, seed=777, out_dir="x")
@@ -97,7 +96,7 @@ def test_criterion_03_trotter_initialization_exactness(preset):
     ansatz = build_brickwork_ansatz(n, l, ham, dt)
     theta0 = trotter_initialize(ansatz, ham, dt, bits=neel(n))
 
-    mps_cost = cost_global(ansatz, theta0, target, policy).total
+    mps_cost = cost_local_truncated(ansatz, theta0, target, CostConfig(policy=policy)).total
     circuit_dense = sv_apply_schedule(basis_state("0" * n), ansatz_ops(ansatz, theta0))
     trotter_dense = sv_apply_schedule(basis_state(neel(n)), build_trotter_schedule(ham, dt, l))
     dense_cost = 1.0 - sv_fidelity(circuit_dense, trotter_dense)
@@ -138,7 +137,7 @@ def test_criterion_05_gradient_exactness():
         theta = rng.uniform(-np.pi, np.pi, a.num_params)
         target = random_mps(n, seed=seed + 1)
         cfg = CostConfig(alphas=((n - 1) / n,), policy=EXACT)
-        g = gradient(a, theta, target, cfg)
+        g = cost_and_gradient(a, theta, target, cfg)[1]
         g_fd = gradient_fd(a, theta, target, cfg)
         worst = max(worst, float(np.max(np.abs(g - g_fd))))
     passed = worst < 1e-6
@@ -160,7 +159,7 @@ def test_criterion_06_local_cost_equivalence():
         target = random_mps(n, seed=seed + 2)
         cfg = CostConfig(alphas=alphas, policy=EXACT)
         truncated = cost_local_truncated(a, theta, target, cfg).total
-        brute = cost_full_local_bruteforce(a, theta, target, EXACT)
+        brute = cost_full_local_bruteforce(a, theta, target)
         worst = max(worst, abs(truncated - brute))
     passed = worst < 1e-12
     report_line(6, passed, f"max |truncated - brute force| over 20 instances: {worst:.2e}")

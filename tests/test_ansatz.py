@@ -214,9 +214,10 @@ class TestTrotterInitialize:
         target = tebd_evolve(from_product_state("101010"), ham, dt, l, EXACT)
         a = build_brickwork_ansatz(6, l, ham, dt)
         theta0 = trotter_initialize(a, ham, dt, bits="101010")
-        from aqctensor.cost import cost_global
+        from aqctensor.cost import CostConfig, cost_local_truncated
 
-        assert cost_global(a, theta0, target, EXACT).total == pytest.approx(0.0, abs=1e-8)
+        cost = cost_local_truncated(a, theta0, target, CostConfig(policy=EXACT)).total
+        assert cost == pytest.approx(0.0, abs=1e-8)
 
     def test_dense_equality_with_fields(self):
         rng = np.random.default_rng(5)
@@ -331,7 +332,7 @@ class TestTrainableFields:
         assert sv_fidelity(circuit, trotter) == pytest.approx(1.0, abs=1e-10)
 
     def test_field_gradient_components_exist_and_match_fd(self):
-        from aqctensor.cost import CostConfig, gradient, gradient_fd
+        from aqctensor.cost import CostConfig, cost_and_gradient, gradient_fd
         from aqctensor.statevector import random_mps
 
         ham, a = self.make()
@@ -339,7 +340,7 @@ class TestTrainableFields:
         theta = rng.uniform(-np.pi, np.pi, a.num_params)
         target = random_mps(4, seed=43)
         cfg = CostConfig(alphas=(0.75,), policy=EXACT)
-        g = gradient(a, theta, target, cfg)
+        g = cost_and_gradient(a, theta, target, cfg)[1]
         assert g.size == a.num_params
         np.testing.assert_allclose(g, gradient_fd(a, theta, target, cfg), atol=1e-6)
         # the promoted components actually carry signal

@@ -16,6 +16,12 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli("verify", "--seed", "-1")
+        assert err.value.code == EXIT_USAGE
+        assert "must be >= 0" in capsys.readouterr().err
+
 
 class TestRun:
     def test_xxx_preset_smoke_writes_artifacts(self, tmp_path):
@@ -227,6 +233,25 @@ class TestExportCircuit:
         ansatz = build_brickwork_ansatz(cfg.n, cfg.layers, ham, cfg.dt)
         direct = sv_apply_schedule(basis_state("0000"), ansatz_ops(ansatz, np.array(report["theta_opt"])))
         assert sv_fidelity(state, direct) == pytest.approx(1.0, abs=1e-12)
+
+    def test_appended_steps_use_append_dt(self, tmp_path):
+        from aqctensor.ansatz import build_brickwork_ansatz
+        from aqctensor.hamiltonian import schedule_gate_records
+        from aqctensor.pipeline import RunConfig, resolve_hamiltonian
+
+        config = {"preset": "xxz", "n": 4, "layers": 1, "t": 0.6, "append_steps": 1, "append_dt": 0.25}
+        cfg = RunConfig.from_dict(config)
+        ham = resolve_hamiltonian(cfg)
+        theta = [0.1] * build_brickwork_ansatz(4, 1, ham, cfg.dt).num_params
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"config": config, "theta_opt": theta}))
+        out = tmp_path / "export"
+        assert run_cli("export-circuit", "--report", str(report), "--out", str(out)) == EXIT_OK
+
+        lines = (out / "circuit.txt").read_text().splitlines()
+        appended = schedule_gate_records(ham, 0.25, 1)
+        assert appended != schedule_gate_records(ham, cfg.dt, 1)
+        assert lines[-len(appended):] == appended
 
     def test_missing_theta_is_usage_error(self, tmp_path):
         bad = tmp_path / "report.json"

@@ -4,14 +4,11 @@ import pytest
 from aqctensor.ansatz import apply_ansatz, apply_ansatz_adjoint, build_brickwork_ansatz, trotter_initialize
 from aqctensor.cost import (
     CostConfig,
-    _evaluate,
-    _weighted_bra_state,
+    _flip_count,
     cost_and_gradient,
     cost_full_local_bruteforce,
-    cost_global,
     cost_local_truncated,
     default_alpha_schedule,
-    gradient,
     gradient_fd,
     probe_gradient_samples,
     variance_probe,
@@ -21,6 +18,8 @@ from aqctensor.mps import fidelity, from_product_state, max_bond
 from aqctensor.statevector import mps_to_statevector, random_mps
 
 from conftest import EXACT
+
+GLOBAL = CostConfig(policy=EXACT)  # no weights: k = 0, the global cost
 
 
 def make_instance(n, l, seed, dt=0.2, bits=None):
@@ -74,19 +73,19 @@ class TestCostGlobal:
     def test_zero_at_own_output(self):
         ham, a, theta = make_instance(5, 1, seed=1)
         target = apply_ansatz(a, theta, from_product_state("0" * 5), EXACT)
-        assert cost_global(a, theta, target, EXACT).total == pytest.approx(0.0, abs=1e-10)
+        assert cost_local_truncated(a, theta, target, GLOBAL).total == pytest.approx(0.0, abs=1e-10)
 
     def test_one_for_orthogonal_target(self):
         ham, a, theta = make_instance(4, 1, seed=2)
         target = apply_ansatz(a, theta, from_product_state("1000"), EXACT)
-        assert cost_global(a, theta, target, EXACT).total == pytest.approx(1.0, abs=1e-10)
+        assert cost_local_truncated(a, theta, target, GLOBAL).total == pytest.approx(1.0, abs=1e-10)
 
     def test_equals_one_minus_fidelity(self):
         ham, a, theta = make_instance(6, 2, seed=3)
         target = random_mps(6, seed=30)
         produced = apply_ansatz(a, theta, from_product_state("0" * 6), EXACT)
         expected = 1.0 - fidelity(produced, target)
-        assert cost_global(a, theta, target, EXACT).total == pytest.approx(expected, abs=1e-10)
+        assert cost_local_truncated(a, theta, target, GLOBAL).total == pytest.approx(expected, abs=1e-10)
 
 
 class TestCostLocalTruncated:
@@ -95,7 +94,7 @@ class TestCostLocalTruncated:
         target = random_mps(5, seed=40)
         cfg = CostConfig(alphas=(0.0,), policy=EXACT)
         local = cost_local_truncated(a, theta, target, cfg)
-        assert local.total == cost_global(a, theta, target, EXACT).total
+        assert local.total == cost_local_truncated(a, theta, target, GLOBAL).total
 
     def test_zero_at_own_output(self):
         ham, a, theta = make_instance(4, 1, seed=5)
@@ -112,7 +111,7 @@ class TestCostLocalTruncated:
         alphas = tuple((n - m) / n for m in range(1, n + 1))
         cfg = CostConfig(alphas=alphas, policy=EXACT)
         truncated = cost_local_truncated(a, theta, target, cfg).total
-        brute = cost_full_local_bruteforce(a, theta, target, EXACT)
+        brute = cost_full_local_bruteforce(a, theta, target)
         assert truncated == pytest.approx(brute, abs=1e-12)
 
     def test_order_above_n_rejected(self):
@@ -157,9 +156,8 @@ class TestFlipCount:
         phi = random_mps(n, seed=40, entangling_layers=4)
         alphas = tuple(0.9 - 0.1 * m for m in range(k))
         bra_ref, terms = flip_reference(mps_to_statevector(phi), k, alphas)
-        bra = _weighted_bra_state(phi, k, alphas)
+        bra, value = _flip_count(phi, k, alphas)
         np.testing.assert_allclose(mps_to_statevector(bra), bra_ref, atol=1e-12)
-        value = _evaluate(phi, k, alphas)
         assert value.infidelity_term == pytest.approx(1.0 - terms[0], abs=1e-12)
         np.testing.assert_allclose(value.flip_terms, terms[1:], atol=1e-12)
         expected = 1.0 - terms[0] - sum(w * f for w, f in zip(alphas, terms[1:]))
@@ -177,7 +175,7 @@ class TestBruteForce:
     def test_perfect_match(self):
         ham, a, theta = make_instance(4, 1, seed=10)
         target = apply_ansatz(a, theta, from_product_state("0000"), EXACT)
-        assert cost_full_local_bruteforce(a, theta, target, EXACT) == pytest.approx(0.0, abs=1e-10)
+        assert cost_full_local_bruteforce(a, theta, target) == pytest.approx(0.0, abs=1e-10)
 
     def test_single_qubit_reduces_to_global(self):
         ham = XYZHamiltonian.uniform(2, 0.75, 0.75, 0.75)
@@ -187,7 +185,7 @@ class TestBruteForce:
         target = random_mps(2, seed=5)
         # weight (n-m)/n kills the full-flip term only at n=1; at n=2 compare to k=n
         cfg = CostConfig(alphas=(0.5, 0.0), policy=EXACT)
-        assert cost_full_local_bruteforce(a, theta, target, EXACT) == pytest.approx(
+        assert cost_full_local_bruteforce(a, theta, target) == pytest.approx(
             cost_local_truncated(a, theta, target, cfg).total, abs=1e-12
         )
 
@@ -204,7 +202,7 @@ class TestGradient:
         theta = trotter_initialize(a, ham, 0.2, bits="1010")
         target = apply_ansatz(a, theta, from_product_state("0000"), EXACT)
         cfg = CostConfig(alphas=(0.75,), policy=EXACT)
-        g = gradient(a, theta, target, cfg)
+        g = cost_and_gradient(a, theta, target, cfg)[1]
         assert np.max(np.abs(g)) <= 1e-6
 
     @pytest.mark.parametrize("seed", [20, 21, 22])
@@ -212,25 +210,22 @@ class TestGradient:
         ham, a, theta = make_instance(4, 1, seed=seed)
         target = random_mps(4, seed=seed + 100)
         cfg = CostConfig(alphas=(0.75,), policy=EXACT)
-        g = gradient(a, theta, target, cfg)
+        g = cost_and_gradient(a, theta, target, cfg)[1]
         g_fd = gradient_fd(a, theta, target, cfg)
         np.testing.assert_allclose(g, g_fd, atol=1e-6)
 
     def test_cost_and_gradient_consistent_with_separate_calls(self):
-        from aqctensor.cost import cost_and_gradient
-
         ham, a, theta = make_instance(5, 1, seed=29)
         target = random_mps(5, seed=129)
         cfg = CostConfig(alphas=(0.8,), policy=EXACT)
-        value, grad = cost_and_gradient(a, theta, target, cfg)
+        value, _ = cost_and_gradient(a, theta, target, cfg)
         assert value.total == cost_local_truncated(a, theta, target, cfg).total
-        np.testing.assert_array_equal(grad, gradient(a, theta, target, cfg))
 
     def test_environment_and_reevaluation_agree(self):
         ham, a, theta = make_instance(5, 2, seed=23)
         target = random_mps(5, seed=123)
         cfg = CostConfig(alphas=(0.8,), policy=EXACT)
-        g_env = gradient(a, theta, target, cfg)
+        g_env = cost_and_gradient(a, theta, target, cfg)[1]
         np.testing.assert_allclose(g_env, gradient_reevaluation(a, theta, target, cfg), atol=1e-12)
 
     def test_global_cost_gradient(self):
@@ -238,7 +233,7 @@ class TestGradient:
         target = random_mps(4, seed=124)
         cfg = CostConfig(alphas=(), policy=EXACT)
         np.testing.assert_allclose(
-            gradient(a, theta, target, cfg), gradient_fd(a, theta, target, cfg), atol=1e-6
+            cost_and_gradient(a, theta, target, cfg)[1], gradient_fd(a, theta, target, cfg), atol=1e-6
         )
 
     def test_k2_gradient(self):
@@ -246,7 +241,7 @@ class TestGradient:
         target = random_mps(4, seed=125)
         cfg = CostConfig(alphas=(0.75, 0.5), policy=EXACT)
         np.testing.assert_allclose(
-            gradient(a, theta, target, cfg), gradient_fd(a, theta, target, cfg), atol=1e-6
+            cost_and_gradient(a, theta, target, cfg)[1], gradient_fd(a, theta, target, cfg), atol=1e-6
         )
 
     def test_k2_gradient_at_n20(self):
@@ -273,13 +268,13 @@ class TestGradient:
         ham, a, theta = make_instance(4, 1, seed=26)
         target = random_mps(4, seed=126)
         cfg = CostConfig(alphas=(0.5,), policy=EXACT)
-        assert gradient(a, theta, target, cfg).size == a.num_params
+        assert cost_and_gradient(a, theta, target, cfg)[1].size == a.num_params
 
     def test_fd_richardson_consistency(self):
         ham, a, theta = make_instance(4, 1, seed=28)
         target = random_mps(4, seed=128)
         cfg = CostConfig(alphas=(0.75,), policy=EXACT)
-        exact = gradient(a, theta, target, cfg)
+        exact = cost_and_gradient(a, theta, target, cfg)[1]
         err_h = np.linalg.norm(gradient_fd(a, theta, target, cfg, h=2e-3) - exact)
         err_h2 = np.linalg.norm(gradient_fd(a, theta, target, cfg, h=1e-3) - exact)
         assert err_h / err_h2 == pytest.approx(4.0, rel=0.4)

@@ -58,7 +58,7 @@ def rebuild_gradient(a, theta, target, cfg):
     prefixes = [target]  # prefixes[i] = target after the last i adjoint ops
     for op in adjoint_ops(ops):
         prefixes.append(apply_ops(prefixes[-1], (op,), cfg.policy))
-    bra = cost._weighted_bra_state(normalize(prefixes[-1]), cfg.k, cfg.alphas)
+    bra = cost._flip_count(normalize(prefixes[-1]), cfg.k, cfg.alphas)[0]
     grad = np.zeros(theta.size)
     for m, op in enumerate(ops, start=1):
         if op.param_indices:

@@ -8,14 +8,14 @@ from aqctensor.mps import TruncationPolicy, fidelity, from_product_state, max_bo
 from aqctensor.pipeline import (
     ConfigError,
     RunConfig,
-    experiment_equal_depth,
-    experiment_half_depth,
     ground_truth,
     make_policies,
+    read_config_file,
     resolve_alpha_schedule,
     resolve_hamiltonian,
     resolve_initial_bits,
     run_aqctensor,
+    sweep,
     write_sweep_csv,
 )
 from aqctensor.statevector import basis_state, mps_to_statevector, sv_exact_evolution, sv_fidelity
@@ -69,7 +69,7 @@ class TestConfig:
         cfg = tiny_config(preset="xxz", seed=7)
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump(cfg.to_dict()))
-        assert RunConfig.from_file(str(path)) == cfg
+        assert RunConfig.from_dict(read_config_file(str(path))) == cfg
 
     def test_presets(self):
         xxx = resolve_hamiltonian(tiny_config(preset="xxx"))
@@ -191,7 +191,7 @@ class TestRun:
     def test_terminal_costs_are_trace_values(self, max_iter):
         # the trace's infidelity at a theta is the k=0 cost sweep at that theta, bit for bit
         from aqctensor.ansatz import build_brickwork_ansatz, trotter_initialize
-        from aqctensor.cost import cost_global
+        from aqctensor.cost import CostConfig, cost_local_truncated
 
         cfg = tiny_config(preset="random-xyz", seed=5, max_iter=max_iter)
         report, trace = run_aqctensor(cfg, raise_on_error=True)
@@ -207,7 +207,8 @@ class TestRun:
         assert opt["terminal_cost_final"].hex() in infidelities
         for value, theta in ((opt["terminal_cost_theta0"], theta0),
                              (opt["terminal_cost_final"], report.theta_opt)):
-            swept = cost_global(ansatz, np.array(theta), target, gt_policy).total
+            swept = cost_local_truncated(ansatz, np.array(theta), target,
+                                         CostConfig(policy=gt_policy)).total
             assert value.hex() == swept.hex()
 
     def test_guaranteed_improvement_floor(self):
@@ -284,7 +285,7 @@ class TestAppendReference:
 class TestSweeps:
     def test_equal_depth_rows_and_gap(self, tmp_path):
         cfg = tiny_config(n=4, t=1.0, layers=1, max_iter=4, t_grid=[0.5, 1.0])
-        report = experiment_equal_depth(cfg)
+        report = sweep(cfg, "equal")
         assert len(report.sweep) == 2
         for row in report.sweep:
             assert row["depth_ansatz"] == row["depth_trotter"]
@@ -296,7 +297,16 @@ class TestSweeps:
 
     def test_half_depth_compares_double_trotter(self):
         cfg = tiny_config(n=4, t=1.0, layers=1, max_iter=4, t_grid=[1.0])
-        report = experiment_half_depth(cfg)
+        report = sweep(cfg, "half")
         row = report.sweep[0]
         assert row["depth_trotter"] == 3 * (2 * 2 + 1)  # 2l-step circuit
         assert row["depth_ansatz"] == 3 * (2 * 1 + 1)
+
+    def test_unknown_mode_is_rejected_before_any_run(self, monkeypatch):
+        from aqctensor import pipeline
+
+        calls = []
+        monkeypatch.setattr(pipeline, "run_aqctensor", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="sweep mode"):
+            sweep(tiny_config(t_grid=[0.5]), "quarter")
+        assert calls == []

@@ -5,7 +5,6 @@ from aqctensor.gates import CX_FORWARD
 from aqctensor.hamiltonian import XYZHamiltonian, build_trotter_schedule, random_xyz
 from aqctensor.mps import fidelity, from_product_state
 from aqctensor.statevector import (
-    basis_index,
     basis_state,
     dense_hamiltonian,
     mps_to_statevector,
@@ -20,7 +19,6 @@ from conftest import random_circuit_pair
 
 
 def test_basis_ordering_site0_most_significant():
-    assert basis_index("10") == 2
     vec = mps_to_statevector(from_product_state("10"))
     assert vec[2] == pytest.approx(1.0)
 

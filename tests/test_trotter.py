@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from aqctensor import hamiltonian
-from aqctensor.gates import CircuitOp
+from aqctensor.gates import CircuitOp, rz
 from aqctensor.hamiltonian import (
     Column,
     GateSchedule,
     XYZHamiltonian,
     build_trotter_schedule,
     expectation_energy,
-    field_rotation,
     random_xyz,
     schedule_gate_records,
     tebd_evolve,
@@ -61,7 +60,7 @@ def dense_unfused_step(ham: XYZHamiltonian, dt: float) -> np.ndarray:
     for j in range(n):
         u = np.array([[1.0]], dtype=complex)
         for k in range(n):
-            u = np.kron(u, field_rotation(ham.h[k], dt) if k == j else np.eye(2))
+            u = np.kron(u, rz(ham.h[k] * dt / 2) if k == j else np.eye(2))
         field = u @ field
     even_half = column(0, dt / 2)
     odd_full = column(1, dt)
@@ -98,15 +97,24 @@ class TestTwoSiteUnitary:
 
 
 class TestFieldRotation:
+    """The schedule's field columns: half-step rotations exp(-i h Sz dt / 2)."""
+
+    @staticmethod
+    def field_gate(h, dt):
+        ham = XYZHamiltonian.uniform(2, 0.75, 0.75, 0.75, h=h)
+        field = next(c for c in build_trotter_schedule(ham, dt, 1).columns if c.tag == "field")
+        return field.gates[0].matrix
+
     def test_zero_field_identity(self):
-        np.testing.assert_allclose(field_rotation(0.0, 0.3), np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(self.field_gate(0.0, 0.3), np.eye(2), atol=1e-14)
 
     def test_two_halves_make_a_full(self):
-        half = field_rotation(1.3, 0.2, half=True)
-        np.testing.assert_allclose(half @ half, field_rotation(1.3, 0.2, half=False), atol=1e-14)
+        half = self.field_gate(1.3, 0.2)
+        full = np.diag(np.exp([-0.5j * 1.3 * 0.2, 0.5j * 1.3 * 0.2]))  # exp(-i h Sz dt)
+        np.testing.assert_allclose(half @ half, full, atol=1e-14)
 
     def test_frozen_phases(self):
-        u = field_rotation(1.0, 0.2, half=True)
+        u = self.field_gate(1.0, 0.2)
         np.testing.assert_allclose(np.diag(u), [np.exp(-0.05j), np.exp(0.05j)], atol=1e-14)
 
 
@@ -161,19 +169,18 @@ def fresh_schedule(ham: XYZHamiltonian, dt: float, steps: int) -> GateSchedule:
 
     def pairs(start, tau, tag):
         return Column(tag, tuple(
-            CircuitOp((i, i + 1), two_site_unitary(ham.alpha[i], ham.beta[i], ham.delta[i], tau), "u2")
+            CircuitOp((i, i + 1), two_site_unitary(ham.alpha[i], ham.beta[i], ham.delta[i], tau))
             for i in range(start, ham.n - 1, 2)))
 
     def fields():
-        return Column("field", tuple(CircuitOp((j,), field_rotation(ham.h[j], dt), "field")
-                                     for j in range(ham.n)))
+        return Column("field", tuple(CircuitOp((j,), rz(ham.h[j] * dt / 2)) for j in range(ham.n)))
 
     cols = [pairs(0, dt / 2, "even-half")]
     for s in range(steps):
         last = s == steps - 1
         cols += [fields(), pairs(1, dt, "odd-full"), fields(),
                  pairs(0, dt / 2 if last else dt, "even-half" if last else "even-full")]
-    return GateSchedule(ham.n, dt, steps, tuple(cols))
+    return GateSchedule(ham.n, tuple(cols))
 
 
 class TestColumnReuse:
