@@ -18,11 +18,13 @@ multiplied in (a rotation joins the last slot that touched its qubit, or the
 first one that will). Every initial and field rotation is absorbed, so a cost
 sweep puts one SVD-truncated gate per slot on the MPS, and each op carries the
 derivatives of all its angles (12 block angles plus absorbed initial and
-trainable field angles).
+trainable field angles). That layout is fixed per Ansatz; a call builds every
+slot from one factor table, in one batched product per factor position.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +32,6 @@ from . import mps as mpslib
 from .gates import (
     CX_FORWARD,
     CX_REVERSED,
-    ROTATIONS,
     CircuitOp,
     Y,
     Z,
@@ -68,6 +69,11 @@ class Ansatz:
     @property
     def num_blocks(self) -> int:
         return 3 * sum(len(pairs) for _, pairs in self.columns)
+
+    @cached_property
+    def _layout(self) -> tuple:
+        """The fused slots of ansatz_ops (see _slot_layout); computed on first use."""
+        return _slot_layout(self)
 
     def slot_multiset(self) -> list[tuple[str, int]]:
         """(column tag, pair left site) for every two-site slot, in order."""
@@ -131,46 +137,92 @@ def initial_rotation(angles: np.ndarray) -> np.ndarray:
 _I2 = np.eye(2, dtype=complex)
 _I4 = np.eye(4, dtype=complex)
 
-
-def _on_pair(m: np.ndarray, side: int) -> np.ndarray:
-    """A 2x2 matrix on the left (side 0) or right (side 1) qubit of a pair, as a 4x4 factor."""
-    out = np.zeros((4, 4), dtype=complex)
-    if side == 0:
-        out[0::2, 0::2] = out[1::2, 1::2] = m  # m (x) I
-    else:
-        out[:2, :2] = out[2:, 2:] = m  # I (x) m
-    return out
-
-
-# d/dt exp(-i t G / 2) = -i G / 2 exp(-i t G / 2), on either qubit of a pair
-_GENERATORS = {(name, side): _on_pair(-0.5j * g, side)
-               for name, g in (("ry", Y), ("rz", Z)) for side in (0, 1)}
-
-Factor = tuple[np.ndarray, np.ndarray | None, int]  # (4x4 factor, its -iG/2 or None, parameter index)
+# Every factor of a fused slot is A + cos(t/2) B + sin(t/2) C at its angle t,
+# with (A, B, C) picked by its kind: 0 is the identity that pads a slot after
+# its last factor, 1 and 2 the CNOT with control left or right, 3 + 2r + side
+# the rotation exp(-i t G / 2), G = Y (r = 0) or Z (r = 1), on the left (0) or
+# right (1) qubit of the pair. _GEN = C / 2 is a rotation's generator term -iG/2.
+_ROTATION_KIND = {(name, side): 3 + 2 * r + side for r, name in enumerate(("ry", "rz")) for side in (0, 1)}
+_GEN, _A, _B = np.zeros((3, 7, 4, 4), dtype=complex)
+_GEN[3:] = [m for g in (-0.5j * Y, -0.5j * Z) for m in (np.kron(g, _I2), np.kron(_I2, g))]
+_A[:3], _B[3:] = (_I4, CX_FORWARD, CX_REVERSED), _I4
+_C = 2 * _GEN
 
 
-def _prefix_products(factors) -> list[np.ndarray]:
-    """[I, F0, F1 F0, ...]: the product of the first j factors at position j."""
-    out = [_I4]
-    for f, _, _ in factors:
-        out.append(f.dot(out[-1]))  # ndarray.dot: less call overhead than @ on 4x4
-    return out
+def _factors(kinds: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """The 4x4 factors of these kinds whose angles t have these cos(t/2) and sin(t/2)."""
+    return _A[kinds] + cos[..., None, None] * _B[kinds] + sin[..., None, None] * _C[kinds]
+
+
+def _slot_layout(a: Ansatz):
+    """Fuse the gates of _primitive_gates into slots by the rule in ansatz_ops.
+
+    Returns (kinds, angles, fixed, slots), rows in ansatz_ops order: factor j
+    of slot s has kind kinds[s, j] and angle angles[s, j] of (theta, fixed),
+    where fixed holds the fixed field angles (a CNOT or padding reads entry -1,
+    whatever it holds: B and C are 0 there). slots holds (sites, factor count,
+    param_indices, their factor positions) per slot.
+    """
+    slots: list[tuple[int, list[tuple[int, int]]]] = []  # (left site, [(kind, angle index)])
+    owner: list[tuple | None] = [None] * a.n  # slot that last touched each qubit
+    pending: list[list[tuple]] = [[] for _ in range(a.n)]  # rotations before any slot
+    fixed: list[float] = []
+    blocks = 0
+    for name, qubits, angle, idx in _primitive_gates(a, np.zeros(a.num_params)):
+        if name == "cx":
+            if blocks % 3 == 0:  # the first of a slot's three blocks opens it
+                left = min(qubits)
+                slot = (left, [])
+                for side in (0, 1):
+                    slot[1].extend((_ROTATION_KIND[rot, side], i) for rot, i in pending[left + side])
+                    pending[left + side] = []
+                owner[left] = owner[left + 1] = slot
+                slots.append(slot)
+            blocks += 1
+            slot[1].append((1 if qubits[0] < qubits[1] else 2, -1))
+            continue
+        if idx < 0:  # a fixed rotation: its angle goes after theta
+            idx = a.num_params + len(fixed)
+            fixed.append(angle)
+        if owner[qubits[0]] is None:
+            pending[qubits[0]].append((name, idx))
+        else:
+            left, factors = owner[qubits[0]]
+            factors.append((_ROTATION_KIND[name, qubits[0] - left], idx))
+    ids = iter(slots)
+    slots = [s for tag, pairs in a.columns for s in sweep_order(tag, [next(ids) for _ in pairs])]
+    kinds = np.zeros((len(slots), max(len(f) for _, f in slots)), dtype=np.int8)
+    angles = np.full(kinds.shape, -1)
+    records = []
+    for s, (left, factors) in enumerate(slots):
+        kinds[s, :len(factors)], angles[s, :len(factors)] = zip(*factors)
+        pos = np.flatnonzero((angles[s] >= 0) & (angles[s] < a.num_params))
+        records.append(((left, left + 1), len(factors), tuple(angles[s, pos].tolist()), pos))
+    layout = kinds, angles, np.array(fixed), tuple(records)
+    for arr in (*layout[:3], *(r[3] for r in records)):
+        arr.flags.writeable = False
+    return layout
 
 
 @dataclass(frozen=True)
 class AnsatzOp:
     """One fused two-site slot: its CNOTs and the rotations absorbed next to them.
 
-    factors lists every gate of the slot in time order as a 4x4 factor on the
-    pair: a CNOT, or a rotation R as R (x) I or I (x) R. A trainable rotation
-    carries its generator term -iG/2, lifted the same way, and its parameter
-    index; a CNOT or a fixed rotation carries None. matrix is the product.
+    The slot's gates in time order are 4x4 factors on the pair: a CNOT, or a
+    rotation R as R (x) I or I (x) R, given by their kinds and the cos(t/2) and
+    sin(t/2) of their angles. prefixes[j] is the product of the first j
+    factors, and matrix the product of all. The angle param_indices[i] drives
+    the factor at positions[i].
     """
 
     sites: tuple[int, int]
-    factors: tuple[Factor, ...]
     matrix: np.ndarray
     param_indices: tuple[int, ...]
+    prefixes: np.ndarray  # (F + 1, 4, 4)
+    kinds: np.ndarray  # (F,)
+    cos: np.ndarray  # (F,)
+    sin: np.ndarray  # (F,)
+    positions: np.ndarray  # (P,)
 
     def dmatrices(self) -> np.ndarray:
         """Derivatives of matrix with respect to each angle in param_indices, stacked (P, 4, 4).
@@ -179,22 +231,13 @@ class AnsatzOp:
         is S_{j+1} (-iG/2) R_j P_j, with P_j and S_{j+1} the products of the
         factors before and after it.
         """
-        prefix = _prefix_products(self.factors)
-        suffix = _I4
-        afters, gens, befores = [], [], []
-        for j in range(len(self.factors) - 1, -1, -1):
-            f, g, _ = self.factors[j]
-            if g is not None:
-                afters.append(suffix)
-                gens.append(g)
-                befores.append(prefix[j + 1])
-            suffix = suffix.dot(f)
-        return (np.array(afters) @ np.array(gens) @ np.array(befores))[::-1]
-
-
-def _fused_op(left: int, factors: list[Factor]) -> AnsatzOp:
-    params = tuple(idx for _, g, idx in factors if g is not None)
-    return AnsatzOp((left, left + 1), tuple(factors), _prefix_products(factors)[-1], params)
+        factors = _factors(self.kinds, self.cos, self.sin)
+        suffixes = np.empty_like(self.prefixes)  # suffixes[j]: product of the factors from j on
+        suffixes[-1] = _I4
+        for j in range(len(factors) - 1, -1, -1):
+            suffixes[j] = suffixes[j + 1].dot(factors[j])  # ndarray.dot: less call overhead on 4x4
+        after = self.positions + 1
+        return suffixes[after] @ _GEN[self.kinds[self.positions]] @ self.prefixes[after]
 
 
 def _checked_theta(a: Ansatz, theta: np.ndarray) -> np.ndarray:
@@ -243,35 +286,15 @@ def ansatz_ops(a: Ansatz, theta: np.ndarray) -> list[AnsatzOp]:
     slots of a column come in sweep_order.
     """
     theta = _checked_theta(a, theta)
-    slots: list[tuple[int, list[Factor]]] = []  # (left site, factors)
-    owner: list[tuple | None] = [None] * a.n  # slot that last touched each qubit
-    pending: list[list[tuple]] = [[] for _ in range(a.n)]  # rotations before any slot
-    blocks = 0
-    for name, qubits, angle, idx in _primitive_gates(a, theta):
-        if name == "cx":
-            if blocks % 3 == 0:  # the first of a slot's three blocks opens it
-                left = min(qubits)
-                slot = (left, [])
-                for side in (0, 1):
-                    slot[1].extend(_rotation_factor(*rot, side) for rot in pending[left + side])
-                    pending[left + side] = []
-                owner[left] = owner[left + 1] = slot
-                slots.append(slot)
-            blocks += 1
-            cx = CX_FORWARD if qubits[0] < qubits[1] else CX_REVERSED
-            slot[1].append((cx, None, -1))
-        elif owner[qubits[0]] is None:
-            pending[qubits[0]].append((name, angle, idx))
-        else:
-            left, factors = owner[qubits[0]]
-            factors.append(_rotation_factor(name, angle, idx, qubits[0] - left))
-    fused = iter([_fused_op(*slot) for slot in slots])
-    return [op for tag, pairs in a.columns for op in sweep_order(tag, [next(fused) for _ in pairs])]
-
-
-def _rotation_factor(name: str, angle: float, idx: int, side: int) -> Factor:
-    gen = _GENERATORS[name, side] if idx >= 0 else None
-    return _on_pair(ROTATIONS[name](angle), side), gen, idx
+    kinds, angles, fixed, slots = a._layout
+    half = np.concatenate([theta, fixed]) / 2
+    cos, sin = np.cos(half)[angles], np.sin(half)[angles]
+    prefixes = np.empty((len(kinds), kinds.shape[1] + 1, 4, 4), dtype=complex)
+    prefixes[:, 0] = _I4
+    for j in range(kinds.shape[1]):
+        np.matmul(_factors(kinds[:, j], cos[:, j], sin[:, j]), prefixes[:, j], out=prefixes[:, j + 1])
+    return [AnsatzOp(sites, prefixes[s, f], params, prefixes[s, :f + 1], kinds[s, :f], cos[s, :f],
+                     sin[s, :f], pos) for s, (sites, f, params, pos) in enumerate(slots)]
 
 
 def adjoint_ops(ops: list[AnsatzOp]) -> list[CircuitOp]:

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import mps as mpslib
 from .ansatz import Ansatz, adjoint_ops, ansatz_ops, apply_ansatz_adjoint
-from .mps import EXACT, MPS, TruncationPolicy
+from .mps import EXACT, MPS, TruncationPolicy, _env_step_left, _env_step_right
 
 
 def default_alpha_schedule(n: int) -> tuple[tuple[float, tuple[float, ...]], ...]:
@@ -213,16 +213,6 @@ def gradient_fd(
     return grad
 
 
-def _env_step_left(env: np.ndarray, tb: np.ndarray, tk: np.ndarray) -> np.ndarray:
-    tmp = np.tensordot(env, tb.conj(), axes=([0], [0]))  # (q, s, a)
-    return np.tensordot(tmp, tk, axes=([0, 1], [0, 1]))  # (a, b)
-
-
-def _env_step_right(env: np.ndarray, tb: np.ndarray, tk: np.ndarray) -> np.ndarray:
-    tmp = np.tensordot(tb.conj(), env, axes=([2], [0]))  # (p, s, b)
-    return np.tensordot(tmp, tk, axes=([1, 2], [1, 2]))  # (p, q)
-
-
 class _OverlapEnvironments:
     """Left and right environments of <bra|ket>, reused while tensors are unchanged.
 
@@ -279,9 +269,7 @@ def _local_operator(left: np.ndarray, right: np.ndarray, bra: MPS, ket: MPS, i: 
 # --- gradient-variance probe -------------------------------------------------
 
 
-def probe_gradient_samples(
-    n: int, k: int, samples: int, seed: int, component: int = 0, weights: str = "nested"
-) -> np.ndarray:
+def probe_gradient_samples(n: int, k: int, samples: int, seed: int, component: int = 0) -> np.ndarray:
     """Per-sample gradient of the order-k local cost for the product test case.
 
     The probed circuit is V(theta) = prod_j exp(-i theta_j X_j / 2) with target
@@ -289,51 +277,25 @@ def probe_gradient_samples(
     factorize, |<s| V^dag |0>|^2 = prod_j p_j^{s_j} q_j^{1-s_j} with
     p_j = sin^2(theta_j / 2), so the gradient is evaluated in closed form.
 
-    weights="nested": one qubit is marginalized per added truncation order (all
-    2^k flip patterns on the last k qubits, unit weights), the form for which
-    the gradient variance obeys Var = (1/8) (3/8)^(n-k-1) exactly. Then
+    One qubit is marginalized per added truncation order (all 2^k flip
+    patterns on the last k qubits, unit weights), the form for which the
+    gradient variance obeys Var = (1/8) (3/8)^(n-k-1) exactly. Then
     C = 1 - prod_{j < n-k} q_j.
-
-    weights="lhs": the (n-m)/n pattern over all flip subsets of order <= k
-    (the truncation of the full bit-flip expansion). This variant does not
-    follow the geometric law; at k = n-1 its variance is 1/(8 n^2).
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if not 0 <= component < n:
         raise ValueError(f"component {component} out of range")
+    if component >= n - k:
+        raise ValueError("gradient component must not be marginalized")
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2 * np.pi, size=(samples, n))
-    p = np.sin(theta / 2) ** 2
-    q = 1.0 - p
+    q = 1.0 - np.sin(theta / 2) ** 2
     dsdt = np.sin(theta[:, component]) / 2.0
-
-    if weights == "nested":
-        if component >= n - k:
-            raise ValueError("gradient component must not be marginalized")
-        keep = [j for j in range(n - k) if j != component]
-        return dsdt * np.prod(q[:, keep], axis=1) if keep else dsdt.copy()
-
-    if weights != "lhs":
-        raise ValueError(f"unknown weight scheme {weights!r}")
-    others = [j for j in range(n) if j != component]
-    # t[m] = weight-m symmetric flip sums over sites != component, per sample
-    t = np.zeros((k + 1, samples))
-    t[0] = 1.0
-    for j in others:
-        for m in range(min(k, len(others)), 0, -1):
-            t[m] = t[m] * q[:, j] + t[m - 1] * p[:, j]
-        t[0] = t[0] * q[:, j]
-    alphas = np.array([(n - m) / n for m in range(k + 1)])  # alpha_0 = 1
-    grad = np.zeros(samples)
-    for m in range(k + 1):
-        t_prev = t[m - 1] if m >= 1 else np.zeros(samples)
-        grad += -alphas[m] * dsdt * (t_prev - t[m])
-    return grad
+    keep = [j for j in range(n - k) if j != component]
+    return dsdt * np.prod(q[:, keep], axis=1) if keep else dsdt.copy()
 
 
-def variance_probe(
-    n: int, k: int, samples: int, seed: int, component: int = 0, weights: str = "nested"
-) -> float:
+def variance_probe(n: int, k: int, samples: int, seed: int, component: int = 0) -> float:
     """Monte-Carlo estimate of Var[dC_k / dtheta_component] for the product case."""
-    return float(np.var(probe_gradient_samples(n, k, samples, seed, component, weights)))
+    return float(np.var(probe_gradient_samples(n, k, samples, seed, component)))

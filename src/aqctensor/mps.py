@@ -108,15 +108,25 @@ def max_bond(psi: MPS) -> int:
     return max(psi.bond_dims())
 
 
+def _env_step_left(env: np.ndarray, tb: np.ndarray, tk: np.ndarray) -> np.ndarray:
+    """One site of <bra|ket> absorbed from the left; env is indexed (bra bond, ket bond)."""
+    tmp = np.tensordot(env, tb.conj(), axes=([0], [0]))  # (q, s, a)
+    return np.tensordot(tmp, tk, axes=([0, 1], [0, 1]))  # (a, b)
+
+
+def _env_step_right(env: np.ndarray, tb: np.ndarray, tk: np.ndarray) -> np.ndarray:
+    """One site of <bra|ket> absorbed from the right."""
+    tmp = np.tensordot(tb.conj(), env, axes=([2], [0]))  # (p, s, b)
+    return np.tensordot(tmp, tk, axes=([1, 2], [1, 2]))  # (p, q)
+
+
 def inner_product(a: MPS, b: MPS) -> complex:
     """<a|b> via left-to-right transfer contraction, O(n chi^3)."""
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
     env = np.ones((1, 1), dtype=complex)
     for ta, tb in zip(a.tensors, b.tensors):
-        # env[p, q]: bra bond p, ket bond q
-        tmp = np.tensordot(env, ta.conj(), axes=([0], [0]))  # (q, s, p')
-        env = np.tensordot(tmp, tb, axes=([0, 1], [0, 1]))  # (p', q')
+        env = _env_step_left(env, ta, tb)
     return complex(env[0, 0])
 
 

@@ -195,6 +195,8 @@ def resolve_alpha_schedule(cfg: RunConfig) -> tuple[tuple[float, tuple[float, ..
             CostConfig(alphas=alphas)  # checks the weights
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad alpha schedule {cfg.alpha_schedule!r}: {exc}") from exc
+    if any(not 0.0 < f <= 1.0 for f, _ in phases):
+        raise ConfigError("alpha schedule fractions must be in (0, 1]")
     if not phases or abs(sum(f for f, _ in phases) - 1.0) > 1e-9:
         raise ConfigError("alpha schedule fractions must sum to 1")
     if any(len(alphas) > cfg.n for _, alphas in phases):

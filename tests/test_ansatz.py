@@ -175,6 +175,22 @@ class TestFusion:
                 np.testing.assert_allclose(op.matrix.conj().T @ op.matrix, np.eye(4),
                                            rtol=0, atol=1e-12)
 
+    def test_ops_of_an_earlier_call_keep_their_values(self):
+        # the slot layout is cached on the Ansatz; each call builds fresh matrices
+        ham = random_xyz(5, 0.375, 1.125, seed=16)
+        a = build_brickwork_ansatz(5, 2, ham, 0.2, trainable_fields=True)
+        rng = np.random.default_rng(17)
+        first = ansatz_ops(a, rng.uniform(-np.pi, np.pi, a.num_params))
+        saved = [(op.matrix.copy(), op.dmatrices()) for op in first]
+        second = ansatz_ops(a, rng.uniform(-np.pi, np.pi, a.num_params))
+        assert not np.array_equal(second[0].matrix, saved[0][0])
+        for op, (matrix, dmatrices) in zip(first, saved):
+            np.testing.assert_array_equal(op.matrix, matrix)
+            np.testing.assert_array_equal(op.dmatrices(), dmatrices)
+        kinds, angles, fixed, slots = a._layout
+        for arr in (kinds, angles, fixed, *(slot[3] for slot in slots)):
+            assert not arr.flags.writeable
+
 
 class TestTripletSolve:
     def test_zero_couplings_give_identity_up_to_phase(self):

@@ -89,6 +89,14 @@ class TestDerivedConfigErrors:
                        "--alpha-schedule", schedule, "--out", str(tmp_path))
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("schedule", ["[[1.5, [0.5]], [-0.5, []]]", "[[0.0, [0.5]], [1.0, []]]"])
+    def test_alpha_fraction_outside_unit_interval_is_usage_error(self, tmp_path, schedule):
+        out = tmp_path / "out"
+        code = run_cli("compile", "--preset", "xxx", "--n", "4", "--layers", "1", "--time", "0.5",
+                       "--max-iter", "4", "--alpha-schedule", schedule, "--out", str(out))
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_more_weights_than_qubits_is_usage_error(self, tmp_path, command):
         out = tmp_path / "out"

@@ -315,12 +315,6 @@ class TestVarianceProbe:
         v = variance_probe(8, 7, 200000, seed=9)
         assert v == pytest.approx(1 / 8, rel=0.05)
 
-    def test_lhs_weights_pinned_value(self):
-        # with the (n-m)/n weights the k = n-1 gradient is -(sin theta)/(2n):
-        # variance exactly 1/(8 n^2)
-        v = variance_probe(8, 7, 200000, seed=10, weights="lhs")
-        assert v == pytest.approx(1 / (8 * 64), rel=0.05)
-
     def test_component_must_stay_unmarginalized(self):
         with pytest.raises(ValueError):
             probe_gradient_samples(6, 6, 10, seed=1)
