@@ -18,11 +18,9 @@ from .cost import (
     CostConfig,
     CostValue,
     cost_and_gradient,
-    cost_full_local_bruteforce,
     cost_local_truncated,
     default_alpha_schedule,
     gradient_fd,
-    variance_probe,
 )
 from .hamiltonian import (
     GateSchedule,

@@ -17,9 +17,11 @@ two-site slot, the triplet B3 B2 B1 with the single-qubit rotations next to it
 multiplied in (a rotation joins the last slot that touched its qubit, or the
 first one that will). Every initial and field rotation is absorbed, so a cost
 sweep puts one SVD-truncated gate per slot on the MPS, and each op carries the
-derivatives of all its angles (12 block angles plus absorbed initial and
-trainable field angles). That layout is fixed per Ansatz; a call builds every
-slot from one factor table, in one batched product per factor position.
+factors that slot_derivatives needs for the derivatives of all its angles (12
+block angles plus absorbed initial and trainable field angles). That layout is
+fixed per Ansatz; a call builds every slot from one factor table, in one
+batched product per factor position, and slot_derivatives builds the suffix
+products of all slots the same way.
 """
 from __future__ import annotations
 
@@ -224,20 +226,30 @@ class AnsatzOp:
     sin: np.ndarray  # (F,)
     positions: np.ndarray  # (P,)
 
-    def dmatrices(self) -> np.ndarray:
-        """Derivatives of matrix with respect to each angle in param_indices, stacked (P, 4, 4).
 
-        The angle of factor j drives R_j = exp(-i t G / 2), so its derivative
-        is S_{j+1} (-iG/2) R_j P_j, with P_j and S_{j+1} the products of the
-        factors before and after it.
-        """
-        factors = _factors(self.kinds, self.cos, self.sin)
-        suffixes = np.empty_like(self.prefixes)  # suffixes[j]: product of the factors from j on
-        suffixes[-1] = _I4
-        for j in range(len(factors) - 1, -1, -1):
-            suffixes[j] = suffixes[j + 1].dot(factors[j])  # ndarray.dot: less call overhead on 4x4
-        after = self.positions + 1
-        return suffixes[after] @ _GEN[self.kinds[self.positions]] @ self.prefixes[after]
+def slot_derivatives(ops: list[AnsatzOp]) -> list[np.ndarray]:
+    """Derivatives of each op's matrix with respect to its param_indices, (P, 4, 4) per op.
+
+    The angle of factor j drives R_j = exp(-i t G / 2), so its derivative is
+    S_{j+1} (-iG/2) R_j P_j, with P_j and S_{j+1} the products of the factors
+    before and after it. The suffixes S of all ops are built together, one
+    batched product per factor position from the last; an op with fewer
+    factors than the longest is padded at its end with the identity (kind 0),
+    which leaves its own suffixes unchanged.
+    """
+    width = max(len(op.kinds) for op in ops)
+    kinds = np.zeros((len(ops), width), dtype=np.int8)
+    cos, sin = np.zeros(kinds.shape), np.zeros(kinds.shape)
+    for s, op in enumerate(ops):
+        f = len(op.kinds)
+        kinds[s, :f], cos[s, :f], sin[s, :f] = op.kinds, op.cos, op.sin
+    # suffixes[s, j]: product of the factors of op s from j on
+    suffixes = np.empty((len(ops), width + 1, 4, 4), dtype=complex)
+    suffixes[:, -1] = _I4
+    for j in range(width - 1, -1, -1):
+        np.matmul(suffixes[:, j + 1], _factors(kinds[:, j], cos[:, j], sin[:, j]), out=suffixes[:, j])
+    return [suffixes[s, op.positions + 1] @ _GEN[op.kinds[op.positions]] @ op.prefixes[op.positions + 1]
+            for s, op in enumerate(ops)]
 
 
 def _checked_theta(a: Ansatz, theta: np.ndarray) -> np.ndarray:

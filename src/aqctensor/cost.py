@@ -4,7 +4,9 @@ The global cost is 1 - |<0|V^dag(theta)|psi_t>|^2. The truncated local cost
 subtracts alpha_m-weighted sums F_m = sum_{|s|=m} |<s| V^dag |psi_t>|^2 over
 all bit-flip patterns s of weight m = 1..k; every term is an amplitude of the
 single state |phi> = V^dag |psi_t>, so one adjoint circuit application feeds
-the whole cost.
+the whole cost. That application is the backward sweep (_backward_sweep): it
+keeps the slot ops and every intermediate state, and ends in the flip-count
+construct of phi, which gives both the cost and the gradient's bra.
 
 One flip-count construct serves every order 0 <= k <= n: the counter MPO of
 Crosswhite & Bacon (arXiv:0708.1221) applied to phi, with one bond sector per
@@ -26,7 +28,12 @@ prefix state and one forward sweep of the weighted bra state, 2M two-site
 gates for M slots, plus per slot one window: amortized O(chi^3) environment
 work (the overlap environments are reused while the tensors they absorbed
 are unchanged), one O(chi^3) contraction into a 4x4 operator E, and O(P)
-4x4 products for the slot's P angles (12 to 18 plus trainable fields). It
+4x4 products for the slot's P angles (12 to 18 plus trainable fields). The
+derivative matrices of all slots are built in one batch (slot_derivatives).
+The backward sweep is shared with the cost: the optimizer's line search asks
+cost_local_truncated to keep its sweep, and the gradient at the accepted step
+takes that sweep and runs only the forward sweep and the windows. A gradient
+without one, such as the first of each optimizer run, sweeps for itself. It
 equals the shifted-cost difference exactly only when no sweep truncates;
 under a binding bond cap each sweep truncates differently, and the result is
 not the derivative of the untruncated cost.
@@ -38,8 +45,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mps as mpslib
-from .ansatz import Ansatz, adjoint_ops, ansatz_ops, apply_ansatz_adjoint
-from .mps import EXACT, MPS, TruncationPolicy, _env_step_left, _env_step_right
+from .ansatz import Ansatz, AnsatzOp, adjoint_ops, ansatz_ops, slot_derivatives
+from .mps import MPS, TruncationPolicy, _env_step_left, _env_step_right
 
 
 def default_alpha_schedule(n: int) -> tuple[tuple[float, tuple[float, ...]], ...]:
@@ -134,30 +141,60 @@ def _flip_count(phi: MPS, k: int, alphas: tuple[float, ...]) -> tuple[MPS, CostV
     return MPS(tensors), CostValue(total, infidelity, flip_terms[1:])
 
 
-def cost_local_truncated(a: Ansatz, theta: np.ndarray, target: MPS, cfg: CostConfig) -> CostValue:
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """One backward sweep of V(theta)^dagger over the target, and what it feeds.
+
+    ops are the slot ops of ansatz_ops at theta, prefixes[i] is the target
+    after the first i of their adjoint ops (i < M, the last state is phi), and
+    bra and value are the flip-count construct of phi. The rest records where
+    the sweep was made: a gradient reuses it only at that point.
+    """
+
+    ansatz: Ansatz
+    theta: np.ndarray
+    target: MPS
+    cfg: CostConfig
+    ops: list[AnsatzOp]
+    prefixes: list[MPS]
+    bra: MPS
+    value: CostValue
+
+    def made_at(self, a: Ansatz, theta: np.ndarray, target: MPS, cfg: CostConfig) -> bool:
+        return (self.ansatz is a and self.target is target and self.cfg == cfg
+                and np.array_equal(self.theta, theta))
+
+
+def _backward_sweep(a: Ansatz, theta: np.ndarray, target: MPS, cfg: CostConfig) -> Sweep:
+    """Apply the adjoint circuit to the target, keep every prefix state, and evaluate phi."""
+    if target.n != a.n:
+        raise ValueError(f"state has {target.n} sites, ansatz has {a.n}")
+    theta = np.array(theta, dtype=float)  # a copy: the caller may reuse its array
+    ops = ansatz_ops(a, theta)
+    prefixes = [target, *mpslib.iter_ops(target, adjoint_ops(ops), cfg.policy)]
+    phi = mpslib.normalize(prefixes.pop())
+    bra, value = _flip_count(phi, cfg.k, cfg.alphas)
+    return Sweep(a, theta, target, cfg, ops, prefixes, bra, value)
+
+
+def cost_local_truncated(
+    a: Ansatz, theta: np.ndarray, target: MPS, cfg: CostConfig, keep_sweep: bool = False
+) -> CostValue | tuple[CostValue, Sweep]:
     """Truncated local cost of order cfg.k with weights cfg.alphas.
 
     With no weights (k = 0) it is the global cost 1 - |<0...0| V^dag(theta) |target>|^2.
+    With keep_sweep it returns (value, sweep): handing that sweep to
+    cost_and_gradient at the same point skips the gradient's backward sweep.
     """
-    phi = apply_ansatz_adjoint(a, theta, target, cfg.policy)
-    return _flip_count(phi, cfg.k, cfg.alphas)[1]
-
-
-def cost_full_local_bruteforce(a: Ansatz, theta: np.ndarray, target: MPS) -> float:
-    """Untruncated local cost by enumerating all 2^n strings with weights (n-|s|)/n."""
-    from .statevector import mps_to_statevector
-
-    n = a.n
-    amps = mps_to_statevector(apply_ansatz_adjoint(a, theta, target, EXACT))
-    weights = np.array([(n - bin(idx).count("1")) / n for idx in range(2**n)])
-    return float(1.0 - np.sum(weights * np.abs(amps) ** 2))
+    sweep = _backward_sweep(a, theta, target, cfg)
+    return (sweep.value, sweep) if keep_sweep else sweep.value
 
 
 # --- gradients ---------------------------------------------------------------
 
 
 def cost_and_gradient(
-    a: Ansatz, theta: np.ndarray, target: MPS, cfg: CostConfig
+    a: Ansatz, theta: np.ndarray, target: MPS, cfg: CostConfig, sweep: Sweep | None = None
 ) -> tuple[CostValue, np.ndarray]:
     """Truncated local cost and its parameter-shift gradient from one shared adjoint sweep.
 
@@ -173,28 +210,31 @@ def cost_and_gradient(
     slot is then the sum of E times that angle's derivative matrix. The
     values are exact when no sweep truncates (policy chi_max and cutoff
     never bind).
-    """
-    policy = cfg.policy
-    ops = ansatz_ops(a, theta)
 
-    # backward sweep: prefixes[i] = prefix_{M-i}, the target after i adjoint ops
-    prefixes = [target, *mpslib.iter_ops(target, adjoint_ops(ops), policy)]
-    phi = mpslib.normalize(prefixes.pop())
-    grad = np.zeros(theta.size)
-    bra, value = _flip_count(phi, cfg.k, cfg.alphas)
-    bras = mpslib.iter_ops(bra, ops, policy)
+    The backward sweep is the given one, from cost_local_truncated(...,
+    keep_sweep=True) at this very point, or else a fresh one. A sweep made at
+    another theta, CostConfig, ansatz or target raises ValueError.
+    """
+    if sweep is None:
+        sweep = _backward_sweep(a, theta, target, cfg)
+    elif not sweep.made_at(a, theta, target, cfg):
+        raise ValueError("the sweep was made at another theta, CostConfig, ansatz or target")
+    ops = sweep.ops
+    grad = np.zeros(sweep.theta.size)
+    bra = sweep.bra
+    bras = mpslib.iter_ops(bra, ops, cfg.policy)
     envs = _OverlapEnvironments()
 
-    for op in ops:
-        prefix = prefixes.pop()
+    # sweep.prefixes[-1 - m] is prefix_m, the target before the adjoint of op m
+    for op, prefix, dmats in zip(ops, reversed(sweep.prefixes), slot_derivatives(ops)):
         left = envs.left(bra, prefix, op.sites[0])
         right = envs.right(bra, prefix, op.sites[1])
         e = _local_operator(left, right, bra, prefix, op.sites[0])
         # <W| dM^dag |prefix> = sum_{s,t} E[s, t] conj(dM[t, s])
-        vals = np.tensordot(op.dmatrices().conj(), e, axes=([1, 2], [1, 0]))
+        vals = np.tensordot(dmats.conj(), e, axes=([1, 2], [1, 0]))
         grad[list(op.param_indices)] = -2.0 * vals.real
         bra = next(bras)
-    return value, grad
+    return sweep.value, grad
 
 
 def gradient_fd(
@@ -264,38 +304,3 @@ def _local_operator(left: np.ndarray, right: np.ndarray, bra: MPS, ket: MPS, i: 
     y = np.tensordot(y, ket.tensors[i + 1], axes=([2], [2]))  # (c, s, d, t)
     e = np.tensordot(x, y, axes=([1, 3], [0, 2]))  # (s1, t1, s2, t2)
     return e.transpose(0, 2, 1, 3).reshape(4, 4)
-
-
-# --- gradient-variance probe -------------------------------------------------
-
-
-def probe_gradient_samples(n: int, k: int, samples: int, seed: int, component: int = 0) -> np.ndarray:
-    """Per-sample gradient of the order-k local cost for the product test case.
-
-    The probed circuit is V(theta) = prod_j exp(-i theta_j X_j / 2) with target
-    |0...0>, theta drawn uniformly from [0, 2pi)^n. The flip amplitudes
-    factorize, |<s| V^dag |0>|^2 = prod_j p_j^{s_j} q_j^{1-s_j} with
-    p_j = sin^2(theta_j / 2), so the gradient is evaluated in closed form.
-
-    One qubit is marginalized per added truncation order (all 2^k flip
-    patterns on the last k qubits, unit weights), the form for which the
-    gradient variance obeys Var = (1/8) (3/8)^(n-k-1) exactly. Then
-    C = 1 - prod_{j < n-k} q_j.
-    """
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if not 0 <= component < n:
-        raise ValueError(f"component {component} out of range")
-    if component >= n - k:
-        raise ValueError("gradient component must not be marginalized")
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, 2 * np.pi, size=(samples, n))
-    q = 1.0 - np.sin(theta / 2) ** 2
-    dsdt = np.sin(theta[:, component]) / 2.0
-    keep = [j for j in range(n - k) if j != component]
-    return dsdt * np.prod(q[:, keep], axis=1) if keep else dsdt.copy()
-
-
-def variance_probe(n: int, k: int, samples: int, seed: int, component: int = 0) -> float:
-    """Monte-Carlo estimate of Var[dC_k / dtheta_component] for the product case."""
-    return float(np.var(probe_gradient_samples(n, k, samples, seed, component)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -84,10 +84,10 @@ def _two_loop(grad: np.ndarray, s_list: list[np.ndarray], y_list: list[np.ndarra
 
 
 def minimize(
-    cost_and_grad: Callable[[np.ndarray], tuple],
+    cost_and_grad: Callable[..., tuple],
     theta0: np.ndarray,
     cfg: OptimizerConfig,
-    cost_fn: Callable[[np.ndarray], float] | None = None,
+    cost_fn: Callable[[np.ndarray], tuple[float, Any]] | None = None,
     alpha1: float = 0.0,
     iteration_offset: int = 0,
 ) -> tuple[np.ndarray, OptimizationTrace]:
@@ -95,17 +95,22 @@ def minimize(
 
     cost_and_grad(theta) returns (cost, grad) or (cost, grad, extras) where
     extras may carry an "infidelity" entry for the trace. cost_fn, when given,
-    is a cheaper cost-only evaluator used inside the line search. Returns the
-    best theta seen and the per-iteration trace.
+    is a cheaper cost-only evaluator used inside the line search: cost_fn(theta)
+    returns (cost, sweep), where sweep is whatever part of that evaluation the
+    gradient can reuse. The gradient at an accepted step is then
+    cost_and_grad(theta, sweep) with the sweep cost_fn returned at that very
+    theta; the gradient at theta0 is cost_and_grad(theta0). Without cost_fn
+    every call is cost_and_grad(theta). Returns the best theta seen and the
+    per-iteration trace.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     if cost_fn is None:
-        cost_fn = lambda t: cost_and_grad(t)[0]
+        cost_fn = lambda t: (cost_and_grad(t)[0], None)
 
     t0 = time.perf_counter()
 
-    def evaluate(t: np.ndarray) -> tuple[float, np.ndarray, float]:
-        out = cost_and_grad(t)
+    def evaluate(t: np.ndarray, sweep: Any = None) -> tuple[float, np.ndarray, float]:
+        out = cost_and_grad(t) if sweep is None else cost_and_grad(t, sweep)
         cost, grad = out[0], np.asarray(out[1], dtype=float)
         infid = out[2].get("infidelity", cost) if len(out) > 2 else cost
         return float(cost), grad, float(infid)
@@ -135,23 +140,25 @@ def minimize(
             direction = -grad
             note = "direction_reset"
 
-        step = _backtrack(cost_fn, theta, cost, grad, direction)
-        if step is None:
+        found = _backtrack(cost_fn, theta, cost, grad, direction)
+        if found is None:
             # quasi-Newton direction failed; retry along steepest descent
             s_list.clear()
             y_list.clear()
             direction = -grad / max(1.0, gnorm)
-            step = _backtrack(cost_fn, theta, cost, grad, direction)
+            found = _backtrack(cost_fn, theta, cost, grad, direction)
             note = "line_search_fallback"
-            if step is None:
+            if found is None:
                 trace.stop_reason = "line_search_failed"
                 trace.records.append(TraceRecord(
                     iteration_offset + it, cost, infid, gnorm, alpha1,
                     time.perf_counter() - t0, "line_search_failed"))
                 break
 
+        step, sweep = found
         new_theta = theta + step * direction
-        new_cost_full, new_grad, new_infid = evaluate(new_theta)
+        new_cost_full, new_grad, new_infid = evaluate(new_theta, sweep)
+        del found, sweep  # hold no sweep through the next line search
 
         s = new_theta - theta
         y = new_grad - grad
@@ -186,25 +193,37 @@ def minimize(
     return best_theta, trace
 
 
-def _backtrack(cost_fn, theta, cost, grad, direction) -> float | None:
-    """Armijo backtracking with expansion; returns the accepted step, or None.
+def _backtrack(cost_fn, theta, cost, grad, direction) -> tuple[float, Any] | None:
+    """Armijo backtracking with expansion; returns (accepted step, its sweep), or None.
 
     When the unit step already satisfies sufficient decrease the step is
     doubled while it keeps satisfying it, which prevents stagnation on
-    directions scaled far too short by a stale curvature estimate.
+    directions scaled far too short by a stale curvature estimate. The sweep
+    is what cost_fn returned with the accepted step's cost. A trial's sweep is
+    dropped as soon as the trial fails or a longer step supersedes it, so at
+    most two are alive: the accepted one so far and the one being evaluated.
     """
     slope = float(grad @ direction)
+
+    def sufficient(step: float) -> tuple[bool, Any]:
+        value, sweep = cost_fn(theta + step * direction)
+        # "<=" fails on a NaN cost too
+        if value <= cost + ARMIJO_C1 * step * slope:
+            return True, sweep
+        return False, None
+
     step = 1.0
-    if cost_fn(theta + step * direction) <= cost + ARMIJO_C1 * step * slope:
+    passed, sweep = sufficient(step)
+    if passed:
         for _ in range(MAX_EXPANSIONS):
-            trial = step * 2.0
-            # "not <=" rather than ">": a NaN cost also ends the expansion
-            if not cost_fn(theta + trial * direction) <= cost + ARMIJO_C1 * trial * slope:
+            passed, longer = sufficient(step * 2.0)
+            if not passed:
                 break
-            step = trial
-        return step
+            step, sweep = step * 2.0, longer
+        return step, sweep
     for _ in range(MAX_BACKTRACKS):
         step *= BACKTRACK_FACTOR
-        if cost_fn(theta + step * direction) <= cost + ARMIJO_C1 * step * slope:
-            return step
+        passed, sweep = sufficient(step)
+        if passed:
+            return step, sweep
     return None

@@ -366,12 +366,14 @@ def _optimize_phases(
         phase_cfg = CostConfig(alphas=alphas, policy=policy)
         opt_cfg = OptimizerConfig(max_iter=budget, grad_tol=cfg.grad_tol, cost_tol=cfg.cost_tol)
 
-        def evaluate(t: np.ndarray, _cfg=phase_cfg):
-            value, grad = cost_and_gradient(ansatz, t, target, _cfg)
+        # the gradient at an accepted step reuses the backward sweep of its line-search cost
+        def evaluate(t: np.ndarray, sweep=None, _cfg=phase_cfg):
+            value, grad = cost_and_gradient(ansatz, t, target, _cfg, sweep)
             return value.total, grad, {"infidelity": value.infidelity_term}
 
-        def cost_only(t: np.ndarray, _cfg=phase_cfg) -> float:
-            return cost_local_truncated(ansatz, t, target, _cfg).total
+        def cost_only(t: np.ndarray, _cfg=phase_cfg):
+            value, sweep = cost_local_truncated(ansatz, t, target, _cfg, keep_sweep=True)
+            return value.total, sweep
 
         alpha1 = alphas[0] if alphas else 0.0
         theta, phase_trace = minimize(evaluate, theta, opt_cfg, cost_fn=cost_only,

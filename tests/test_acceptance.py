@@ -19,10 +19,8 @@ from aqctensor.ansatz import (
 from aqctensor.cost import (
     CostConfig,
     cost_and_gradient,
-    cost_full_local_bruteforce,
     cost_local_truncated,
     gradient_fd,
-    variance_probe,
 )
 from aqctensor.hamiltonian import XYZHamiltonian, build_trotter_schedule, random_xyz, tebd_evolve
 from aqctensor.mps import TruncationPolicy, from_product_state
@@ -37,6 +35,7 @@ from aqctensor.statevector import (
 )
 
 from conftest import EXACT, random_circuit_pair
+from oracles import cost_full_local_bruteforce, variance_probe
 
 PRESET_NAMES = ("random-xyz", "xxx", "xxz")
 

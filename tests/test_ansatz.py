@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from aqctensor.ansatz import (
+    _GEN,
+    _factors,
     ansatz_ops,
     adjoint_ops,
     apply_ansatz,
@@ -11,6 +13,7 @@ from aqctensor.ansatz import (
     cnot_depth,
     export_circuit_records,
     initial_rotation,
+    slot_derivatives,
     solve_triplet_angles,
     triplet_unitary,
     trotter_initialize,
@@ -112,8 +115,8 @@ class TestDerivativeMatrices:
         a = build_brickwork_ansatz(3, 1, ham, 0.2, trainable_fields=trainable_fields)
         theta = np.random.default_rng(9).uniform(-np.pi, np.pi, a.num_params)
         checked = set()
-        for pos, op in enumerate(ansatz_ops(a, theta)):
-            dms = op.dmatrices()
+        ops = ansatz_ops(a, theta)
+        for pos, (op, dms) in enumerate(zip(ops, slot_derivatives(ops))):
             assert dms.shape == (len(op.param_indices),) + op.matrix.shape
             for dm, j in zip(dms, op.param_indices):
                 shifted = []
@@ -124,6 +127,23 @@ class TestDerivativeMatrices:
                 np.testing.assert_allclose(dm, (shifted[0] - shifted[1]) / 4, atol=1e-14)
                 checked.add(j)
         assert checked == set(range(a.num_params))
+
+    @pytest.mark.parametrize("n, l, trainable_fields", [(2, 1, False), (5, 2, True), (8, 4, False),
+                                                         (17, 1, True), (32, 2, False)])
+    def test_batched_build_equals_per_slot_build(self, n, l, trainable_fields):
+        # the suffixes of every slot, built one 4x4 product at a time: the same arithmetic
+        ham = random_xyz(n, 0.375, 1.125, seed=n)
+        a = build_brickwork_ansatz(n, l, ham, 0.25, trainable_fields=trainable_fields)
+        ops = ansatz_ops(a, np.random.default_rng(n + l).uniform(-np.pi, np.pi, a.num_params))
+        for op, dms in zip(ops, slot_derivatives(ops)):
+            factors = _factors(op.kinds, op.cos, op.sin)
+            suffixes = np.empty_like(op.prefixes)
+            suffixes[-1] = np.eye(4)
+            for j in range(len(factors) - 1, -1, -1):
+                suffixes[j] = suffixes[j + 1].dot(factors[j])
+            after = op.positions + 1
+            per_slot = suffixes[after] @ _GEN[op.kinds[op.positions]] @ op.prefixes[after]
+            assert dms.tobytes() == per_slot.tobytes()
 
 
 def per_gate_ops(a, theta):
@@ -181,12 +201,12 @@ class TestFusion:
         a = build_brickwork_ansatz(5, 2, ham, 0.2, trainable_fields=True)
         rng = np.random.default_rng(17)
         first = ansatz_ops(a, rng.uniform(-np.pi, np.pi, a.num_params))
-        saved = [(op.matrix.copy(), op.dmatrices()) for op in first]
+        saved = [(op.matrix.copy(), dms) for op, dms in zip(first, slot_derivatives(first))]
         second = ansatz_ops(a, rng.uniform(-np.pi, np.pi, a.num_params))
         assert not np.array_equal(second[0].matrix, saved[0][0])
-        for op, (matrix, dmatrices) in zip(first, saved):
+        for op, dms, (matrix, dmatrices) in zip(first, slot_derivatives(first), saved):
             np.testing.assert_array_equal(op.matrix, matrix)
-            np.testing.assert_array_equal(op.dmatrices(), dmatrices)
+            np.testing.assert_array_equal(dms, dmatrices)
         kinds, angles, fixed, slots = a._layout
         for arr in (kinds, angles, fixed, *(slot[3] for slot in slots)):
             assert not arr.flags.writeable

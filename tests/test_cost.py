@@ -6,18 +6,16 @@ from aqctensor.cost import (
     CostConfig,
     _flip_count,
     cost_and_gradient,
-    cost_full_local_bruteforce,
     cost_local_truncated,
     default_alpha_schedule,
     gradient_fd,
-    probe_gradient_samples,
-    variance_probe,
 )
 from aqctensor.hamiltonian import XYZHamiltonian, random_xyz, tebd_evolve
-from aqctensor.mps import fidelity, from_product_state, max_bond
+from aqctensor.mps import TruncationPolicy, fidelity, from_product_state, max_bond
 from aqctensor.statevector import mps_to_statevector, random_mps
 
 from conftest import EXACT
+from oracles import cost_full_local_bruteforce, probe_gradient_samples, variance_probe
 
 GLOBAL = CostConfig(policy=EXACT)  # no weights: k = 0, the global cost
 
@@ -278,6 +276,43 @@ class TestGradient:
         err_h = np.linalg.norm(gradient_fd(a, theta, target, cfg, h=2e-3) - exact)
         err_h2 = np.linalg.norm(gradient_fd(a, theta, target, cfg, h=1e-3) - exact)
         assert err_h / err_h2 == pytest.approx(4.0, rel=0.4)
+
+
+def hand_over_instance(n, policy, seed=5):
+    """An l=2 random-xyz chain, its TEBD target and a theta near the Trotter point, at k=1."""
+    ham = random_xyz(n, 0.375, 1.125, seed=seed)
+    bits = ("10" * n)[:n]
+    target = tebd_evolve(from_product_state(bits), ham, 0.3, 4, EXACT)
+    a = build_brickwork_ansatz(n, 2, ham, 0.3)
+    theta = trotter_initialize(a, ham, 0.3, bits=bits)
+    theta = theta + np.random.default_rng(seed).normal(0, 0.2, a.num_params)
+    return a, theta, target, CostConfig(alphas=((n - 1) / n,), policy=policy)
+
+
+class TestSweepHandOver:
+    @pytest.mark.parametrize("n, policy, binds", [(8, EXACT, False), (12, TruncationPolicy(chi_max=4), True)],
+                             ids=["n8-exact", "n12-chi4"])
+    def test_handed_over_sweep_gives_the_fresh_result(self, n, policy, binds):
+        a, theta, target, cfg = hand_over_instance(n, policy)
+        assert (apply_ansatz_adjoint(a, theta, target, policy).discarded_weight > 1e-6) == binds
+        value, sweep = cost_local_truncated(a, theta, target, cfg, keep_sweep=True)
+        fresh_value, fresh_grad = cost_and_gradient(a, theta, target, cfg)
+        handed_value, handed_grad = cost_and_gradient(a, theta.copy(), target, cfg, sweep)
+        assert value == fresh_value == handed_value
+        assert [g.hex() for g in handed_grad] == [g.hex() for g in fresh_grad]
+
+    def test_sweep_from_elsewhere_is_rejected(self):
+        a, theta, target, cfg = hand_over_instance(6, EXACT)
+        _, sweep = cost_local_truncated(a, theta, target, cfg, keep_sweep=True)
+        moved = theta.copy()
+        moved[3] += 1e-12
+        other_target = tebd_evolve(target, random_xyz(6, 0.375, 1.125, seed=1), 0.1, 1, EXACT)
+        for args in ((a, moved, target, cfg),
+                     (a, theta, target, CostConfig(alphas=(0.5,), policy=EXACT)),
+                     (a, theta, target, CostConfig(alphas=cfg.alphas, policy=TruncationPolicy(chi_max=8))),
+                     (a, theta, other_target, cfg)):
+            with pytest.raises(ValueError, match="sweep"):
+                cost_and_gradient(*args, sweep)
 
 
 class TestVarianceProbe:

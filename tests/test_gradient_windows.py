@@ -14,6 +14,7 @@ from aqctensor.ansatz import (
     ansatz_ops,
     apply_ansatz_adjoint,
     build_brickwork_ansatz,
+    slot_derivatives,
     trotter_initialize,
 )
 from aqctensor.cost import CostConfig, cost_and_gradient
@@ -60,11 +61,11 @@ def rebuild_gradient(a, theta, target, cfg):
         prefixes.append(apply_ops(prefixes[-1], (op,), cfg.policy))
     bra = cost._flip_count(normalize(prefixes[-1]), cfg.k, cfg.alphas)[0]
     grad = np.zeros(theta.size)
-    for m, op in enumerate(ops, start=1):
+    for m, (op, dmats) in enumerate(zip(ops, slot_derivatives(ops)), start=1):
         if op.param_indices:
             prefix = prefixes[len(ops) - m]
             left, right = _overlap_environments(bra, prefix, op.sites[0], op.sites[-1])
-            for dmat, j in zip(op.dmatrices(), op.param_indices):
+            for dmat, j in zip(dmats, op.param_indices):
                 val = _window_value(bra, prefix, op.sites, dmat.conj().T, left, right)
                 grad[j] = -2.0 * val.real
         bra = apply_ops(bra, (op,), cfg.policy)

@@ -1,7 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from aqctensor.optimize import OptimizerConfig, minimize
+from aqctensor.optimize import OptimizerConfig, _backtrack, minimize
 
 
 def quadratic(dim, seed):
@@ -105,3 +107,66 @@ class TestContracts:
         rows = path.read_text().splitlines()
         assert rows[1].endswith(",")  # the start record has no note
         assert rows[-1].endswith(",line_search_failed")
+
+
+class Tag:
+    """A stand-in for a cost sweep: remembers the theta it was made at."""
+
+    def __init__(self, theta):
+        self.theta = theta.copy()
+
+
+def tagging_cost_fn(f):
+    """cost_fn returning (cost, Tag); .alive counts the tags still referenced at each call."""
+    live = weakref.WeakSet()
+
+    def cost_fn(theta):
+        cost_fn.alive.append(len(live))
+        tag = Tag(theta)
+        live.add(tag)
+        return f(theta), tag
+
+    cost_fn.alive = []
+    return cost_fn
+
+
+class TestSweepHandOver:
+    @pytest.mark.parametrize("direction, step, alive", [
+        (-1.0, 1.0, [0, 1]),  # the unit step lands on the minimum, step 2 fails
+        (-0.5, 2.0, [0, 1, 1]),  # step 2 lands on the minimum, step 4 fails
+        (-3.0, 0.5, [0, 0]),  # step 1 overshoots, the first backtrack passes
+    ], ids=["unit_after_failed_doubling", "doubled", "backtracked"])
+    def test_backtrack_returns_the_accepted_steps_sweep(self, direction, step, alive):
+        # f(x) = x^2 from x = 1: the accepted step is not always the last one evaluated
+        cost_fn = tagging_cost_fn(lambda x: float(x @ x))
+        theta, d = np.array([1.0]), np.array([direction])
+        got_step, sweep = _backtrack(cost_fn, theta, 1.0, 2.0 * theta, d)
+        assert got_step == step
+        np.testing.assert_array_equal(sweep.theta, theta + step * d)
+        # a rejected or superseded trial's sweep is gone before the next trial starts
+        assert cost_fn.alive == alive
+
+    def test_failed_search_returns_none(self):
+        cost_fn = tagging_cost_fn(lambda x: float(x @ x))
+        theta = np.array([1.0])
+        assert _backtrack(cost_fn, theta, 1.0, -2.0 * theta, np.array([1.0])) is None
+        assert max(cost_fn.alive) == 0
+
+    def test_gradient_gets_only_a_sweep_made_at_its_theta(self):
+        f, _ = quadratic(6, seed=7)
+        cost_fn = tagging_cost_fn(lambda x: f(x)[0])
+        handed, first_trials = [], []
+
+        def cost_and_grad(theta, sweep=None):
+            if sweep is not None:
+                assert np.array_equal(sweep.theta, theta)
+            handed.append(sweep is not None)
+            first_trials.append(len(cost_fn.alive))  # index of the next line search's first trial
+            return f(theta)
+
+        _, trace = minimize(cost_and_grad, np.ones(6), OptimizerConfig(max_iter=8), cost_fn=cost_fn)
+        # the start has no line search behind it; every accepted step hands its sweep over
+        assert handed == [False] + [True] * (len(trace.records) - 1)
+        assert len(handed) > 2
+        # no sweep is held from one line search into the next
+        assert all(cost_fn.alive[i] == 0 for i in first_trials if i < len(cost_fn.alive))

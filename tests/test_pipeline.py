@@ -211,6 +211,29 @@ class TestRun:
                                          CostConfig(policy=gt_policy)).total
             assert value.hex() == swept.hex()
 
+    def test_gradients_reuse_the_line_search_sweep(self, monkeypatch):
+        # only the first gradient of each phase runs its own backward sweep
+        from aqctensor import cost, pipeline
+
+        counts = {"sweeps": 0, "line_search": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cost, "_backward_sweep", counted(cost._backward_sweep, "sweeps"))
+        monkeypatch.setattr(pipeline, "cost_local_truncated",
+                            counted(pipeline.cost_local_truncated, "line_search"))
+        cfg = tiny_config(n=6, layers=2, preset="random-xyz", seed=3, max_iter=3)
+        report, trace = run_aqctensor(cfg, raise_on_error=True)
+        phases = sum(p["stop_reason"] is not None for p in report.optimization["phases"])
+        assert phases == 2
+        assert len(trace.records) - phases == report.optimization["iterations"] == 3
+        assert counts["line_search"] >= 3
+        assert counts["sweeps"] == counts["line_search"] + phases
+
     def test_guaranteed_improvement_floor(self):
         # even with a tiny budget the returned parameters are never worse
         # than the Trotter start under the terminal cost
