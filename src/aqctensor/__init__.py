@@ -46,12 +46,6 @@ from .mps import (
     normalize,
 )
 from .optimize import OptimizationTrace, OptimizerConfig, minimize
-from .statevector import (
-    mps_to_statevector,
-    statevector_to_mps,
-    sv_apply_schedule,
-    sv_exact_evolution,
-    sv_fidelity,
-)
+from .statevector import mps_to_statevector, sv_apply_schedule, sv_fidelity
 
 __version__ = "0.1.0"

@@ -130,12 +130,6 @@ def block_unitary(theta: np.ndarray, reverse: bool = False) -> np.ndarray:
     return np.kron(lc, lt) @ CX_FORWARD
 
 
-def initial_rotation(angles: np.ndarray) -> np.ndarray:
-    """Rz(a) Ry(b) Rz(c) on one qubit (rightmost factor acts first)."""
-    a, b, c = angles
-    return rz(a) @ ry(b) @ rz(c)
-
-
 _I2 = np.eye(2, dtype=complex)
 _I4 = np.eye(4, dtype=complex)
 
@@ -263,7 +257,7 @@ def _checked_theta(a: Ansatz, theta: np.ndarray) -> np.ndarray:
 
 def _primitive_gates(a: Ansatz, theta: np.ndarray):
     """The circuit gate by gate in time order: (rz | ry | cx, qubits, angle, parameter index)."""
-    for q in range(a.n):  # initial_rotation: Rz(theta_3q) Ry(theta_3q+1) Rz(theta_3q+2)
+    for q in range(a.n):  # initial rotation: Rz(theta_3q) Ry(theta_3q+1) Rz(theta_3q+2)
         for name, j in (("rz", 3 * q + 2), ("ry", 3 * q + 1), ("rz", 3 * q)):
             yield name, (q,), theta[j], j
     field_base = 3 * a.n + 4 * a.num_blocks

@@ -231,7 +231,7 @@ def cost_and_gradient(
         right = envs.right(bra, prefix, op.sites[1])
         e = _local_operator(left, right, bra, prefix, op.sites[0])
         # <W| dM^dag |prefix> = sum_{s,t} E[s, t] conj(dM[t, s])
-        vals = np.tensordot(dmats.conj(), e, axes=([1, 2], [1, 0]))
+        vals = dmats.reshape(len(dmats), 16).conj() @ e.T.ravel()
         grad[list(op.param_indices)] = -2.0 * vals.real
         bra = next(bras)
     return sweep.value, grad
@@ -298,9 +298,10 @@ def _local_operator(left: np.ndarray, right: np.ndarray, bra: MPS, ket: MPS, i: 
 
     <bra| mat |ket> = sum(E * mat) for any operator mat on the pair.
     """
-    x = np.tensordot(left, bra.tensors[i].conj(), axes=([0], [0]))  # (b, s, c)
-    x = np.tensordot(x, ket.tensors[i], axes=([0], [0]))  # (s, c, t, d)
-    y = np.tensordot(bra.tensors[i + 1].conj(), right, axes=([2], [0]))  # (c, s, e)
-    y = np.tensordot(y, ket.tensors[i + 1], axes=([2], [2]))  # (c, s, d, t)
-    e = np.tensordot(x, y, axes=([1, 3], [0, 2]))  # (s1, t1, s2, t2)
-    return e.transpose(0, 2, 1, 3).reshape(4, 4)
+    bi, bj, ki, kj = bra.tensors[i], bra.tensors[i + 1], ket.tensors[i], ket.tensors[i + 1]
+    c, d = bi.shape[2], ki.shape[2]
+    x = (left.T @ bi.reshape(bi.shape[0], -1).conj()).T @ ki.reshape(ki.shape[0], -1)  # ((s1, c), (t1, d))
+    y = (bj.reshape(-1, right.shape[0]).conj() @ right) @ kj.reshape(-1, right.shape[1]).T  # ((c, s2), (d, t2))
+    x = x.reshape(2, c, 2, d).transpose(0, 2, 1, 3).reshape(4, c * d)  # ((s1, t1), (c, d))
+    y = y.reshape(c, 2, d, 2).transpose(0, 2, 1, 3).reshape(c * d, 4)  # ((c, d), (s2, t2))
+    return (x @ y).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)

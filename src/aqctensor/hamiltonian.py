@@ -210,11 +210,6 @@ def expectation_energy(ham: XYZHamiltonian, psi: MPS) -> float:
     return e
 
 
-def total_sz(psi: MPS) -> float:
-    """Total-magnetization expectation sum_j <Sz_j>."""
-    return sum(mpslib.expectation_single(psi, SZ, j).real for j in range(psi.n))
-
-
 # --- primitive (3-CNOT) realization, used for circuit export ----------------
 
 

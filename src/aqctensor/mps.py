@@ -9,6 +9,10 @@ it are right-orthonormal.
 A two-site gate leaves the center on the side of the next one, so an op list
 sweeping back and forth needs about one QR step per gate.
 
+Each contraction step on the gate path (gate, QR re-gauging, single-site gate,
+overlap environments) is reshapes plus one matmul, never einsum or tensordot:
+einsum without optimize does not call BLAS.
+
 All operations return new MPS values; inputs are never mutated.
 """
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 _UNITARY_ATOL = 1e-10
+_IDENTITY = {dim: np.eye(dim, dtype=int) for dim in (2, 4)}  # int: subtracts in place from any gram dtype
 
 
 @dataclass(frozen=True)
@@ -110,14 +115,14 @@ def max_bond(psi: MPS) -> int:
 
 def _env_step_left(env: np.ndarray, tb: np.ndarray, tk: np.ndarray) -> np.ndarray:
     """One site of <bra|ket> absorbed from the left; env is indexed (bra bond, ket bond)."""
-    tmp = np.tensordot(env, tb.conj(), axes=([0], [0]))  # (q, s, a)
-    return np.tensordot(tmp, tk, axes=([0, 1], [0, 1]))  # (a, b)
+    x = (env @ tk.reshape(tk.shape[0], -1)).reshape(-1, tk.shape[2])  # ((p, s), b)
+    return tb.reshape(-1, tb.shape[2]).conj().T @ x  # (a, b)
 
 
 def _env_step_right(env: np.ndarray, tb: np.ndarray, tk: np.ndarray) -> np.ndarray:
     """One site of <bra|ket> absorbed from the right."""
-    tmp = np.tensordot(tb.conj(), env, axes=([2], [0]))  # (p, s, b)
-    return np.tensordot(tmp, tk, axes=([1, 2], [1, 2]))  # (p, q)
+    x = (tb.reshape(-1, tb.shape[2]).conj() @ env).reshape(tb.shape[0], -1)  # (p, (s, b))
+    return x @ tk.reshape(tk.shape[0], -1).T  # (p, q)
 
 
 def inner_product(a: MPS, b: MPS) -> complex:
@@ -163,7 +168,9 @@ def normalize(psi: MPS) -> MPS:
 def _check_unitary(u: np.ndarray, dim: int) -> None:
     if u.shape != (dim, dim):
         raise ValueError(f"gate must be {dim}x{dim}, got {u.shape}")
-    err = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
+    gram = u.conj().T @ u
+    gram -= _IDENTITY[dim]
+    err = np.abs(gram).max()
     if err > _UNITARY_ATOL:
         raise ValueError(f"gate is not unitary (deviation {err:.2e})")
 
@@ -174,7 +181,7 @@ def apply_single_site_gate(psi: MPS, u: np.ndarray, site: int) -> MPS:
         raise ValueError(f"site {site} out of range for {psi.n} qubits")
     _check_unitary(np.asarray(u), 2)
     out = psi.copy()
-    out.tensors[site] = np.einsum("ps,asb->apb", u, psi.tensors[site])
+    out.tensors[site] = np.matmul(u, psi.tensors[site])  # u on the physical axis of every (2, chi_r) slice
     return out
 
 
@@ -184,7 +191,8 @@ def _shift_center_right(tensors: list[np.ndarray], c: int) -> None:
     q, r = np.linalg.qr(tensors[c].reshape(chi_l * d, chi_r))
     k = q.shape[1]
     tensors[c] = q.reshape(chi_l, d, k)
-    tensors[c + 1] = np.einsum("ab,bsc->asc", r, tensors[c + 1])
+    nxt = tensors[c + 1]
+    tensors[c + 1] = (r @ nxt.reshape(nxt.shape[0], -1)).reshape(k, d, nxt.shape[2])
 
 
 def _shift_center_left(tensors: list[np.ndarray], c: int) -> None:
@@ -194,7 +202,8 @@ def _shift_center_left(tensors: list[np.ndarray], c: int) -> None:
     q, r = np.linalg.qr(m.conj().T)
     k = q.shape[1]
     tensors[c] = q.conj().T.reshape(k, d, chi_r)
-    tensors[c - 1] = np.einsum("asb,bc->asc", tensors[c - 1], r.conj().T)
+    prv = tensors[c - 1]
+    tensors[c - 1] = (prv.reshape(-1, chi_l) @ r.conj().T).reshape(prv.shape[0], d, k)
 
 
 def canonicalize(psi: MPS, center: int) -> MPS:
@@ -247,21 +256,19 @@ def apply_two_site_gate(
 
     a, b = tensors[left_site], tensors[left_site + 1]
     chi_l, chi_r = a.shape[0], b.shape[2]
-    theta = np.tensordot(a, b, axes=([2], [0]))  # (chi_l, s, t, chi_r)
-    u4 = u.reshape(2, 2, 2, 2)  # (out_l, out_r, in_l, in_r)
-    theta = np.tensordot(u4, theta, axes=([2, 3], [1, 2]))  # (w, x, chi_l, chi_r)
-    theta = np.moveaxis(theta, 2, 0)  # (chi_l, w, x, chi_r)
+    theta = a.reshape(chi_l * 2, -1) @ b.reshape(b.shape[0], 2 * chi_r)  # ((chi_l, s), (t, chi_r))
+    theta = np.matmul(u, theta.reshape(chi_l, 4, chi_r))  # u on the (s, t) axis of every chi_l slice
 
-    mat = theta.reshape(chi_l * 2, 2 * chi_r)
-    uu, s, vh = np.linalg.svd(mat, full_matrices=False)
+    uu, s, vh = np.linalg.svd(theta.reshape(chi_l * 2, 2 * chi_r), full_matrices=False)
 
-    total = float(np.sum(s**2))
-    keep = int(np.sum(s > policy.cutoff * s[0])) if s[0] > 0 else 1
+    s2 = s * s
+    total = float(s2.sum())
+    keep = int(np.count_nonzero(s > policy.cutoff * s[0])) if s[0] > 0 else 1
     if policy.chi_max is not None:
         keep = min(keep, policy.chi_max)
     keep = max(keep, 1)
-    kept = float(np.sum(s[:keep] ** 2))
-    discarded = float(np.sum(s[keep:] ** 2))
+    kept = float(s2[:keep].sum())
+    discarded = float(s2[keep:].sum())
     if discarded > 0:
         logger.debug(
             "truncation at bond %d: kept %d of %d, discarded weight %.3e",

@@ -1,15 +1,23 @@
 """Reference computations that only the tests use.
 
+dense_hamiltonian and sv_exact_evolution give exact evolution by dense
+diagonalization; statevector_to_mps and random_mps make test states;
+total_sz and initial_rotation are the closed forms the tests compare with.
 cost_full_local_bruteforce enumerates all 2^n amplitudes of a small chain;
 probe_gradient_samples and variance_probe give the gradient of the order-k
 local cost in closed form for a product circuit, the case whose variance the
 acceptance suite compares with its exact scaling.
 """
 import numpy as np
+from scipy.stats import unitary_group
 
 from aqctensor.ansatz import Ansatz, apply_ansatz_adjoint
-from aqctensor.mps import EXACT, MPS
-from aqctensor.statevector import mps_to_statevector
+from aqctensor.gates import SZ, ry, rz
+from aqctensor.hamiltonian import XYZHamiltonian
+from aqctensor.mps import EXACT, MPS, apply_two_site_gate, expectation_single, from_product_state
+from aqctensor.statevector import MAX_QUBITS_CIRCUIT, _guard, mps_to_statevector
+
+MAX_QUBITS_EVOLUTION = 12
 
 
 def cost_full_local_bruteforce(a: Ansatz, theta: np.ndarray, target: MPS) -> float:
@@ -50,3 +58,82 @@ def probe_gradient_samples(n: int, k: int, samples: int, seed: int, component: i
 def variance_probe(n: int, k: int, samples: int, seed: int, component: int = 0) -> float:
     """Monte-Carlo estimate of Var[dC_k / dtheta_component] for the product case."""
     return float(np.var(probe_gradient_samples(n, k, samples, seed, component)))
+
+
+def dense_hamiltonian(ham: XYZHamiltonian) -> np.ndarray:
+    """Full 2^n x 2^n matrix of the XYZ Hamiltonian."""
+    _guard(ham.n, MAX_QUBITS_EVOLUTION, "dense Hamiltonian assembly")
+    n = ham.n
+    dim = 2**n
+    h = np.zeros((dim, dim), dtype=complex)
+    for i in range(n - 1):
+        h += -_embed(ham.bond_matrix(i), n, (i, i + 1))
+    for j in range(n):
+        if ham.h[j] != 0.0:
+            h += ham.h[j] * _embed(SZ, n, (j,))
+    return h
+
+
+def _embed(op: np.ndarray, n: int, sites: tuple[int, ...]) -> np.ndarray:
+    mats = []
+    k = 0
+    while k < n:
+        if k == sites[0]:
+            mats.append(op)
+            k += len(sites)
+        else:
+            mats.append(np.eye(2))
+            k += 1
+    out = np.array([[1.0]], dtype=complex)
+    for m in mats:
+        out = np.kron(out, m)
+    return out
+
+
+def sv_exact_evolution(ham: XYZHamiltonian, psi0: np.ndarray, t: float) -> np.ndarray:
+    """e^{-iHt} psi0 via dense Hermitian eigendecomposition."""
+    _guard(ham.n, MAX_QUBITS_EVOLUTION, "exact evolution")
+    h = dense_hamiltonian(ham)
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * t)) @ (v.conj().T @ psi0)
+
+
+def statevector_to_mps(vec: np.ndarray) -> MPS:
+    """Exact MPS factorization of a dense state (every singular value kept)."""
+    n = int(round(np.log2(vec.size)))
+    if 2**n != vec.size:
+        raise ValueError("vector length is not a power of 2")
+    _guard(n, MAX_QUBITS_CIRCUIT, "MPS factorization")
+    tensors = []
+    rest = vec.reshape(1, -1)
+    for _ in range(n - 1):
+        chi_l = rest.shape[0]
+        mat = rest.reshape(chi_l * 2, -1)
+        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+        tensors.append(u.reshape(chi_l, 2, len(s)))
+        rest = s[:, None] * vh
+    tensors.append(rest.reshape(-1, 2, 1))
+    return MPS(tensors, center=n - 1)
+
+
+def random_mps(n: int, seed: int, entangling_layers: int = 2) -> MPS:
+    """Normalized random MPS built from a seeded random brickwork circuit."""
+    rng = np.random.default_rng(seed)
+    bits = "".join(rng.choice(["0", "1"]) for _ in range(n))
+    psi = from_product_state(bits)
+    for layer in range(entangling_layers):
+        for i in range(layer % 2, n - 1, 2):
+            u = unitary_group.rvs(4, random_state=rng)
+            psi = apply_two_site_gate(psi, u, i, EXACT)
+    return psi
+
+
+def total_sz(psi: MPS) -> float:
+    """Total-magnetization expectation sum_j <Sz_j>."""
+    return sum(expectation_single(psi, SZ, j).real for j in range(psi.n))
+
+
+def initial_rotation(angles: np.ndarray) -> np.ndarray:
+    """Rz(a) Ry(b) Rz(c) on one qubit (rightmost factor acts first)."""
+    a, b, c = angles
+    return rz(a) @ ry(b) @ rz(c)

@@ -25,17 +25,10 @@ from aqctensor.cost import (
 from aqctensor.hamiltonian import XYZHamiltonian, build_trotter_schedule, random_xyz, tebd_evolve
 from aqctensor.mps import TruncationPolicy, from_product_state
 from aqctensor.pipeline import RunConfig, resolve_hamiltonian, run_aqctensor
-from aqctensor.statevector import (
-    basis_state,
-    mps_to_statevector,
-    random_mps,
-    sv_apply_schedule,
-    sv_exact_evolution,
-    sv_fidelity,
-)
+from aqctensor.statevector import basis_state, mps_to_statevector, sv_apply_schedule, sv_fidelity
 
 from conftest import EXACT, random_circuit_pair
-from oracles import cost_full_local_bruteforce, variance_probe
+from oracles import cost_full_local_bruteforce, random_mps, sv_exact_evolution, variance_probe
 
 PRESET_NAMES = ("random-xyz", "xxx", "xxz")
 

@@ -12,7 +12,6 @@ from aqctensor.ansatz import (
     build_brickwork_ansatz,
     cnot_depth,
     export_circuit_records,
-    initial_rotation,
     slot_derivatives,
     solve_triplet_angles,
     triplet_unitary,
@@ -35,6 +34,7 @@ from aqctensor.statevector import (
 )
 
 from conftest import EXACT
+from oracles import initial_rotation, random_mps
 
 
 def dense_ops_matrix(ops, n):
@@ -369,7 +369,6 @@ class TestTrainableFields:
 
     def test_field_gradient_components_exist_and_match_fd(self):
         from aqctensor.cost import CostConfig, cost_and_gradient, gradient_fd
-        from aqctensor.statevector import random_mps
 
         ham, a = self.make()
         rng = np.random.default_rng(42)

@@ -1,0 +1,192 @@
+"""The reshape-and-matmul contractions of the gate path against einsum oracles.
+
+Each oracle spells out the index sum of one contraction with np.einsum, a
+form kept off the library's hot path because einsum without optimize does not
+call BLAS, and the library result must match it to 1e-12. The chains are random tensors with set bond dimensions, so
+the bra and ket bonds, and the left and right bonds, all differ and a swapped
+axis cannot cancel out.
+"""
+import numpy as np
+import pytest
+from scipy.stats import unitary_group
+
+from aqctensor.cost import _local_operator
+from aqctensor.mps import (
+    MPS,
+    _env_step_left,
+    _env_step_right,
+    _shift_center_left,
+    _shift_center_right,
+    amplitude,
+    apply_single_site_gate,
+    apply_two_site_gate,
+    canonicalize,
+    from_product_state,
+    normalize,
+)
+
+from conftest import EXACT, assert_left_orthonormal, assert_right_orthonormal
+
+ATOL = 1e-12
+
+
+def random_tensor(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def random_chain(bonds, rng) -> MPS:
+    """A normalized MPS with random tensors and the given bond list (both ends 1)."""
+    return normalize(MPS([random_tensor(rng, bonds[i], 2, bonds[i + 1]) for i in range(len(bonds) - 1)]))
+
+
+def pair_oracle(a, b):
+    """theta[l, s, t, r] of two neighbouring site tensors."""
+    return np.einsum("asb,btc->astc", a, b)
+
+
+def gate_oracle(u, a, b):
+    """The pair after a 4x4 gate, (out_l, out_r, in_l, in_r) on the physical axes."""
+    return np.einsum("wxst,astc->awxc", u.reshape(2, 2, 2, 2), pair_oracle(a, b))
+
+
+def env_left_oracle(env, tb, tk):
+    return np.einsum("pq,psa,qsb->ab", env, tb.conj(), tk)
+
+
+def env_right_oracle(env, tb, tk):
+    return np.einsum("psa,ab,qsb->pq", tb.conj(), env, tk)
+
+
+def local_operator_oracle(left, right, bi, bj, ki, kj):
+    """E[(s1, s2), (t1, t2)] = <bra| (|s1 s2><t1 t2| on the pair) |ket>."""
+    e = np.einsum("pq,psc,qtd,cue,dvf,ef->sutv", left, bi.conj(), ki, bj.conj(), kj, right)
+    return e.reshape(4, 4)
+
+
+# (bond list, left site of the pair): outer pair bonds (1, 1), (3, 5) and (32, 32)
+CHAINS = {
+    (1, 1): ([1, 2, 1], 0),
+    (3, 5): ([1, 2, 3, 6, 5, 4, 2, 1], 2),
+    (32, 32): ([1, 2, 4, 8, 16, 32, 64, 32, 16, 8, 4, 2, 1], 5),
+}
+
+
+class TestTwoSiteGate:
+    @pytest.mark.parametrize("end_left", [False, True])
+    @pytest.mark.parametrize("outer", list(CHAINS))
+    def test_matches_the_einsum_oracle(self, outer, end_left):
+        bonds, i = CHAINS[outer]
+        rng = np.random.default_rng(sum(outer))
+        psi = canonicalize(random_chain(bonds, rng), i)
+        a, b = psi.tensors[i], psi.tensors[i + 1]
+        assert (a.shape[0], b.shape[2]) == outer
+        u = unitary_group.rvs(4, random_state=rng)
+
+        out = apply_two_site_gate(psi, u, i, EXACT, end_left)
+
+        np.testing.assert_allclose(pair_oracle(out.tensors[i], out.tensors[i + 1]),
+                                   gate_oracle(u, a, b), rtol=0, atol=ATOL)
+        assert out.center == (i if end_left else i + 1)
+        if end_left:
+            assert_right_orthonormal(out.tensors[i + 1])
+        else:
+            assert_left_orthonormal(out.tensors[i])
+        untouched = [j for j in range(psi.n) if j not in (i, i + 1)]
+        assert all(out.tensors[j] is psi.tensors[j] for j in untouched)
+
+
+class TestShiftCenter:
+    BONDS = [1, 2, 4, 8, 16, 32, 64, 64, 64, 32, 16, 8, 4, 2, 1]  # sites 6 and 7 have chi = 64 on both sides
+
+    def test_right_step(self):
+        psi = canonicalize(random_chain(self.BONDS, np.random.default_rng(64)), 6)
+        tensors = list(psi.tensors)
+        _, r = np.linalg.qr(tensors[6].reshape(-1, 64))
+
+        _shift_center_right(tensors, 6)
+
+        assert tensors[6].shape == (64, 2, 64)
+        assert_left_orthonormal(tensors[6])
+        np.testing.assert_allclose(tensors[7], np.einsum("ab,bsc->asc", r, psi.tensors[7]), rtol=0, atol=ATOL)
+        np.testing.assert_allclose(pair_oracle(tensors[6], tensors[7]),
+                                   pair_oracle(psi.tensors[6], psi.tensors[7]), rtol=0, atol=ATOL)
+
+    def test_left_step(self):
+        psi = canonicalize(random_chain(self.BONDS, np.random.default_rng(65)), 7)
+        tensors = list(psi.tensors)
+        _, r = np.linalg.qr(tensors[7].reshape(64, -1).conj().T)
+
+        _shift_center_left(tensors, 7)
+
+        assert tensors[7].shape == (64, 2, 64)
+        assert_right_orthonormal(tensors[7])
+        np.testing.assert_allclose(tensors[6], np.einsum("asb,bc->asc", psi.tensors[6], r.conj().T),
+                                   rtol=0, atol=ATOL)
+        np.testing.assert_allclose(pair_oracle(tensors[6], tensors[7]),
+                                   pair_oracle(psi.tensors[6], psi.tensors[7]), rtol=0, atol=ATOL)
+
+
+class TestEnvironments:
+    # bra bonds (3, 5), ket bonds (2, 7): every axis has its own length
+    def test_left_step(self):
+        rng = np.random.default_rng(1)
+        env, tb, tk = random_tensor(rng, 3, 2), random_tensor(rng, 3, 2, 5), random_tensor(rng, 2, 2, 7)
+        np.testing.assert_allclose(_env_step_left(env, tb, tk), env_left_oracle(env, tb, tk),
+                                   rtol=0, atol=ATOL)
+
+    def test_right_step(self):
+        rng = np.random.default_rng(2)
+        env, tb, tk = random_tensor(rng, 5, 7), random_tensor(rng, 3, 2, 5), random_tensor(rng, 2, 2, 7)
+        np.testing.assert_allclose(_env_step_right(env, tb, tk), env_right_oracle(env, tb, tk),
+                                   rtol=0, atol=ATOL)
+
+    @pytest.mark.parametrize("bra_bonds, ket_bonds", [((1, 1, 1), (1, 1, 1)), ((3, 5, 4), (2, 6, 7))])
+    def test_local_operator(self, bra_bonds, ket_bonds):
+        rng = np.random.default_rng(3)
+
+        def chain(p, c, e):  # four sites, the pair (1, 2) with bonds p | c | e
+            return MPS([random_tensor(rng, 1, 2, p), random_tensor(rng, p, 2, c),
+                        random_tensor(rng, c, 2, e), random_tensor(rng, e, 2, 1)])
+
+        bra, ket = chain(*bra_bonds), chain(*ket_bonds)
+        left = random_tensor(rng, bra_bonds[0], ket_bonds[0])
+        right = random_tensor(rng, bra_bonds[2], ket_bonds[2])
+        want = local_operator_oracle(left, right, bra.tensors[1], bra.tensors[2], ket.tensors[1], ket.tensors[2])
+        np.testing.assert_allclose(_local_operator(left, right, bra, ket, 1), want, rtol=0, atol=ATOL)
+
+
+class TestUnitarityTolerance:
+    """The check allows a deviation |u^dag u - 1| of at most 1e-10."""
+
+    @staticmethod
+    def perturbed(dim, eps, off_diagonal):
+        """u (1 + eps A) for a random unitary u, so u'^dag u' - 1 = 2 eps A + eps^2 A^2.
+
+        A is the identity, or the symmetric A with A[0, 1] = A[1, 0] = 1 and
+        zeros elsewhere.
+        """
+        a = np.eye(dim)
+        if off_diagonal:
+            a = np.zeros((dim, dim))
+            a[0, 1] = a[1, 0] = 1.0
+        return unitary_group.rvs(dim, random_state=np.random.default_rng(dim)) @ (np.eye(dim) + eps * a)
+
+    @pytest.mark.parametrize("off_diagonal", [False, True])
+    def test_single_site_gate(self, off_diagonal):
+        psi = from_product_state("01")
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_single_site_gate(psi, self.perturbed(2, 1e-9, off_diagonal), 1)
+        apply_single_site_gate(psi, self.perturbed(2, 1e-12, off_diagonal), 1)
+
+    @pytest.mark.parametrize("off_diagonal", [False, True])
+    def test_two_site_gate(self, off_diagonal):
+        psi = from_product_state("01")
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_two_site_gate(psi, self.perturbed(4, 1e-9, off_diagonal), 0, EXACT)
+        apply_two_site_gate(psi, self.perturbed(4, 1e-12, off_diagonal), 0, EXACT)
+
+    def test_integer_gates_pass(self):
+        psi = from_product_state("10")
+        out = apply_single_site_gate(psi, np.array([[0, 1], [1, 0]]), 1)
+        out = apply_two_site_gate(out, np.eye(4, dtype=int)[[0, 1, 3, 2]], 0, EXACT)
+        assert amplitude(out, "10") == pytest.approx(1.0)

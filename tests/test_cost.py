@@ -12,10 +12,10 @@ from aqctensor.cost import (
 )
 from aqctensor.hamiltonian import XYZHamiltonian, random_xyz, tebd_evolve
 from aqctensor.mps import TruncationPolicy, fidelity, from_product_state, max_bond
-from aqctensor.statevector import mps_to_statevector, random_mps
+from aqctensor.statevector import mps_to_statevector
 
 from conftest import EXACT
-from oracles import cost_full_local_bruteforce, probe_gradient_samples, variance_probe
+from oracles import cost_full_local_bruteforce, probe_gradient_samples, random_mps, variance_probe
 
 GLOBAL = CostConfig(policy=EXACT)  # no weights: k = 0, the global cost
 

@@ -18,9 +18,10 @@ from aqctensor.mps import (
     normalize,
     norm,
 )
-from aqctensor.statevector import mps_to_statevector, random_mps
+from aqctensor.statevector import mps_to_statevector
 
 from conftest import EXACT, assert_canonical, assert_left_orthonormal, random_circuit_pair
+from oracles import random_mps
 
 H_GATE = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X_GATE = np.array([[0, 1], [1, 0]], dtype=complex)

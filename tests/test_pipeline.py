@@ -18,7 +18,9 @@ from aqctensor.pipeline import (
     sweep,
     write_sweep_csv,
 )
-from aqctensor.statevector import basis_state, mps_to_statevector, sv_exact_evolution, sv_fidelity
+from aqctensor.statevector import basis_state, mps_to_statevector, sv_fidelity
+
+from oracles import sv_exact_evolution
 
 
 def tiny_config(**overrides):

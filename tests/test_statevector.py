@@ -4,18 +4,10 @@ import pytest
 from aqctensor.gates import CX_FORWARD
 from aqctensor.hamiltonian import XYZHamiltonian, build_trotter_schedule, random_xyz
 from aqctensor.mps import fidelity, from_product_state
-from aqctensor.statevector import (
-    basis_state,
-    dense_hamiltonian,
-    mps_to_statevector,
-    random_mps,
-    statevector_to_mps,
-    sv_apply_schedule,
-    sv_exact_evolution,
-    sv_fidelity,
-)
+from aqctensor.statevector import basis_state, mps_to_statevector, sv_apply_schedule, sv_fidelity
 
 from conftest import random_circuit_pair
+from oracles import dense_hamiltonian, random_mps, statevector_to_mps, sv_exact_evolution
 
 
 def test_basis_ordering_site0_most_significant():

@@ -12,19 +12,13 @@ from aqctensor.hamiltonian import (
     random_xyz,
     schedule_gate_records,
     tebd_evolve,
-    total_sz,
     two_site_unitary,
 )
 from aqctensor.mps import fidelity, from_product_state
-from aqctensor.statevector import (
-    basis_state,
-    mps_to_statevector,
-    sv_apply_schedule,
-    sv_exact_evolution,
-    sv_fidelity,
-)
+from aqctensor.statevector import basis_state, mps_to_statevector, sv_apply_schedule, sv_fidelity
 
 from conftest import EXACT
+from oracles import sv_exact_evolution, total_sz
 
 
 def expm_eig(generator: np.ndarray) -> np.ndarray:
