@@ -8,7 +8,6 @@ append further Trotter steps to the optimized circuit.
 from .ansatz import (
     Ansatz,
     apply_ansatz,
-    apply_ansatz_adjoint,
     block_unitary,
     build_brickwork_ansatz,
     cnot_depth,

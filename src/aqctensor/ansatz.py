@@ -315,13 +315,6 @@ def apply_ansatz(a: Ansatz, theta: np.ndarray, psi_in: MPS, policy: TruncationPo
     return mpslib.normalize(mpslib.apply_ops(psi_in, ansatz_ops(a, theta), policy))
 
 
-def apply_ansatz_adjoint(a: Ansatz, theta: np.ndarray, target: MPS, policy: TruncationPolicy) -> MPS:
-    """V(theta)^dagger |target>, normalized; cost terms are its amplitudes."""
-    if target.n != a.n:
-        raise ValueError(f"state has {target.n} sites, ansatz has {a.n}")
-    return mpslib.normalize(mpslib.apply_ops(target, adjoint_ops(ansatz_ops(a, theta)), policy))
-
-
 def cnot_depth(a: Ansatz) -> int:
     """CNOT depth of the ansatz (one CNOT per block, three blocks per slot)."""
     return cnot_depth_from_pairs(((i, i + 1) for _, pairs in a.columns for i in pairs

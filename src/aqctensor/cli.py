@@ -246,7 +246,7 @@ def cmd_export_circuit(args) -> int:
 def run_self_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     """Oracle-equivalence and gradient suites used by the verify subcommand."""
     from .ansatz import build_brickwork_ansatz, trotter_initialize
-    from .cost import CostConfig, cost_and_gradient, gradient_fd
+    from .cost import CostConfig, cost_and_gradient, cost_local_truncated, gradient_fd
     from .hamiltonian import random_xyz, tebd_evolve
     from .mps import EXACT, from_product_state
     from .statevector import mps_to_statevector, sv_fidelity
@@ -294,7 +294,7 @@ def run_self_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     theta = trotter_initialize(ansatz, ham, 0.2, bits="1010")
     theta = theta + rng.normal(0, 0.1, theta.size)
     cfg = CostConfig(alphas=((n - 1) / n,), policy=EXACT)
-    g = cost_and_gradient(ansatz, theta, target, cfg)[1]
+    g = cost_and_gradient(cost_local_truncated(ansatz, theta, target, cfg))[1]
     g_fd = gradient_fd(ansatz, theta, target, cfg)
     dev = float(np.max(np.abs(g - g_fd)))
     results.append(("gradient_vs_fd", dev < 1e-6, f"max component deviation {dev:.2e}"))

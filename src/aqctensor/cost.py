@@ -4,9 +4,10 @@ The global cost is 1 - |<0|V^dag(theta)|psi_t>|^2. The truncated local cost
 subtracts alpha_m-weighted sums F_m = sum_{|s|=m} |<s| V^dag |psi_t>|^2 over
 all bit-flip patterns s of weight m = 1..k; every term is an amplitude of the
 single state |phi> = V^dag |psi_t>, so one adjoint circuit application feeds
-the whole cost. That application is the backward sweep (_backward_sweep): it
-keeps the slot ops and every intermediate state, and ends in the flip-count
-construct of phi, which gives both the cost and the gradient's bra.
+the whole cost. That application is the backward sweep of
+cost_local_truncated: it keeps the slot ops and every intermediate state on
+the value it returns, and ends in the flip-count construct of phi, which
+gives both the cost and the gradient's bra.
 
 One flip-count construct serves every order 0 <= k <= n: the counter MPO of
 Crosswhite & Bacon (arXiv:0708.1221) applied to phi, with one bond sector per
@@ -23,24 +24,21 @@ rotation with generator eigenvalues +-1/2, so dC/dtheta_j equals
 modulus-squared amplitude. Instead of running the 2P shifted cost
 evaluations, the gradient evaluates each derivative as one overlap
 <W_m| dO_m^dag |prefix_m>, where O_m is one fused two-site slot of the
-ansatz. One gradient costs one backward (adjoint) sweep that keeps every
-prefix state and one forward sweep of the weighted bra state, 2M two-site
-gates for M slots, plus per slot one window: amortized O(chi^3) environment
-work (the overlap environments are reused while the tensors they absorbed
-are unchanged), one O(chi^3) contraction into a 4x4 operator E, and O(P)
-4x4 products for the slot's P angles (12 to 18 plus trainable fields). The
-derivative matrices of all slots are built in one batch (slot_derivatives).
-The backward sweep is shared with the cost: the optimizer's line search asks
-cost_local_truncated to keep its sweep, and the gradient at the accepted step
-takes that sweep and runs only the forward sweep and the windows. A gradient
-without one, such as the first of each optimizer run, sweeps for itself. It
-equals the shifted-cost difference exactly only when no sweep truncates;
-under a binding bond cap each sweep truncates differently, and the result is
-not the derivative of the untruncated cost.
+ansatz. Every gradient comes from a cost value: cost_and_gradient takes the
+backward (adjoint) sweep that value kept and runs one forward sweep of the
+weighted bra state, M two-site gates for M slots, plus per slot one window:
+amortized O(chi^3) environment work (the overlap environments are reused
+while the tensors they absorbed are unchanged), one O(chi^3) contraction
+into a 4x4 operator E, and O(P) 4x4 products for the slot's P angles (12 to
+18 plus trainable fields). The derivative matrices of all slots are built in
+one batch (slot_derivatives). The gradient equals the shifted-cost
+difference exactly only when no sweep truncates; under a binding bond cap
+each sweep truncates differently, and the result is not the derivative of
+the untruncated cost.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,6 +76,7 @@ class CostValue:
     total: float
     infidelity_term: float
     flip_terms: tuple[float, ...] = ()
+    sweep: Sweep | None = field(default=None, compare=False, repr=False)  # for cost_and_gradient
 
 
 def _sector(c: int, k: int, chi: int) -> slice:
@@ -143,30 +142,26 @@ def _flip_count(phi: MPS, k: int, alphas: tuple[float, ...]) -> tuple[MPS, CostV
 
 @dataclass(frozen=True, eq=False)
 class Sweep:
-    """One backward sweep of V(theta)^dagger over the target, and what it feeds.
+    """One backward sweep of V(theta)^dagger over the target, kept for the gradient.
 
     ops are the slot ops of ansatz_ops at theta, prefixes[i] is the target
     after the first i of their adjoint ops (i < M, the last state is phi), and
-    bra and value are the flip-count construct of phi. The rest records where
-    the sweep was made: a gradient reuses it only at that point.
+    bra is the flip-count bra of phi.
     """
 
-    ansatz: Ansatz
     theta: np.ndarray
-    target: MPS
-    cfg: CostConfig
+    policy: TruncationPolicy
     ops: list[AnsatzOp]
     prefixes: list[MPS]
     bra: MPS
-    value: CostValue
-
-    def made_at(self, a: Ansatz, theta: np.ndarray, target: MPS, cfg: CostConfig) -> bool:
-        return (self.ansatz is a and self.target is target and self.cfg == cfg
-                and np.array_equal(self.theta, theta))
 
 
-def _backward_sweep(a: Ansatz, theta: np.ndarray, target: MPS, cfg: CostConfig) -> Sweep:
-    """Apply the adjoint circuit to the target, keep every prefix state, and evaluate phi."""
+def cost_local_truncated(a: Ansatz, theta: np.ndarray, target: MPS, cfg: CostConfig) -> CostValue:
+    """Truncated local cost of order cfg.k with weights cfg.alphas.
+
+    With no weights (k = 0) it is the global cost 1 - |<0...0| V^dag(theta) |target>|^2.
+    The value keeps its backward sweep, which cost_and_gradient takes.
+    """
     if target.n != a.n:
         raise ValueError(f"state has {target.n} sites, ansatz has {a.n}")
     theta = np.array(theta, dtype=float)  # a copy: the caller may reuse its array
@@ -174,55 +169,33 @@ def _backward_sweep(a: Ansatz, theta: np.ndarray, target: MPS, cfg: CostConfig) 
     prefixes = [target, *mpslib.iter_ops(target, adjoint_ops(ops), cfg.policy)]
     phi = mpslib.normalize(prefixes.pop())
     bra, value = _flip_count(phi, cfg.k, cfg.alphas)
-    return Sweep(a, theta, target, cfg, ops, prefixes, bra, value)
-
-
-def cost_local_truncated(
-    a: Ansatz, theta: np.ndarray, target: MPS, cfg: CostConfig, keep_sweep: bool = False
-) -> CostValue | tuple[CostValue, Sweep]:
-    """Truncated local cost of order cfg.k with weights cfg.alphas.
-
-    With no weights (k = 0) it is the global cost 1 - |<0...0| V^dag(theta) |target>|^2.
-    With keep_sweep it returns (value, sweep): handing that sweep to
-    cost_and_gradient at the same point skips the gradient's backward sweep.
-    """
-    sweep = _backward_sweep(a, theta, target, cfg)
-    return (sweep.value, sweep) if keep_sweep else sweep.value
+    return replace(value, sweep=Sweep(theta, cfg.policy, ops, prefixes, bra))
 
 
 # --- gradients ---------------------------------------------------------------
 
 
-def cost_and_gradient(
-    a: Ansatz, theta: np.ndarray, target: MPS, cfg: CostConfig, sweep: Sweep | None = None
-) -> tuple[CostValue, np.ndarray]:
-    """Truncated local cost and its parameter-shift gradient from one shared adjoint sweep.
+def cost_and_gradient(value: CostValue) -> tuple[CostValue, np.ndarray]:
+    """A cost value and its parameter-shift gradient, from the value's backward sweep.
 
     (C(theta_j + pi/2) - C(theta_j - pi/2)) / 2 for every trainable angle, at
-    any order 0 <= k <= n, from one backward sweep that keeps every prefix
-    state and one forward sweep of the flip-count bra instead of 2P cost
-    evaluations: dC/dtheta_j = -2 Re <W_m| dO_m^dag/dtheta_j |prefix_m> where
-    prefix_m is the target propagated through the adjoint gates after op m
-    and W_m is the amplitude-weighted flip-string state propagated through
-    ops 1..m-1. One flip-count construct over phi gives both that bra (bond
-    1, 2 or 2 + (k-1) chi at k = 0, 1, >= 2) and the cost value. Each slot's
-    window contracts into one 4x4 local operator E, and every angle of the
-    slot is then the sum of E times that angle's derivative matrix. The
-    values are exact when no sweep truncates (policy chi_max and cutoff
-    never bind).
-
-    The backward sweep is the given one, from cost_local_truncated(...,
-    keep_sweep=True) at this very point, or else a fresh one. A sweep made at
-    another theta, CostConfig, ansatz or target raises ValueError.
+    any order 0 <= k <= n, from the backward sweep of cost_local_truncated,
+    which keeps every prefix state, and one forward sweep of the flip-count
+    bra instead of 2P cost evaluations: dC/dtheta_j = -2 Re <W_m|
+    dO_m^dag/dtheta_j |prefix_m> where prefix_m is the target propagated
+    through the adjoint gates after op m and W_m is the amplitude-weighted
+    flip-string state propagated through ops 1..m-1. The flip-count
+    construct over phi that gave the value also gave that bra (bond 1, 2 or
+    2 + (k-1) chi at k = 0, 1, >= 2). Each slot's window contracts into one
+    4x4 local operator E, and every angle of the slot is then the sum of E
+    times that angle's derivative matrix. The values are exact when no sweep
+    truncates (policy chi_max and cutoff never bind).
     """
-    if sweep is None:
-        sweep = _backward_sweep(a, theta, target, cfg)
-    elif not sweep.made_at(a, theta, target, cfg):
-        raise ValueError("the sweep was made at another theta, CostConfig, ansatz or target")
+    sweep = value.sweep
     ops = sweep.ops
     grad = np.zeros(sweep.theta.size)
     bra = sweep.bra
-    bras = mpslib.iter_ops(bra, ops, cfg.policy)
+    bras = mpslib.iter_ops(bra, ops, sweep.policy)
     envs = _OverlapEnvironments()
 
     # sweep.prefixes[-1 - m] is prefix_m, the target before the adjoint of op m
@@ -234,7 +207,7 @@ def cost_and_gradient(
         vals = dmats.reshape(len(dmats), 16).conj() @ e.T.ravel()
         grad[list(op.param_indices)] = -2.0 * vals.real
         bra = next(bras)
-    return sweep.value, grad
+    return value, grad
 
 
 def gradient_fd(

@@ -84,42 +84,32 @@ def _two_loop(grad: np.ndarray, s_list: list[np.ndarray], y_list: list[np.ndarra
 
 
 def minimize(
-    cost_and_grad: Callable[..., tuple],
+    evaluate: Callable[[np.ndarray], tuple[float, float, Any]],
+    gradient: Callable[[Any], np.ndarray],
     theta0: np.ndarray,
     cfg: OptimizerConfig,
-    cost_fn: Callable[[np.ndarray], tuple[float, Any]] | None = None,
-    alpha1: float = 0.0,
-    iteration_offset: int = 0,
 ) -> tuple[np.ndarray, OptimizationTrace]:
     """Minimize a smooth deterministic objective from theta0.
 
-    cost_and_grad(theta) returns (cost, grad) or (cost, grad, extras) where
-    extras may carry an "infidelity" entry for the trace. cost_fn, when given,
-    is a cheaper cost-only evaluator used inside the line search: cost_fn(theta)
-    returns (cost, sweep), where sweep is whatever part of that evaluation the
-    gradient can reuse. The gradient at an accepted step is then
-    cost_and_grad(theta, sweep) with the sweep cost_fn returned at that very
-    theta; the gradient at theta0 is cost_and_grad(theta0). Without cost_fn
-    every call is cost_and_grad(theta). Returns the best theta seen and the
-    per-iteration trace.
+    evaluate(theta) returns (cost, infidelity, point) and is the only
+    evaluator: it serves theta0 and every line-search trial. gradient(point)
+    returns the gradient at the theta where evaluate made point; it is asked
+    at theta0 and at each accepted step, and no point is held past that call.
+    Returns the best theta seen and the per-iteration trace, which starts
+    with a record of theta0 at iteration 0 and carries alpha1 = 0.
     """
     theta = np.asarray(theta0, dtype=float).copy()
-    if cost_fn is None:
-        cost_fn = lambda t: (cost_and_grad(t)[0], None)
-
     t0 = time.perf_counter()
 
-    def evaluate(t: np.ndarray, sweep: Any = None) -> tuple[float, np.ndarray, float]:
-        out = cost_and_grad(t) if sweep is None else cost_and_grad(t, sweep)
-        cost, grad = out[0], np.asarray(out[1], dtype=float)
-        infid = out[2].get("infidelity", cost) if len(out) > 2 else cost
-        return float(cost), grad, float(infid)
+    def record(it: int, note: str = "") -> TraceRecord:
+        """Trace record of the current point."""
+        return TraceRecord(it, float(cost), float(infid), float(np.max(np.abs(grad))), 0.0,
+                           time.perf_counter() - t0, note)
 
-    cost, grad, infid = evaluate(theta)
-    trace = OptimizationTrace()
-    trace.records.append(TraceRecord(iteration_offset, cost, infid,
-                                     float(np.max(np.abs(grad))), alpha1,
-                                     time.perf_counter() - t0))
+    cost, infid, point = evaluate(theta)
+    grad = np.asarray(gradient(point), dtype=float)
+    del point  # hold no point through the line search
+    trace = OptimizationTrace([record(0)])
     best_theta, best_cost = theta.copy(), cost
 
     s_list: list[np.ndarray] = []
@@ -140,25 +130,23 @@ def minimize(
             direction = -grad
             note = "direction_reset"
 
-        found = _backtrack(cost_fn, theta, cost, grad, direction)
+        found = _backtrack(evaluate, theta, cost, grad, direction)
         if found is None:
             # quasi-Newton direction failed; retry along steepest descent
             s_list.clear()
             y_list.clear()
             direction = -grad / max(1.0, gnorm)
-            found = _backtrack(cost_fn, theta, cost, grad, direction)
+            found = _backtrack(evaluate, theta, cost, grad, direction)
             note = "line_search_fallback"
             if found is None:
                 trace.stop_reason = "line_search_failed"
-                trace.records.append(TraceRecord(
-                    iteration_offset + it, cost, infid, gnorm, alpha1,
-                    time.perf_counter() - t0, "line_search_failed"))
+                trace.records.append(record(it, "line_search_failed"))
                 break
 
-        step, sweep = found
+        step, (new_cost, new_infid, point) = found
         new_theta = theta + step * direction
-        new_cost_full, new_grad, new_infid = evaluate(new_theta, sweep)
-        del found, sweep  # hold no sweep through the next line search
+        new_grad = np.asarray(gradient(point), dtype=float)
+        del found, point  # hold no point through the next line search
 
         s = new_theta - theta
         y = new_grad - grad
@@ -178,11 +166,9 @@ def minimize(
                 y_list.clear()
                 consecutive_skips = 0
 
-        decrease = cost - new_cost_full
-        theta, cost, grad, infid = new_theta, new_cost_full, new_grad, new_infid
-        trace.records.append(TraceRecord(iteration_offset + it, cost, infid,
-                                         float(np.max(np.abs(grad))), alpha1,
-                                         time.perf_counter() - t0, note))
+        decrease = cost - new_cost
+        theta, cost, grad, infid = new_theta, new_cost, new_grad, new_infid
+        trace.records.append(record(it, note))
         if cost < best_cost:
             best_cost, best_theta = cost, theta.copy()
         if decrease < cfg.cost_tol:
@@ -193,37 +179,35 @@ def minimize(
     return best_theta, trace
 
 
-def _backtrack(cost_fn, theta, cost, grad, direction) -> tuple[float, Any] | None:
-    """Armijo backtracking with expansion; returns (accepted step, its sweep), or None.
+def _backtrack(evaluate, theta, cost, grad, direction) -> tuple[float, tuple] | None:
+    """Armijo backtracking with expansion; returns (accepted step, evaluate's output there), or None.
 
     When the unit step already satisfies sufficient decrease the step is
     doubled while it keeps satisfying it, which prevents stagnation on
-    directions scaled far too short by a stale curvature estimate. The sweep
-    is what cost_fn returned with the accepted step's cost. A trial's sweep is
-    dropped as soon as the trial fails or a longer step supersedes it, so at
-    most two are alive: the accepted one so far and the one being evaluated.
+    directions scaled far too short by a stale curvature estimate. A trial's
+    output is dropped as soon as the trial fails or a longer step supersedes
+    it, so at most two points are alive: the accepted one so far and the one
+    being evaluated.
     """
     slope = float(grad @ direction)
 
-    def sufficient(step: float) -> tuple[bool, Any]:
-        value, sweep = cost_fn(theta + step * direction)
+    def sufficient(step: float) -> tuple | None:
+        out = evaluate(theta + step * direction)
         # "<=" fails on a NaN cost too
-        if value <= cost + ARMIJO_C1 * step * slope:
-            return True, sweep
-        return False, None
+        return out if out[0] <= cost + ARMIJO_C1 * step * slope else None
 
     step = 1.0
-    passed, sweep = sufficient(step)
-    if passed:
+    out = sufficient(step)
+    if out is not None:
         for _ in range(MAX_EXPANSIONS):
-            passed, longer = sufficient(step * 2.0)
-            if not passed:
+            longer = sufficient(step * 2.0)
+            if longer is None:
                 break
-            step, sweep = step * 2.0, longer
-        return step, sweep
+            step, out = step * 2.0, longer
+        return step, out
     for _ in range(MAX_BACKTRACKS):
         step *= BACKTRACK_FACTOR
-        passed, sweep = sufficient(step)
-        if passed:
-            return step, sweep
+        out = sufficient(step)
+        if out is not None:
+            return step, out
     return None

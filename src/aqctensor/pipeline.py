@@ -100,6 +100,9 @@ class RunConfig:
             raise ConfigError("n must be >= 2")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        for name in ("t", "append_dt", "grad_tol", "cost_tol", "discard_budget"):
+            if getattr(self, name) is not None and not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.t <= 0:
             raise ConfigError("t must be positive")
         if self.layers < 1:
@@ -108,6 +111,8 @@ class RunConfig:
             raise ConfigError("append_steps must be >= 0")
         if self.append_dt is not None and self.append_dt <= 0:
             raise ConfigError("append_dt must be positive")
+        if self.discard_budget < 0:
+            raise ConfigError("discard_budget must be >= 0")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
         if self.grad_tol <= 0 or self.cost_tol <= 0:
@@ -366,21 +371,17 @@ def _optimize_phases(
         phase_cfg = CostConfig(alphas=alphas, policy=policy)
         opt_cfg = OptimizerConfig(max_iter=budget, grad_tol=cfg.grad_tol, cost_tol=cfg.cost_tol)
 
-        # the gradient at an accepted step reuses the backward sweep of its line-search cost
-        def evaluate(t: np.ndarray, sweep=None, _cfg=phase_cfg):
-            value, grad = cost_and_gradient(ansatz, t, target, _cfg, sweep)
-            return value.total, grad, {"infidelity": value.infidelity_term}
+        def evaluate(t: np.ndarray, _cfg=phase_cfg):
+            value = cost_local_truncated(ansatz, t, target, _cfg)
+            return value.total, value.infidelity_term, value
 
-        def cost_only(t: np.ndarray, _cfg=phase_cfg):
-            value, sweep = cost_local_truncated(ansatz, t, target, _cfg, keep_sweep=True)
-            return value.total, sweep
-
-        alpha1 = alphas[0] if alphas else 0.0
-        theta, phase_trace = minimize(evaluate, theta, opt_cfg, cost_fn=cost_only,
-                                      alpha1=alpha1, iteration_offset=offset)
-        offset = phase_trace.records[-1].iteration  # the next start record repeats it
+        theta, phase_trace = minimize(evaluate, lambda value: cost_and_gradient(value)[1], theta, opt_cfg)
         elapsed = full_trace.records[-1].seconds if full_trace.records else 0.0
-        full_trace.records.extend(replace(r, seconds=elapsed + r.seconds) for r in phase_trace.records)
+        full_trace.records.extend(
+            replace(r, iteration=offset + r.iteration, alpha1=alphas[0] if alphas else 0.0,
+                    seconds=elapsed + r.seconds)
+            for r in phase_trace.records)
+        offset = full_trace.records[-1].iteration  # the next start record repeats it
         full_trace.stop_reason = phase_trace.stop_reason
         stop_reasons.append(phase_trace.stop_reason)
         candidates.append(theta)

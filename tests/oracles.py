@@ -11,13 +11,21 @@ acceptance suite compares with its exact scaling.
 import numpy as np
 from scipy.stats import unitary_group
 
-from aqctensor.ansatz import Ansatz, apply_ansatz_adjoint
+from aqctensor.ansatz import Ansatz, adjoint_ops, ansatz_ops
 from aqctensor.gates import SZ, ry, rz
 from aqctensor.hamiltonian import XYZHamiltonian
-from aqctensor.mps import EXACT, MPS, apply_two_site_gate, expectation_single, from_product_state
+from aqctensor.mps import (EXACT, MPS, TruncationPolicy, apply_ops, apply_two_site_gate, expectation_single,
+                           from_product_state, normalize)
 from aqctensor.statevector import MAX_QUBITS_CIRCUIT, _guard, mps_to_statevector
 
 MAX_QUBITS_EVOLUTION = 12
+
+
+def apply_ansatz_adjoint(a: Ansatz, theta: np.ndarray, target: MPS, policy: TruncationPolicy) -> MPS:
+    """V(theta)^dagger |target>, normalized; cost terms are its amplitudes."""
+    if target.n != a.n:
+        raise ValueError(f"state has {target.n} sites, ansatz has {a.n}")
+    return normalize(apply_ops(target, adjoint_ops(ansatz_ops(a, theta)), policy))
 
 
 def cost_full_local_bruteforce(a: Ansatz, theta: np.ndarray, target: MPS) -> float:

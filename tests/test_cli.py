@@ -105,9 +105,14 @@ class TestDerivedConfigErrors:
         assert code == EXIT_USAGE
         assert not out.exists()
 
-    @pytest.mark.parametrize("setting", [{"max_iter": 0}, {"max_iter": -3}, {"grad_tol": 0.0},
-                                         {"cost_tol": 0.0}], ids=["max_iter_0", "max_iter_neg3",
-                                                                  "grad_tol_0", "cost_tol_0"])
+    @pytest.mark.parametrize("setting", [
+        {"max_iter": 0}, {"max_iter": -3}, {"grad_tol": 0.0}, {"cost_tol": 0.0},
+        {"t": float("nan")}, {"t": float("inf")}, {"append_steps": 1, "append_dt": float("nan")},
+        {"grad_tol": float("nan")}, {"cost_tol": float("inf")}, {"discard_budget": float("nan")},
+        {"discard_budget": -1.0},
+    ], ids=["max_iter_0", "max_iter_neg3", "grad_tol_0", "cost_tol_0", "t_nan", "t_inf",
+            "append_dt_nan", "grad_tol_nan", "cost_tol_inf", "discard_budget_nan",
+            "discard_budget_neg1"])
     def test_bad_optimizer_setting_is_usage_error(self, tmp_path, setting):
         import yaml
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aqctensor.ansatz import apply_ansatz, apply_ansatz_adjoint, build_brickwork_ansatz, trotter_initialize
+from aqctensor.ansatz import apply_ansatz, build_brickwork_ansatz, trotter_initialize
 from aqctensor.cost import (
     CostConfig,
     _flip_count,
@@ -15,7 +15,13 @@ from aqctensor.mps import TruncationPolicy, fidelity, from_product_state, max_bo
 from aqctensor.statevector import mps_to_statevector
 
 from conftest import EXACT
-from oracles import cost_full_local_bruteforce, probe_gradient_samples, random_mps, variance_probe
+from oracles import (
+    apply_ansatz_adjoint,
+    cost_full_local_bruteforce,
+    probe_gradient_samples,
+    random_mps,
+    variance_probe,
+)
 
 GLOBAL = CostConfig(policy=EXACT)  # no weights: k = 0, the global cost
 
@@ -200,7 +206,7 @@ class TestGradient:
         theta = trotter_initialize(a, ham, 0.2, bits="1010")
         target = apply_ansatz(a, theta, from_product_state("0000"), EXACT)
         cfg = CostConfig(alphas=(0.75,), policy=EXACT)
-        g = cost_and_gradient(a, theta, target, cfg)[1]
+        g = cost_and_gradient(cost_local_truncated(a, theta, target, cfg))[1]
         assert np.max(np.abs(g)) <= 1e-6
 
     @pytest.mark.parametrize("seed", [20, 21, 22])
@@ -208,7 +214,7 @@ class TestGradient:
         ham, a, theta = make_instance(4, 1, seed=seed)
         target = random_mps(4, seed=seed + 100)
         cfg = CostConfig(alphas=(0.75,), policy=EXACT)
-        g = cost_and_gradient(a, theta, target, cfg)[1]
+        g = cost_and_gradient(cost_local_truncated(a, theta, target, cfg))[1]
         g_fd = gradient_fd(a, theta, target, cfg)
         np.testing.assert_allclose(g, g_fd, atol=1e-6)
 
@@ -216,31 +222,29 @@ class TestGradient:
         ham, a, theta = make_instance(5, 1, seed=29)
         target = random_mps(5, seed=129)
         cfg = CostConfig(alphas=(0.8,), policy=EXACT)
-        value, _ = cost_and_gradient(a, theta, target, cfg)
+        value, _ = cost_and_gradient(cost_local_truncated(a, theta, target, cfg))
         assert value.total == cost_local_truncated(a, theta, target, cfg).total
 
     def test_environment_and_reevaluation_agree(self):
         ham, a, theta = make_instance(5, 2, seed=23)
         target = random_mps(5, seed=123)
         cfg = CostConfig(alphas=(0.8,), policy=EXACT)
-        g_env = cost_and_gradient(a, theta, target, cfg)[1]
+        g_env = cost_and_gradient(cost_local_truncated(a, theta, target, cfg))[1]
         np.testing.assert_allclose(g_env, gradient_reevaluation(a, theta, target, cfg), atol=1e-12)
 
     def test_global_cost_gradient(self):
         ham, a, theta = make_instance(4, 1, seed=24)
         target = random_mps(4, seed=124)
         cfg = CostConfig(alphas=(), policy=EXACT)
-        np.testing.assert_allclose(
-            cost_and_gradient(a, theta, target, cfg)[1], gradient_fd(a, theta, target, cfg), atol=1e-6
-        )
+        g = cost_and_gradient(cost_local_truncated(a, theta, target, cfg))[1]
+        np.testing.assert_allclose(g, gradient_fd(a, theta, target, cfg), atol=1e-6)
 
     def test_k2_gradient(self):
         ham, a, theta = make_instance(4, 1, seed=25)
         target = random_mps(4, seed=125)
         cfg = CostConfig(alphas=(0.75, 0.5), policy=EXACT)
-        np.testing.assert_allclose(
-            cost_and_gradient(a, theta, target, cfg)[1], gradient_fd(a, theta, target, cfg), atol=1e-6
-        )
+        g = cost_and_gradient(cost_local_truncated(a, theta, target, cfg))[1]
+        np.testing.assert_allclose(g, gradient_fd(a, theta, target, cfg), atol=1e-6)
 
     def test_k2_gradient_at_n20(self):
         """k=2 beyond the dense limit: sampled central differences and the dense flip terms."""
@@ -248,7 +252,7 @@ class TestGradient:
         ham, a, theta = make_instance(n, 1, seed=30)
         target = tebd_evolve(from_product_state("10" * 10), ham, 0.2, 2, EXACT)
         cfg = CostConfig(alphas=(0.9, 0.6), policy=EXACT)
-        value, grad = cost_and_gradient(a, theta, target, cfg)
+        value, grad = cost_and_gradient(cost_local_truncated(a, theta, target, cfg))
         for j in np.random.default_rng(30).choice(a.num_params, 8, replace=False):
             tp, tm = theta.copy(), theta.copy()
             tp[j] += h
@@ -266,13 +270,13 @@ class TestGradient:
         ham, a, theta = make_instance(4, 1, seed=26)
         target = random_mps(4, seed=126)
         cfg = CostConfig(alphas=(0.5,), policy=EXACT)
-        assert cost_and_gradient(a, theta, target, cfg)[1].size == a.num_params
+        assert cost_and_gradient(cost_local_truncated(a, theta, target, cfg))[1].size == a.num_params
 
     def test_fd_richardson_consistency(self):
         ham, a, theta = make_instance(4, 1, seed=28)
         target = random_mps(4, seed=128)
         cfg = CostConfig(alphas=(0.75,), policy=EXACT)
-        exact = cost_and_gradient(a, theta, target, cfg)[1]
+        exact = cost_and_gradient(cost_local_truncated(a, theta, target, cfg))[1]
         err_h = np.linalg.norm(gradient_fd(a, theta, target, cfg, h=2e-3) - exact)
         err_h2 = np.linalg.norm(gradient_fd(a, theta, target, cfg, h=1e-3) - exact)
         assert err_h / err_h2 == pytest.approx(4.0, rel=0.4)
@@ -293,26 +297,18 @@ class TestSweepHandOver:
     @pytest.mark.parametrize("n, policy, binds", [(8, EXACT, False), (12, TruncationPolicy(chi_max=4), True)],
                              ids=["n8-exact", "n12-chi4"])
     def test_handed_over_sweep_gives_the_fresh_result(self, n, policy, binds):
+        # a value keeps its own copy of theta: the caller may overwrite its array before the gradient
         a, theta, target, cfg = hand_over_instance(n, policy)
         assert (apply_ansatz_adjoint(a, theta, target, policy).discarded_weight > 1e-6) == binds
-        value, sweep = cost_local_truncated(a, theta, target, cfg, keep_sweep=True)
-        fresh_value, fresh_grad = cost_and_gradient(a, theta, target, cfg)
-        handed_value, handed_grad = cost_and_gradient(a, theta.copy(), target, cfg, sweep)
-        assert value == fresh_value == handed_value
+        reused = theta.copy()
+        value = cost_local_truncated(a, reused, target, cfg)
+        reused[:] = 0.0
+        handed_value, handed_grad = cost_and_gradient(value)
+        fresh_value, fresh_grad = cost_and_gradient(cost_local_truncated(a, theta, target, cfg))
+        assert handed_value is value
+        assert value == fresh_value
         assert [g.hex() for g in handed_grad] == [g.hex() for g in fresh_grad]
-
-    def test_sweep_from_elsewhere_is_rejected(self):
-        a, theta, target, cfg = hand_over_instance(6, EXACT)
-        _, sweep = cost_local_truncated(a, theta, target, cfg, keep_sweep=True)
-        moved = theta.copy()
-        moved[3] += 1e-12
-        other_target = tebd_evolve(target, random_xyz(6, 0.375, 1.125, seed=1), 0.1, 1, EXACT)
-        for args in ((a, moved, target, cfg),
-                     (a, theta, target, CostConfig(alphas=(0.5,), policy=EXACT)),
-                     (a, theta, target, CostConfig(alphas=cfg.alphas, policy=TruncationPolicy(chi_max=8))),
-                     (a, theta, other_target, cfg)):
-            with pytest.raises(ValueError, match="sweep"):
-                cost_and_gradient(*args, sweep)
+        np.testing.assert_array_equal(value.sweep.theta, theta)
 
 
 class TestVarianceProbe:

@@ -12,16 +12,16 @@ from aqctensor import cost, mps
 from aqctensor.ansatz import (
     adjoint_ops,
     ansatz_ops,
-    apply_ansatz_adjoint,
     build_brickwork_ansatz,
     slot_derivatives,
     trotter_initialize,
 )
-from aqctensor.cost import CostConfig, cost_and_gradient
+from aqctensor.cost import CostConfig, cost_and_gradient, cost_local_truncated
 from aqctensor.hamiltonian import random_xyz, tebd_evolve
 from aqctensor.mps import TruncationPolicy, apply_ops, from_product_state, normalize
 
 from conftest import EXACT
+from oracles import apply_ansatz_adjoint
 
 
 def _overlap_environments(bra, ket, lo, hi):
@@ -90,19 +90,19 @@ def test_matches_rebuild_oracle_under_binding_chi_cap(n, trainable_fields):
     a, theta, target, cfg = chain_instance(n, 2, 5, chi_max=4, trainable_fields=trainable_fields)
     # the cap must bind, or the re-evaluation oracle would already cover this case
     assert apply_ansatz_adjoint(a, theta, target, cfg.policy).discarded_weight > 1e-6
-    _, grad = cost_and_gradient(a, theta, target, cfg)
+    _, grad = cost_and_gradient(cost_local_truncated(a, theta, target, cfg))
     np.testing.assert_allclose(grad, rebuild_gradient(a, theta, target, cfg), rtol=0, atol=1e-12)
 
 
 def test_matches_rebuild_oracle_k0_exact():
     a, theta, target, _ = chain_instance(7, 2, 3, chi_max=None)
     cfg = CostConfig(alphas=(), policy=EXACT)
-    _, grad = cost_and_gradient(a, theta, target, cfg)
+    _, grad = cost_and_gradient(cost_local_truncated(a, theta, target, cfg))
     np.testing.assert_allclose(grad, rebuild_gradient(a, theta, target, cfg), rtol=0, atol=1e-12)
 
 
 def test_gradient_applies_two_gates_per_slot(monkeypatch):
-    # one backward sweep and one bra sweep; no prefix state is rebuilt
+    # one backward sweep (the cost value's) and one bra sweep; no prefix state is rebuilt
     a, theta, target, cfg = chain_instance(8, 2, 2, chi_max=None)
     calls = [0]
     apply_two_site_gate = mps.apply_two_site_gate
@@ -112,7 +112,7 @@ def test_gradient_applies_two_gates_per_slot(monkeypatch):
         return apply_two_site_gate(*args)
 
     monkeypatch.setattr(mps, "apply_two_site_gate", counted)
-    cost_and_gradient(a, theta, target, cfg)
+    cost_and_gradient(cost_local_truncated(a, theta, target, cfg))
     assert calls[0] == 2 * len(ansatz_ops(a, theta))
 
 
@@ -129,7 +129,7 @@ def _env_steps(monkeypatch, n):
         mp.setattr(cost, "_env_step_left", counted(cost._env_step_left))
         mp.setattr(cost, "_env_step_right", counted(cost._env_step_right))
         a, theta, target, cfg = chain_instance(n, 2, 1, chi_max=8)
-        cost_and_gradient(a, theta, target, cfg)
+        cost_and_gradient(cost_local_truncated(a, theta, target, cfg))
     return calls[0]
 
 

@@ -20,16 +20,21 @@ def quadratic(dim, seed):
     return f, x_star
 
 
+def split(f):
+    """(evaluate, gradient) of an objective f(x) -> (value, grad); the point is x itself."""
+    return (lambda x: (f(x)[0], f(x)[0], x.copy())), (lambda x: f(x)[1])
+
+
 class TestConvergence:
     def test_quadratic_ten_variables(self):
         f, x_star = quadratic(10, seed=1)
-        theta, trace = minimize(f, np.zeros(10), OptimizerConfig(max_iter=30))
+        theta, trace = minimize(*split(f), np.zeros(10), OptimizerConfig(max_iter=30))
         assert np.max(np.abs(f(theta)[1])) <= 1e-8
         np.testing.assert_allclose(theta, x_star, atol=1e-6)
 
     def test_terminates_immediately_at_optimum(self):
         f, x_star = quadratic(6, seed=2)
-        theta, trace = minimize(f, x_star, OptimizerConfig(max_iter=30))
+        theta, trace = minimize(*split(f), x_star, OptimizerConfig(max_iter=30))
         assert trace.stop_reason == "grad_tol"
         assert len(trace.records) == 1
         np.testing.assert_allclose(theta, x_star, atol=1e-12)
@@ -43,7 +48,7 @@ class TestConvergence:
             ])
             return val, grad
 
-        theta, trace = minimize(rosen, np.array([-1.2, 1.0]), OptimizerConfig(max_iter=100))
+        theta, trace = minimize(*split(rosen), np.array([-1.2, 1.0]), OptimizerConfig(max_iter=100))
         costs = trace.costs()
         assert all(c2 <= c1 + 1e-15 for c1, c2 in zip(costs, costs[1:]))
         assert costs[-1] < 1e-8
@@ -52,8 +57,8 @@ class TestConvergence:
 class TestContracts:
     def test_determinism(self):
         f, _ = quadratic(8, seed=3)
-        theta1, trace1 = minimize(f, np.ones(8), OptimizerConfig(max_iter=20))
-        theta2, trace2 = minimize(f, np.ones(8), OptimizerConfig(max_iter=20))
+        theta1, trace1 = minimize(*split(f), np.ones(8), OptimizerConfig(max_iter=20))
+        theta2, trace2 = minimize(*split(f), np.ones(8), OptimizerConfig(max_iter=20))
         np.testing.assert_array_equal(theta1, theta2)
         assert trace1.costs() == trace2.costs()
         assert [r.grad_norm for r in trace1.records] == [r.grad_norm for r in trace2.records]
@@ -61,7 +66,7 @@ class TestContracts:
     def test_returns_best_seen_never_worse_than_start(self):
         f, _ = quadratic(5, seed=4)
         x0 = np.full(5, 2.0)
-        theta, _ = minimize(f, x0, OptimizerConfig(max_iter=3))
+        theta, _ = minimize(*split(f), x0, OptimizerConfig(max_iter=3))
         assert f(theta)[0] <= f(x0)[0]
 
     def test_line_search_failure_recorded(self):
@@ -70,7 +75,7 @@ class TestContracts:
             return float(x @ x), -2.0 * x
 
         x0 = np.array([1.0, -1.0])
-        theta, trace = minimize(lying, x0, OptimizerConfig(max_iter=10))
+        theta, trace = minimize(*split(lying), x0, OptimizerConfig(max_iter=10))
         assert trace.stop_reason == "line_search_failed"
         assert any(r.note == "line_search_failed" for r in trace.records)
         np.testing.assert_array_equal(theta, x0)
@@ -81,17 +86,19 @@ class TestContracts:
         with pytest.raises(ValueError):
             OptimizerConfig(grad_tol=0.0)
 
-    def test_extras_feed_the_trace(self):
-        def f(x):
-            return float(x @ x), 2 * x, {"infidelity": float(x @ x) / 2}
+    def test_infidelity_feeds_the_trace(self):
+        def evaluate(x):
+            return float(x @ x), float(x @ x) / 2, x.copy()
 
-        _, trace = minimize(f, np.array([1.0]), OptimizerConfig(max_iter=5), alpha1=0.25)
+        _, trace = minimize(evaluate, lambda x: 2 * x, np.array([1.0]), OptimizerConfig(max_iter=5))
         assert trace.records[0].infidelity == pytest.approx(0.5)
-        assert all(r.alpha1 == 0.25 for r in trace.records)
+        assert all(r.infidelity == pytest.approx(r.cost / 2) for r in trace.records)
+        assert [r.iteration for r in trace.records] == list(range(len(trace.records)))
+        assert all(r.alpha1 == 0.0 for r in trace.records)  # the caller sets its phase's weight
 
     def test_csv_columns(self, tmp_path):
         f, _ = quadratic(3, seed=5)
-        _, trace = minimize(f, np.ones(3), OptimizerConfig(max_iter=5))
+        _, trace = minimize(*split(f), np.ones(3), OptimizerConfig(max_iter=5))
         path = tmp_path / "trace.csv"
         trace.write_csv(str(path))
         header = path.read_text().splitlines()[0]
@@ -101,7 +108,7 @@ class TestContracts:
         def lying(x):
             return float(x @ x), -2.0 * x
 
-        _, trace = minimize(lying, np.array([1.0, -1.0]), OptimizerConfig(max_iter=10))
+        _, trace = minimize(*split(lying), np.array([1.0, -1.0]), OptimizerConfig(max_iter=10))
         path = tmp_path / "trace.csv"
         trace.write_csv(str(path))
         rows = path.read_text().splitlines()
@@ -116,18 +123,18 @@ class Tag:
         self.theta = theta.copy()
 
 
-def tagging_cost_fn(f):
-    """cost_fn returning (cost, Tag); .alive counts the tags still referenced at each call."""
+def tagging_evaluate(f):
+    """evaluate returning (cost, cost, Tag); .alive counts the tags still referenced at each call."""
     live = weakref.WeakSet()
 
-    def cost_fn(theta):
-        cost_fn.alive.append(len(live))
+    def evaluate(theta):
+        evaluate.alive.append(len(live))
         tag = Tag(theta)
         live.add(tag)
-        return f(theta), tag
+        return f(theta), f(theta), tag
 
-    cost_fn.alive = []
-    return cost_fn
+    evaluate.alive = []
+    return evaluate
 
 
 class TestSweepHandOver:
@@ -138,35 +145,36 @@ class TestSweepHandOver:
     ], ids=["unit_after_failed_doubling", "doubled", "backtracked"])
     def test_backtrack_returns_the_accepted_steps_sweep(self, direction, step, alive):
         # f(x) = x^2 from x = 1: the accepted step is not always the last one evaluated
-        cost_fn = tagging_cost_fn(lambda x: float(x @ x))
+        evaluate = tagging_evaluate(lambda x: float(x @ x))
         theta, d = np.array([1.0]), np.array([direction])
-        got_step, sweep = _backtrack(cost_fn, theta, 1.0, 2.0 * theta, d)
+        got_step, (cost, infidelity, point) = _backtrack(evaluate, theta, 1.0, 2.0 * theta, d)
         assert got_step == step
-        np.testing.assert_array_equal(sweep.theta, theta + step * d)
-        # a rejected or superseded trial's sweep is gone before the next trial starts
-        assert cost_fn.alive == alive
+        np.testing.assert_array_equal(point.theta, theta + step * d)
+        assert cost == infidelity == float(point.theta @ point.theta)
+        # a rejected or superseded trial's point is gone before the next trial starts
+        assert evaluate.alive == alive
 
     def test_failed_search_returns_none(self):
-        cost_fn = tagging_cost_fn(lambda x: float(x @ x))
+        evaluate = tagging_evaluate(lambda x: float(x @ x))
         theta = np.array([1.0])
-        assert _backtrack(cost_fn, theta, 1.0, -2.0 * theta, np.array([1.0])) is None
-        assert max(cost_fn.alive) == 0
+        assert _backtrack(evaluate, theta, 1.0, -2.0 * theta, np.array([1.0])) is None
+        assert max(evaluate.alive) == 0
 
     def test_gradient_gets_only_a_sweep_made_at_its_theta(self):
         f, _ = quadratic(6, seed=7)
-        cost_fn = tagging_cost_fn(lambda x: f(x)[0])
-        handed, first_trials = [], []
+        evaluate = tagging_evaluate(lambda x: f(x)[0])
+        points, first_trials = [], []
 
-        def cost_and_grad(theta, sweep=None):
-            if sweep is not None:
-                assert np.array_equal(sweep.theta, theta)
-            handed.append(sweep is not None)
-            first_trials.append(len(cost_fn.alive))  # index of the next line search's first trial
-            return f(theta)
+        def gradient(point):
+            points.append(point.theta)
+            first_trials.append(len(evaluate.alive))  # index of the next line search's first trial
+            return f(point.theta)[1]
 
-        _, trace = minimize(cost_and_grad, np.ones(6), OptimizerConfig(max_iter=8), cost_fn=cost_fn)
-        # the start has no line search behind it; every accepted step hands its sweep over
-        assert handed == [False] + [True] * (len(trace.records) - 1)
-        assert len(handed) > 2
-        # no sweep is held from one line search into the next
-        assert all(cost_fn.alive[i] == 0 for i in first_trials if i < len(cost_fn.alive))
+        x0 = np.ones(6)
+        _, trace = minimize(evaluate, gradient, x0, OptimizerConfig(max_iter=8))
+        # one gradient per record, the start's included, each at the point evaluate made there
+        assert len(points) == len(trace.records) > 2
+        np.testing.assert_array_equal(points[0], x0)
+        assert [f(t)[0] for t in points] == trace.costs()
+        # no point is held from one line search into the next
+        assert all(evaluate.alive[i] == 0 for i in first_trials if i < len(evaluate.alive))

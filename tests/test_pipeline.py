@@ -214,10 +214,10 @@ class TestRun:
             assert value.hex() == swept.hex()
 
     def test_gradients_reuse_the_line_search_sweep(self, monkeypatch):
-        # only the first gradient of each phase runs its own backward sweep
+        # every backward sweep is a cost evaluation: no gradient builds slot ops for itself
         from aqctensor import cost, pipeline
 
-        counts = {"sweeps": 0, "line_search": 0}
+        counts = {"ops": 0, "evaluations": 0}
 
         def counted(fn, key):
             def wrapper(*args, **kwargs):
@@ -225,16 +225,25 @@ class TestRun:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(cost, "_backward_sweep", counted(cost._backward_sweep, "sweeps"))
+        monkeypatch.setattr(cost, "ansatz_ops", counted(cost.ansatz_ops, "ops"))
         monkeypatch.setattr(pipeline, "cost_local_truncated",
-                            counted(pipeline.cost_local_truncated, "line_search"))
+                            counted(pipeline.cost_local_truncated, "evaluations"))
         cfg = tiny_config(n=6, layers=2, preset="random-xyz", seed=3, max_iter=3)
         report, trace = run_aqctensor(cfg, raise_on_error=True)
         phases = sum(p["stop_reason"] is not None for p in report.optimization["phases"])
         assert phases == 2
         assert len(trace.records) - phases == report.optimization["iterations"] == 3
-        assert counts["line_search"] >= 3
-        assert counts["sweeps"] == counts["line_search"] + phases
+        assert counts["evaluations"] >= 3 + phases  # each phase's start, then the line searches
+        assert counts["ops"] == counts["evaluations"]
+
+    def test_trace_records_carry_their_phase_weight(self):
+        # default schedule: alpha_1 = (n-1)/n, then 0; the second phase's start repeats the iteration
+        cfg = tiny_config(n=6, layers=2, preset="random-xyz", seed=3, max_iter=4)
+        _, trace = run_aqctensor(cfg, raise_on_error=True)
+        iterations = [r.iteration for r in trace.records]
+        boundary = next(i for i in range(1, len(iterations)) if iterations[i] == iterations[i - 1])
+        assert iterations == list(range(boundary)) + list(range(boundary - 1, len(iterations) - 1))
+        assert [r.alpha1 for r in trace.records] == [5 / 6] * boundary + [0.0] * (len(iterations) - boundary)
 
     def test_guaranteed_improvement_floor(self):
         # even with a tiny budget the returned parameters are never worse
