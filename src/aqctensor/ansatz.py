@@ -34,6 +34,7 @@ from . import mps as mpslib
 from .gates import (
     CX_FORWARD,
     CX_REVERSED,
+    I2,
     CircuitOp,
     Y,
     Z,
@@ -130,7 +131,6 @@ def block_unitary(theta: np.ndarray, reverse: bool = False) -> np.ndarray:
     return np.kron(lc, lt) @ CX_FORWARD
 
 
-_I2 = np.eye(2, dtype=complex)
 _I4 = np.eye(4, dtype=complex)
 
 # Every factor of a fused slot is A + cos(t/2) B + sin(t/2) C at its angle t,
@@ -140,7 +140,7 @@ _I4 = np.eye(4, dtype=complex)
 # right (1) qubit of the pair. _GEN = C / 2 is a rotation's generator term -iG/2.
 _ROTATION_KIND = {(name, side): 3 + 2 * r + side for r, name in enumerate(("ry", "rz")) for side in (0, 1)}
 _GEN, _A, _B = np.zeros((3, 7, 4, 4), dtype=complex)
-_GEN[3:] = [m for g in (-0.5j * Y, -0.5j * Z) for m in (np.kron(g, _I2), np.kron(_I2, g))]
+_GEN[3:] = [m for g in (-0.5j * Y, -0.5j * Z) for m in (np.kron(g, I2), np.kron(I2, g))]
 _A[:3], _B[3:] = (_I4, CX_FORWARD, CX_REVERSED), _I4
 _C = 2 * _GEN
 

@@ -12,9 +12,13 @@ import json
 import logging
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+
+from .pipeline import (PRESETS, ConfigError, RunConfig, make_policies, read_config_file,
+                       resolve_hamiltonian, resolve_initial_bits, run_aqctensor, sweep, write_sweep_csv)
 
 logger = logging.getLogger("aqctensor")
 
@@ -40,8 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="YAML config file; flags override its values")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--preset", choices=["random-xyz", "xxx", "xxz"])
+        p.add_argument("--out", dest="out_dir", help="output directory")
+        p.add_argument("--preset", choices=PRESETS)
         p.add_argument("--n", type=int, help="qubit count")
         p.add_argument("--layers", type=int, help="ansatz layers / Trotter steps")
         p.add_argument("--time", type=float, dest="t", help="total evolution time")
@@ -73,37 +77,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load_config(args: argparse.Namespace):
-    """The run config from --config and the flags; bad input raises ConfigError.
+def load_config(args: argparse.Namespace) -> RunConfig:
+    """The --config file's values, overridden by every flag given whose dest is a RunConfig field.
 
-    The values derived from it are resolved here too, so they fail before any work.
+    RunConfig checks the result whole, so bad input raises ConfigError before any work.
     """
-    from .pipeline import (RunConfig, make_policies, read_config_file, resolve_alpha_schedule,
-                           resolve_hamiltonian, resolve_initial_bits)
-
     raw = read_config_file(args.config) if args.config else {}
-    overrides = {
-        "preset": args.preset,
-        "n": args.n,
-        "layers": args.layers,
-        "t": args.t,
-        "seed": args.seed,
-        "chi_max": getattr(args, "chi_max", None),
-        "cutoff": args.cutoff,
-        "max_iter": args.max_iter,
-        "append_steps": getattr(args, "append_steps", None),
-        "out_dir": args.out,
-    }
-    if args.alpha_schedule:
+    flags = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__ and v is not None}
+    if "alpha_schedule" in flags:
         try:
-            overrides["alpha_schedule"] = json.loads(args.alpha_schedule)
+            flags["alpha_schedule"] = json.loads(flags["alpha_schedule"])
         except json.JSONDecodeError:
-            overrides["alpha_schedule"] = args.alpha_schedule
-    raw.update({k: v for k, v in overrides.items() if v is not None})
-    cfg = RunConfig.from_dict(raw)
-    for resolve in (resolve_hamiltonian, resolve_initial_bits, resolve_alpha_schedule, make_policies):
-        resolve(cfg)
-    return cfg
+            pass  # a schedule name such as "global"
+    return RunConfig.from_dict({**raw, **flags} if isinstance(raw, dict) else raw)
 
 
 def _write_manifest(out: Path, artifacts: list[str]) -> None:
@@ -120,10 +106,8 @@ def _out_dir(cfg_out: str) -> Path:
 def cmd_evolve(args) -> int:
     from .hamiltonian import tebd_evolve
     from .mps import from_product_state, max_bond
-    from .pipeline import make_policies, resolve_hamiltonian, resolve_initial_bits
 
     cfg = load_config(args)
-    out = _out_dir(cfg.out_dir)
     ham = resolve_hamiltonian(cfg)
     policy, _ = make_policies(cfg)
     psi0 = from_product_state(resolve_initial_bits(cfg))
@@ -133,6 +117,7 @@ def cmd_evolve(args) -> int:
     seconds = time.perf_counter() - t0
     logger.info("evolved %d sites for t=%g in %.2fs, max chi %d", cfg.n, cfg.t, seconds, stats["max_bond"])
 
+    out = _out_dir(cfg.out_dir)
     np.savez(out / "state.npz", **{f"tensor_{i}": t for i, t in enumerate(psi.tensors)})
     summary = {
         "config": cfg.to_dict(),
@@ -153,7 +138,6 @@ def _write_circuit(cfg, theta, out: Path) -> None:
     from .ansatz import build_brickwork_ansatz, export_circuit_records
     from .gates import write_gate_list
     from .hamiltonian import schedule_gate_records
-    from .pipeline import resolve_hamiltonian
 
     ham = resolve_hamiltonian(cfg)
     ansatz = build_brickwork_ansatz(cfg.n, cfg.layers, ham, cfg.dt,
@@ -165,13 +149,11 @@ def _write_circuit(cfg, theta, out: Path) -> None:
 
 
 def _run_pipeline(args, append_allowed: bool) -> int:
-    from .pipeline import run_aqctensor
-
     cfg = load_config(args)
     if not append_allowed:
-        cfg.append_steps = 0
-    out = _out_dir(cfg.out_dir)
+        cfg = replace(cfg, append_steps=0)
     report, trace = run_aqctensor(cfg)
+    out = _out_dir(cfg.out_dir)
     artifacts = ["report.json"]
     if trace.records:
         trace.write_csv(str(out / "trace.csv"))
@@ -202,11 +184,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .pipeline import sweep, write_sweep_csv
-
     cfg = load_config(args)
-    out = _out_dir(cfg.out_dir)
     report = sweep(cfg, args.mode)
+    out = _out_dir(cfg.out_dir)
     report.write(str(out / "sweep_report.json"))
     write_sweep_csv(report, str(out / "sweep.csv"))
     _write_manifest(out, ["sweep_report.json", "sweep.csv"])
@@ -222,8 +202,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_circuit(args) -> int:
-    from .pipeline import ConfigError, RunConfig
-
     try:
         with open(args.report) as fh:
             report = json.load(fh)
@@ -316,8 +294,6 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    from .pipeline import ConfigError
-
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -144,12 +144,12 @@ def _flip_count(phi: MPS, k: int, alphas: tuple[float, ...]) -> tuple[MPS, CostV
 class Sweep:
     """One backward sweep of V(theta)^dagger over the target, kept for the gradient.
 
-    ops are the slot ops of ansatz_ops at theta, prefixes[i] is the target
-    after the first i of their adjoint ops (i < M, the last state is phi), and
-    bra is the flip-count bra of phi.
+    num_params is the size of theta, ops are the slot ops of ansatz_ops at
+    theta, prefixes[i] is the target after the first i of their adjoint ops
+    (i < M, the last state is phi), and bra is the flip-count bra of phi.
     """
 
-    theta: np.ndarray
+    num_params: int
     policy: TruncationPolicy
     ops: list[AnsatzOp]
     prefixes: list[MPS]
@@ -164,12 +164,11 @@ def cost_local_truncated(a: Ansatz, theta: np.ndarray, target: MPS, cfg: CostCon
     """
     if target.n != a.n:
         raise ValueError(f"state has {target.n} sites, ansatz has {a.n}")
-    theta = np.array(theta, dtype=float)  # a copy: the caller may reuse its array
     ops = ansatz_ops(a, theta)
     prefixes = [target, *mpslib.iter_ops(target, adjoint_ops(ops), cfg.policy)]
     phi = mpslib.normalize(prefixes.pop())
     bra, value = _flip_count(phi, cfg.k, cfg.alphas)
-    return replace(value, sweep=Sweep(theta, cfg.policy, ops, prefixes, bra))
+    return replace(value, sweep=Sweep(a.num_params, cfg.policy, ops, prefixes, bra))
 
 
 # --- gradients ---------------------------------------------------------------
@@ -193,7 +192,7 @@ def cost_and_gradient(value: CostValue) -> tuple[CostValue, np.ndarray]:
     """
     sweep = value.sweep
     ops = sweep.ops
-    grad = np.zeros(sweep.theta.size)
+    grad = np.zeros(sweep.num_params)
     bra = sweep.bra
     bras = mpslib.iter_ops(bra, ops, sweep.policy)
     envs = _OverlapEnvironments()

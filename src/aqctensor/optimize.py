@@ -32,8 +32,8 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.grad_tol <= 0 or self.cost_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.grad_tol < np.inf and 0 < self.cost_tol < np.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,11 @@ A run does, in order:
 The l-step Trotter state itself is kept as the equal-depth baseline; the
 optimizer starts exactly there, so the optimized circuit can only improve on
 it under the terminal (alpha = 0) objective.
+
+A RunConfig is frozen and checked whole when it is made: RunConfig(...) and
+RunConfig.from_dict raise ConfigError for any value a run cannot use, the
+Hamiltonian, initial state, alpha schedule, truncation policies and t_grid
+included, so a config that exists can run.
 """
 from __future__ import annotations
 
@@ -65,9 +70,9 @@ def _check_field_types(cfg) -> None:
             raise ConfigError(f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs; file- and CLI-friendly."""
+    """Everything a run needs; file- and CLI-friendly. Bad values raise ConfigError here."""
 
     n: int = 8
     t: float = 2.0
@@ -121,6 +126,12 @@ class RunConfig:
             raise ConfigError(f"unknown preset {self.preset!r}; choose from {PRESETS}")
         if self.preset is None and self.hamiltonian is None:
             raise ConfigError("either preset or an explicit hamiltonian is required")
+        if self.t_grid is not None and not (self.t_grid and all(
+                isinstance(t, numbers.Real) and not isinstance(t, bool) and 0 < t < np.inf
+                for t in self.t_grid)):
+            raise ConfigError(f"t_grid must be a non-empty list of positive finite times: {self.t_grid!r}")
+        for resolve in (resolve_hamiltonian, resolve_initial_bits, resolve_alpha_schedule, make_policies):
+            resolve(self)
 
     @property
     def dt(self) -> float:
@@ -449,7 +460,7 @@ def sweep(cfg: RunConfig, mode: str) -> RunReport:
         raise ValueError(f"unknown sweep mode {mode!r}; choose 'equal' or 'half'")
     grid = cfg.t_grid or [cfg.t * f for f in (0.2, 0.4, 0.6, 0.8, 1.0)]
     # every grid point's config is checked before the first one runs
-    subs = [RunConfig(**{**cfg.to_dict(), "t": float(t), "t_grid": None}) for t in grid]
+    subs = [replace(cfg, t=float(t), t_grid=None) for t in grid]
     report = RunReport(config=cfg.to_dict())
     report.conventions["mode"] = mode
     rows = []

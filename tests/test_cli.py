@@ -68,6 +68,23 @@ class TestRun:
     def test_missing_config_file_is_usage_error(self, tmp_path):
         assert run_cli("run", "--config", str(tmp_path / "absent.yaml")) == EXIT_USAGE
 
+    def test_config_file_that_is_not_a_mapping_is_usage_error(self, tmp_path):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text("- n: 4\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg_path), "--out", str(out)) == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evolve", "compile", "run", "sweep"])
+    def test_every_flag_sets_a_config_field(self, command):
+        from aqctensor.cli import build_parser
+        from aqctensor.pipeline import RunConfig
+
+        sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+        dests = {a.dest for a in sub._actions} - {"help", "config", "mode"}
+        assert dests <= set(RunConfig.__dataclass_fields__)
+        assert {"out_dir", "preset", "n", "t", "alpha_schedule"} <= dests
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
             run_cli("run", "--frobnicate")
@@ -141,6 +158,17 @@ class TestDerivedConfigErrors:
         assert code == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("t_grid", [[], [0.3, "x"]], ids=["empty", "non_number"])
+    def test_bad_t_grid_is_usage_error(self, tmp_path, t_grid):
+        import yaml
+
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump({"preset": "xxx", "n": 4, "layers": 1, "t": 0.6,
+                                            "t_grid": t_grid}))
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", str(cfg_path), "--out", str(out)) == EXIT_USAGE
+        assert not out.exists()
+
     def test_hamiltonian_without_beta_is_usage_error(self, tmp_path):
         import yaml
 
@@ -167,6 +195,19 @@ class TestEvolve:
         assert summary["max_bond"] >= 2
         data = np.load(out / "state.npz")
         assert len(data.files) == 6
+
+    def test_runtime_failure_leaves_no_output_directory(self, tmp_path, monkeypatch):
+        from aqctensor import hamiltonian
+
+        def broken_evolve(*args, **kwargs):
+            raise ValueError("numerical fault")
+
+        monkeypatch.setattr(hamiltonian, "tebd_evolve", broken_evolve)
+        out = tmp_path / "evolve"
+        code = run_cli("evolve", "--preset", "xxx", "--n", "4", "--layers", "1",
+                       "--time", "0.5", "--out", str(out))
+        assert code == EXIT_RUNTIME
+        assert not out.exists()
 
 
 class TestCompile:
@@ -198,9 +239,11 @@ class TestSweep:
             raise ValueError("numerical fault")
 
         monkeypatch.setattr(pipeline, "run_aqctensor", broken_run)
+        out = tmp_path / "sweep"
         code = run_cli("sweep", "--preset", "xxx", "--n", "4", "--layers", "1",
-                       "--time", "0.8", "--out", str(tmp_path / "sweep"))
+                       "--time", "0.8", "--out", str(out))
         assert code == EXIT_RUNTIME
+        assert not out.exists()
 
 
     def test_bad_grid_point_fails_before_any_run(self, tmp_path, monkeypatch):

@@ -297,7 +297,7 @@ class TestSweepHandOver:
     @pytest.mark.parametrize("n, policy, binds", [(8, EXACT, False), (12, TruncationPolicy(chi_max=4), True)],
                              ids=["n8-exact", "n12-chi4"])
     def test_handed_over_sweep_gives_the_fresh_result(self, n, policy, binds):
-        # a value keeps its own copy of theta: the caller may overwrite its array before the gradient
+        # a value holds nothing of the caller's theta: the caller may overwrite its array before the gradient
         a, theta, target, cfg = hand_over_instance(n, policy)
         assert (apply_ansatz_adjoint(a, theta, target, policy).discarded_weight > 1e-6) == binds
         reused = theta.copy()
@@ -308,7 +308,7 @@ class TestSweepHandOver:
         assert handed_value is value
         assert value == fresh_value
         assert [g.hex() for g in handed_grad] == [g.hex() for g in fresh_grad]
-        np.testing.assert_array_equal(value.sweep.theta, theta)
+        assert value.sweep.num_params == theta.size
 
 
 class TestVarianceProbe:

@@ -85,6 +85,10 @@ class TestContracts:
             OptimizerConfig(max_iter=0)
         with pytest.raises(ValueError):
             OptimizerConfig(grad_tol=0.0)
+        with pytest.raises(ValueError):
+            OptimizerConfig(grad_tol=float("nan"))
+        with pytest.raises(ValueError):
+            OptimizerConfig(cost_tol=float("inf"))
 
     def test_infidelity_feeds_the_trace(self):
         def evaluate(x):

@@ -100,6 +100,42 @@ class TestConfig:
         with pytest.raises(ValueError):
             resolve_alpha_schedule(tiny_config(alpha_schedule=[[0.3, [0.9]]]))
 
+    @pytest.mark.parametrize("overrides", [
+        dict(initial_state="01"),
+        dict(alpha_schedule=[[0.3, [0.9]]]),
+        dict(preset=None, hamiltonian={"n": 4, "alpha": [1.0] * 3, "delta": [1.0] * 3, "h": [0.0] * 4}),
+        dict(chi_max=0),
+        dict(t_grid=[]),
+        dict(t_grid=[0.3, "x"]),
+        dict(t_grid=[0.3, True]),
+        dict(t_grid=[0.3, float("inf")]),
+    ], ids=["initial_state_short", "fractions_sum_0.3", "hamiltonian_without_beta", "chi_max_0",
+            "t_grid_empty", "t_grid_string", "t_grid_bool", "t_grid_inf"])
+    def test_config_that_cannot_run_is_rejected_when_made(self, overrides):
+        with pytest.raises(ConfigError):
+            tiny_config(**overrides)
+
+    def test_config_is_frozen(self):
+        import dataclasses
+
+        cfg = tiny_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.append_steps = 3
+        assert dataclasses.replace(cfg, append_steps=3).append_steps == 3
+        with pytest.raises(ConfigError):
+            dataclasses.replace(cfg, initial_state="01")
+
+    def test_readme_example_lists_every_key(self):
+        from pathlib import Path
+
+        import yaml
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("### Config file example", 1)[1].split("```yaml", 1)[1].split("```", 1)[0]
+        raw = yaml.safe_load(block)
+        assert set(raw) == set(RunConfig.__dataclass_fields__)
+        RunConfig.from_dict(raw)
+
 
 class TestGroundTruth:
     def test_zero_time_returns_input(self):
@@ -156,12 +192,19 @@ class TestRun:
         assert r1.theta_opt == r2.theta_opt
         assert t1.costs() == t2.costs()
 
-    def test_failure_produces_partial_report(self):
-        cfg = tiny_config(initial_state="01")  # wrong length for n=4
-        report, _ = run_aqctensor(cfg)
+    def test_failure_produces_partial_report(self, monkeypatch):
+        from aqctensor import pipeline
+
+        def broken_evolve(*args, **kwargs):
+            raise FloatingPointError("numerical fault")
+
+        monkeypatch.setattr(pipeline, "tebd_evolve", broken_evolve)
+        report, _ = run_aqctensor(tiny_config())
         assert report.status == "failed"
-        assert report.failed_stage == "setup"
-        assert "initial_state" in report.error
+        assert report.failed_stage == "ground_truth"
+        assert report.error == "FloatingPointError: numerical fault"
+        assert report.hamiltonian and report.conventions["initial_state_bits"] == "1010"
+        assert report.fidelities == {} and report.theta_opt == []
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3])
     def test_iteration_count_matches_budget(self, max_iter):
@@ -343,4 +386,14 @@ class TestSweeps:
         monkeypatch.setattr(pipeline, "run_aqctensor", lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError, match="sweep mode"):
             sweep(tiny_config(t_grid=[0.5]), "quarter")
+        assert calls == []
+
+    @pytest.mark.parametrize("t_grid", [[0.5, -1.0], [0.5, float("nan")]])
+    def test_bad_grid_is_rejected_before_any_run(self, monkeypatch, t_grid):
+        from aqctensor import pipeline
+
+        calls = []
+        monkeypatch.setattr(pipeline, "run_aqctensor", lambda *a, **k: calls.append(a))
+        with pytest.raises(ConfigError, match="t_grid"):
+            sweep(tiny_config(t_grid=t_grid), "equal")
         assert calls == []
