@@ -68,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--mode", choices=["equal", "half"], default="equal")
 
     p = sub.add_parser("verify", help="run the oracle-equivalence and gradient self-checks")
-    p.add_argument("--out", help="output directory")
     p.add_argument("--seed", type=_non_negative_int, default=0)
 
     p = sub.add_parser("export-circuit", help="write the optimized circuit as a gate list")

@@ -13,16 +13,28 @@ Each contraction step on the gate path (gate, QR re-gauging, single-site gate,
 overlap environments) is reshapes plus one matmul, never einsum or tensordot:
 einsum without optimize does not call BLAS.
 
+The factorizations on the gate path (the gate's SVD, the QR and LQ re-gauge
+steps) call LAPACK directly through scipy.linalg.lapack: one zgesdd per gate,
+one zgeqrf + zungqr per re-gauge step. The gate path factors 2x4 ... 256x256
+matrices, and at the small end numpy.linalg's Python wrapper (type checks,
+errstate, a fresh triu mask per QR) takes as long as LAPACK itself. A nonzero
+LAPACK info raises numpy.linalg.LinAlgError, as numpy.linalg does, so a failed
+factorization never reaches the truncation. SciPy loads its own OpenBLAS,
+apart from numpy's; OPENBLAS_NUM_THREADS sets the thread count of both.
+
 All operations return new MPS values; inputs are never mutated.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from scipy.linalg import lapack
 
 logger = logging.getLogger(__name__)
 
@@ -74,6 +86,8 @@ class MPS:
         for i in range(self.n - 1):
             if self.tensors[i].shape[2] != self.tensors[i + 1].shape[0]:
                 raise ValueError(f"bond mismatch between sites {i} and {i + 1}")
+        if not all(np.isfinite(t).all() for t in self.tensors):
+            raise ValueError("MPS tensors must be finite")
 
     @property
     def n(self) -> int:
@@ -171,7 +185,7 @@ def _check_unitary(u: np.ndarray, dim: int) -> None:
     gram = u.conj().T @ u
     gram -= _IDENTITY[dim]
     err = np.abs(gram).max()
-    if err > _UNITARY_ATOL:
+    if not err <= _UNITARY_ATOL:  # also catches a NaN deviation
         raise ValueError(f"gate is not unitary (deviation {err:.2e})")
 
 
@@ -185,10 +199,38 @@ def apply_single_site_gate(psi: MPS, u: np.ndarray, site: int) -> MPS:
     return out
 
 
+def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (u, s, vh) of a complex matrix, one zgesdd call."""
+    u, s, vh, info = lapack.zgesdd(a, full_matrices=0)
+    if info != 0:
+        raise LinAlgError(f"zgesdd failed with info {info}")
+    return u, s, vh
+
+
+@functools.lru_cache(maxsize=128)
+def _upper(k: int, n: int) -> np.ndarray:
+    """Read-only boolean mask of the upper triangle of a k x n matrix (shared by every caller)."""
+    mask = np.triu(np.ones((k, n), dtype=bool))
+    mask.flags.writeable = False
+    return mask
+
+
+def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR (q, r) of an m x n complex matrix: q is m x k, r is k x n, k = min(m, n)."""
+    qr, tau, _, info = lapack.zgeqrf(a)
+    if info != 0:
+        raise LinAlgError(f"zgeqrf failed with info {info}")
+    k = tau.shape[0]
+    q, _, info = lapack.zungqr(qr[:, :k], tau)
+    if info != 0:
+        raise LinAlgError(f"zungqr failed with info {info}")
+    return q, np.where(_upper(k, qr.shape[1]), qr[:k], 0)
+
+
 def _shift_center_right(tensors: list[np.ndarray], c: int) -> None:
     """QR step: make site c left-orthonormal, push R into c+1."""
     chi_l, d, chi_r = tensors[c].shape
-    q, r = np.linalg.qr(tensors[c].reshape(chi_l * d, chi_r))
+    q, r = _qr(tensors[c].reshape(chi_l * d, chi_r))
     k = q.shape[1]
     tensors[c] = q.reshape(chi_l, d, k)
     nxt = tensors[c + 1]
@@ -199,7 +241,7 @@ def _shift_center_left(tensors: list[np.ndarray], c: int) -> None:
     """LQ step: make site c right-orthonormal, push L into c-1."""
     chi_l, d, chi_r = tensors[c].shape
     m = tensors[c].reshape(chi_l, d * chi_r)
-    q, r = np.linalg.qr(m.conj().T)
+    q, r = _qr(m.conj().T)
     k = q.shape[1]
     tensors[c] = q.conj().T.reshape(k, d, chi_r)
     prv = tensors[c - 1]
@@ -259,7 +301,7 @@ def apply_two_site_gate(
     theta = a.reshape(chi_l * 2, -1) @ b.reshape(b.shape[0], 2 * chi_r)  # ((chi_l, s), (t, chi_r))
     theta = np.matmul(u, theta.reshape(chi_l, 4, chi_r))  # u on the (s, t) axis of every chi_l slice
 
-    uu, s, vh = np.linalg.svd(theta.reshape(chi_l * 2, 2 * chi_r), full_matrices=False)
+    uu, s, vh = _svd(theta.reshape(chi_l * 2, 2 * chi_r))
 
     s2 = s * s
     total = float(s2.sum())

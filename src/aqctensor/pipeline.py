@@ -24,7 +24,9 @@ from __future__ import annotations
 import json
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, field, fields, replace
+from types import MappingProxyType
 
 import numpy as np
 import yaml
@@ -53,9 +55,11 @@ class ConfigError(ValueError):
     """Bad user input, caught before any work starts: a config value or input file."""
 
 
-#: annotation term -> accepted types; bool is an int subclass and is kept apart
+#: annotation term -> accepted types; bool is an int subclass and is kept apart. A checked
+#: config holds its lists as tuples and its dict as a read-only mapping (see _frozen).
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str,
-                "dict": dict, "list": list, "list[float]": list, "None": type(None)}
+                "dict": Mapping, "list": (list, tuple), "list[float]": (list, tuple),
+                "None": type(None)}
 
 
 def _check_field_types(cfg) -> None:
@@ -68,6 +72,24 @@ def _check_field_types(cfg) -> None:
             ok = any(isinstance(value, _FIELD_TYPES[a]) for a in allowed)
         if not ok:
             raise ConfigError(f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
+
+
+def _frozen(value):
+    """value with every list made a tuple and every dict a read-only mapping, at any depth."""
+    if isinstance(value, Mapping):
+        return MappingProxyType({k: _frozen(v) for k, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(v) for v in value)
+    return value
+
+
+def _thawed(value):
+    """The plain lists and dicts of a _frozen value."""
+    if isinstance(value, Mapping):
+        return {k: _thawed(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_thawed(v) for v in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -101,6 +123,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         _check_field_types(self)
+        for name in ("hamiltonian", "alpha_schedule", "t_grid"):  # frozen below the top level too
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
         if self.n < 2:
             raise ConfigError("n must be >= 2")
         if self.seed < 0:
@@ -153,7 +177,11 @@ class RunConfig:
         return cls(**raw)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """Plain values: lists and dicts where the config holds tuples and read-only mappings."""
+        return {f.name: _thawed(getattr(self, f.name)) for f in fields(self)}
+
+    def __reduce__(self):  # a read-only mapping cannot be pickled; the plain values can
+        return RunConfig.from_dict, (self.to_dict(),)
 
 
 def read_config_file(path: str) -> dict:

@@ -22,6 +22,12 @@ class TestVerify:
         assert err.value.code == EXIT_USAGE
         assert "must be >= 0" in capsys.readouterr().err
 
+    def test_out_is_not_a_verify_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run_cli("verify", "--out", str(tmp_path / "out"))
+        assert err.value.code == EXIT_USAGE
+        assert not (tmp_path / "out").exists()
+
 
 class TestRun:
     def test_xxx_preset_smoke_writes_artifacts(self, tmp_path):

@@ -1,4 +1,5 @@
-"""The reshape-and-matmul contractions of the gate path against einsum oracles.
+"""The reshape-and-matmul contractions of the gate path against einsum oracles,
+and its LAPACK factorizations against numpy.linalg.
 
 Each oracle spells out the index sum of one contraction with np.einsum, a
 form kept off the library's hot path because einsum without optimize does not
@@ -15,8 +16,10 @@ from aqctensor.mps import (
     MPS,
     _env_step_left,
     _env_step_right,
+    _qr,
     _shift_center_left,
     _shift_center_right,
+    _svd,
     amplitude,
     apply_single_site_gate,
     apply_two_site_gate,
@@ -126,6 +129,44 @@ class TestShiftCenter:
                                    pair_oracle(psi.tensors[6], psi.tensors[7]), rtol=0, atol=ATOL)
 
 
+# (rows, columns) of the pair and re-gauge matrices: tall, square and wide (2 chi_l < chi_r)
+SHAPES = [(16, 4), (8, 8), (4, 10)]
+
+
+class TestFactorizations:
+    """The LAPACK helpers against numpy.linalg."""
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["tall", "square", "wide"])
+    def test_svd(self, shape):
+        a = random_tensor(np.random.default_rng(shape[0] + shape[1]), *shape)
+        u, s, vh = _svd(a)
+        k = min(shape)
+        assert u.shape == (shape[0], k) and s.shape == (k,) and vh.shape == (k, shape[1])
+        np.testing.assert_allclose(s, np.linalg.svd(a, compute_uv=False), rtol=0, atol=ATOL)
+        np.testing.assert_allclose((u * s) @ vh, a, rtol=0, atol=ATOL)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(k), rtol=0, atol=ATOL)
+        np.testing.assert_allclose(vh @ vh.conj().T, np.eye(k), rtol=0, atol=ATOL)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["tall", "square", "wide"])
+    def test_qr(self, shape):
+        a = random_tensor(np.random.default_rng(shape[0] * shape[1]), *shape)
+        q, r = _qr(a)
+        want_q, want_r = np.linalg.qr(a)
+        k = min(shape)
+        assert q.shape == (shape[0], k) and r.shape == (k, shape[1])
+        np.testing.assert_allclose(q, want_q, rtol=0, atol=ATOL)
+        np.testing.assert_allclose(r, want_r, rtol=0, atol=ATOL)
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(k), rtol=0, atol=ATOL)
+        assert not np.tril(r, -1).any()  # upper trapezoidal in the wide case
+        np.testing.assert_allclose(q @ r, a, rtol=0, atol=ATOL)
+
+    def test_svd_of_nan_raises(self):
+        a = np.eye(4, dtype=complex)
+        a[1, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            _svd(a)
+
+
 class TestEnvironments:
     # bra bonds (3, 5), ket bonds (2, 7): every axis has its own length
     def test_left_step(self):
@@ -184,6 +225,17 @@ class TestUnitarityTolerance:
         with pytest.raises(ValueError, match="not unitary"):
             apply_two_site_gate(psi, self.perturbed(4, 1e-9, off_diagonal), 0, EXACT)
         apply_two_site_gate(psi, self.perturbed(4, 1e-12, off_diagonal), 0, EXACT)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the gram matrix
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gates_raise(self, bad):
+        psi = from_product_state("01")
+        u2, u4 = np.eye(2), np.eye(4)
+        u2[0, 0] = u4[3, 2] = bad
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_single_site_gate(psi, u2, 1)
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_two_site_gate(psi, u4, 0, EXACT)
 
     def test_integer_gates_pass(self):
         psi = from_product_state("10")

@@ -50,6 +50,15 @@ class TestProductState:
             from_product_state("012")
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_tensor_rejected(self, bad):
+        tensors = [t.copy() for t in from_product_state("00").tensors]
+        tensors[1][0, 1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MPS(tensors)
+
+
 class TestInnerProduct:
     def test_self_overlap_of_normalized_state(self):
         psi = random_mps(6, seed=1)

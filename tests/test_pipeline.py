@@ -125,6 +125,35 @@ class TestConfig:
         with pytest.raises(ConfigError):
             dataclasses.replace(cfg, initial_state="01")
 
+    def test_nested_values_are_frozen(self):
+        cfg = tiny_config(preset=None, alpha_schedule=[[1.0, [0.5]]], t_grid=[0.4, 0.8],
+                          hamiltonian=XYZHamiltonian.uniform(4, 0.75, 0.75, 0.75).to_dict())
+        with pytest.raises(TypeError):
+            cfg.alpha_schedule[0][0] = 0.3
+        with pytest.raises(TypeError):
+            cfg.t_grid[0] = -1.0
+        with pytest.raises(TypeError):
+            cfg.hamiltonian["n"] = 5
+        assert resolve_alpha_schedule(cfg) == ((1.0, (0.5,)),)
+
+    def test_to_dict_gives_plain_lists_and_dicts(self):
+        raw = dict(n=4, t=0.8, layers=2, preset=None, max_iter=6, out_dir="unused",
+                   alpha_schedule=[[1.0, [0.5]]], t_grid=[0.4, 0.8],
+                   hamiltonian=XYZHamiltonian.uniform(4, 0.75, 0.75, 0.75).to_dict())
+        out = RunConfig(**raw).to_dict()
+        assert {k: out[k] for k in raw} == raw
+        assert type(out["hamiltonian"]) is dict and type(out["alpha_schedule"][0][1]) is list
+        assert RunConfig.from_dict(out) == RunConfig(**raw)
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        import copy
+        import pickle
+
+        cfg = tiny_config(preset=None, alpha_schedule=[[1.0, [0.5]]],
+                          hamiltonian=XYZHamiltonian.uniform(4, 0.75, 0.75, 0.75).to_dict())
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+        assert copy.deepcopy(cfg) == cfg
+
     def test_readme_example_lists_every_key(self):
         from pathlib import Path
 
