@@ -32,7 +32,6 @@ from .hamiltonian import (
 from .mps import (
     MPS,
     TruncationPolicy,
-    amplitude,
     apply_ops,
     apply_single_site_gate,
     apply_two_site_gate,

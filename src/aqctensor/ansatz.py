@@ -16,12 +16,12 @@ For execution the circuit is fused: ansatz_ops returns one 4x4 op per
 two-site slot, the triplet B3 B2 B1 with the single-qubit rotations next to it
 multiplied in (a rotation joins the last slot that touched its qubit, or the
 first one that will). Every initial and field rotation is absorbed, so a cost
-sweep puts one SVD-truncated gate per slot on the MPS, and each op carries the
-factors that slot_derivatives needs for the derivatives of all its angles (12
-block angles plus absorbed initial and trainable field angles). That layout is
-fixed per Ansatz; a call builds every slot from one factor table, in one
-batched product per factor position, and slot_derivatives builds the suffix
-products of all slots the same way.
+sweep puts one SVD-truncated gate per slot on the MPS. The slot layout, which
+factor sits where and which angle drives it, is fixed per Ansatz and held in
+one padded factor table (Ansatz._layout): ansatz_ops builds every slot from
+it in one batched product per factor position, and slot_derivatives builds
+the derivatives of all angles of a slot (12 block angles plus absorbed
+initial and trainable field angles) from the same table.
 """
 from __future__ import annotations
 
@@ -156,7 +156,7 @@ def _slot_layout(a: Ansatz):
     Returns (kinds, angles, fixed, slots), rows in ansatz_ops order: factor j
     of slot s has kind kinds[s, j] and angle angles[s, j] of (theta, fixed),
     where fixed holds the fixed field angles (a CNOT or padding reads entry -1,
-    whatever it holds: B and C are 0 there). slots holds (sites, factor count,
+    whatever it holds: B and C are 0 there). slots holds (sites,
     param_indices, their factor positions) per slot.
     """
     slots: list[tuple[int, list[tuple[int, int]]]] = []  # (left site, [(kind, angle index)])
@@ -193,57 +193,11 @@ def _slot_layout(a: Ansatz):
     for s, (left, factors) in enumerate(slots):
         kinds[s, :len(factors)], angles[s, :len(factors)] = zip(*factors)
         pos = np.flatnonzero((angles[s] >= 0) & (angles[s] < a.num_params))
-        records.append(((left, left + 1), len(factors), tuple(angles[s, pos].tolist()), pos))
+        records.append(((left, left + 1), tuple(angles[s, pos].tolist()), pos))
     layout = kinds, angles, np.array(fixed), tuple(records)
-    for arr in (*layout[:3], *(r[3] for r in records)):
+    for arr in (*layout[:3], *(r[2] for r in records)):
         arr.flags.writeable = False
     return layout
-
-
-@dataclass(frozen=True)
-class AnsatzOp:
-    """One fused two-site slot: its CNOTs and the rotations absorbed next to them.
-
-    The slot's gates in time order are 4x4 factors on the pair: a CNOT, or a
-    rotation R as R (x) I or I (x) R, given by their kinds and the cos(t/2) and
-    sin(t/2) of their angles. prefixes[j] is the product of the first j
-    factors, and matrix the product of all. The angle param_indices[i] drives
-    the factor at positions[i].
-    """
-
-    sites: tuple[int, int]
-    matrix: np.ndarray
-    param_indices: tuple[int, ...]
-    prefixes: np.ndarray  # (F + 1, 4, 4)
-    kinds: np.ndarray  # (F,)
-    cos: np.ndarray  # (F,)
-    sin: np.ndarray  # (F,)
-    positions: np.ndarray  # (P,)
-
-
-def slot_derivatives(ops: list[AnsatzOp]) -> list[np.ndarray]:
-    """Derivatives of each op's matrix with respect to its param_indices, (P, 4, 4) per op.
-
-    The angle of factor j drives R_j = exp(-i t G / 2), so its derivative is
-    S_{j+1} (-iG/2) R_j P_j, with P_j and S_{j+1} the products of the factors
-    before and after it. The suffixes S of all ops are built together, one
-    batched product per factor position from the last; an op with fewer
-    factors than the longest is padded at its end with the identity (kind 0),
-    which leaves its own suffixes unchanged.
-    """
-    width = max(len(op.kinds) for op in ops)
-    kinds = np.zeros((len(ops), width), dtype=np.int8)
-    cos, sin = np.zeros(kinds.shape), np.zeros(kinds.shape)
-    for s, op in enumerate(ops):
-        f = len(op.kinds)
-        kinds[s, :f], cos[s, :f], sin[s, :f] = op.kinds, op.cos, op.sin
-    # suffixes[s, j]: product of the factors of op s from j on
-    suffixes = np.empty((len(ops), width + 1, 4, 4), dtype=complex)
-    suffixes[:, -1] = _I4
-    for j in range(width - 1, -1, -1):
-        np.matmul(suffixes[:, j + 1], _factors(kinds[:, j], cos[:, j], sin[:, j]), out=suffixes[:, j])
-    return [suffixes[s, op.positions + 1] @ _GEN[op.kinds[op.positions]] @ op.prefixes[op.positions + 1]
-            for s, op in enumerate(ops)]
 
 
 def _checked_theta(a: Ansatz, theta: np.ndarray) -> np.ndarray:
@@ -284,26 +238,48 @@ def _primitive_gates(a: Ansatz, theta: np.ndarray):
             s += 1
 
 
-def ansatz_ops(a: Ansatz, theta: np.ndarray) -> list[AnsatzOp]:
+def _slot_factors(a: Ansatz, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """kinds, cos(t/2) and sin(t/2) of every factor of every slot at these parameters, (S, F) each."""
+    kinds, angles, fixed, _ = a._layout
+    half = np.concatenate([_checked_theta(a, theta), fixed]) / 2
+    return kinds, np.cos(half)[angles], np.sin(half)[angles]
+
+
+def ansatz_ops(a: Ansatz, theta: np.ndarray) -> list[CircuitOp]:
     """The circuit at the given parameters as one fused op per two-site slot, column by column.
 
     A rotation joins the last slot that touched its qubit; before any slot has
     touched the qubit it joins the next one there, as its first factor. The
     slots of a column come in sweep_order.
     """
-    theta = _checked_theta(a, theta)
-    kinds, angles, fixed, slots = a._layout
-    half = np.concatenate([theta, fixed]) / 2
-    cos, sin = np.cos(half)[angles], np.sin(half)[angles]
-    prefixes = np.empty((len(kinds), kinds.shape[1] + 1, 4, 4), dtype=complex)
-    prefixes[:, 0] = _I4
+    kinds, cos, sin = _slot_factors(a, theta)
+    product = np.broadcast_to(_I4, (len(kinds), 4, 4))
     for j in range(kinds.shape[1]):
-        np.matmul(_factors(kinds[:, j], cos[:, j], sin[:, j]), prefixes[:, j], out=prefixes[:, j + 1])
-    return [AnsatzOp(sites, prefixes[s, f], params, prefixes[s, :f + 1], kinds[s, :f], cos[s, :f],
-                     sin[s, :f], pos) for s, (sites, f, params, pos) in enumerate(slots)]
+        product = _factors(kinds[:, j], cos[:, j], sin[:, j]) @ product
+    return [CircuitOp(sites, m) for (sites, _, _), m in zip(a._layout[3], product)]
 
 
-def adjoint_ops(ops: list[AnsatzOp]) -> list[CircuitOp]:
+def slot_derivatives(a: Ansatz, theta: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """(param_indices, derivatives (P, 4, 4)) of each slot matrix of ansatz_ops, in its order.
+
+    The angle of factor j drives R_j = exp(-i t G / 2), so its derivative is
+    S_{j+1} (-iG/2) P_{j+1}, with P_{j+1} the product of the factors up to
+    and including R_j and S_{j+1} that of the factors after it. The suffixes
+    S of all slots are built together, one batched product per factor
+    position from the last (the identity that pads a short slot leaves them
+    unchanged). Every factor is unitary, so P_j = S_j^dagger S_0.
+    """
+    kinds, cos, sin = _slot_factors(a, theta)
+    suffixes = np.empty((len(kinds), kinds.shape[1] + 1, 4, 4), dtype=complex)
+    suffixes[:, -1] = _I4
+    for j in range(kinds.shape[1] - 1, -1, -1):
+        np.matmul(suffixes[:, j + 1], _factors(kinds[:, j], cos[:, j], sin[:, j]), out=suffixes[:, j])
+    prefixes = suffixes.conj().swapaxes(-1, -2) @ suffixes[:, :1]
+    return [(params, suffixes[s, pos + 1] @ _GEN[kinds[s, pos]] @ prefixes[s, pos + 1])
+            for s, (_, params, pos) in enumerate(a._layout[3])]
+
+
+def adjoint_ops(ops: list[CircuitOp]) -> list[CircuitOp]:
     """Reversed order, conjugate-transposed matrices."""
     return [CircuitOp(op.sites, op.matrix.conj().T) for op in reversed(ops)]
 

@@ -5,9 +5,9 @@ subtracts alpha_m-weighted sums F_m = sum_{|s|=m} |<s| V^dag |psi_t>|^2 over
 all bit-flip patterns s of weight m = 1..k; every term is an amplitude of the
 single state |phi> = V^dag |psi_t>, so one adjoint circuit application feeds
 the whole cost. That application is the backward sweep of
-cost_local_truncated: it keeps the slot ops and every intermediate state on
-the value it returns, and ends in the flip-count construct of phi, which
-gives both the cost and the gradient's bra.
+cost_local_truncated: it keeps the slot ops, a copy of theta and every
+intermediate state on the value it returns, and ends in the flip-count
+construct of phi, which gives both the cost and the gradient's bra.
 
 One flip-count construct serves every order 0 <= k <= n: the counter MPO of
 Crosswhite & Bacon (arXiv:0708.1221) applied to phi, with one bond sector per
@@ -30,11 +30,12 @@ weighted bra state, M two-site gates for M slots, plus per slot one window:
 amortized O(chi^3) environment work (the overlap environments are reused
 while the tensors they absorbed are unchanged), one O(chi^3) contraction
 into a 4x4 operator E, and O(P) 4x4 products for the slot's P angles (12 to
-18 plus trainable fields). The derivative matrices of all slots are built in
-one batch (slot_derivatives). The gradient equals the shifted-cost
-difference exactly only when no sweep truncates; under a binding bond cap
-each sweep truncates differently, and the result is not the derivative of
-the untruncated cost.
+18 plus trainable fields). The gradient builds the derivative matrices of
+all slots in one batch from the ansatz layout and the kept theta
+(slot_derivatives); a cost-only sweep builds none of them. The gradient
+equals the shifted-cost difference exactly only when no sweep truncates;
+under a binding bond cap each sweep truncates differently, and the result
+is not the derivative of the untruncated cost.
 """
 from __future__ import annotations
 
@@ -43,7 +44,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import mps as mpslib
-from .ansatz import Ansatz, AnsatzOp, adjoint_ops, ansatz_ops, slot_derivatives
+from .ansatz import Ansatz, adjoint_ops, ansatz_ops, slot_derivatives
+from .gates import CircuitOp
 from .mps import MPS, TruncationPolicy, _env_step_left, _env_step_right
 
 
@@ -144,14 +146,17 @@ def _flip_count(phi: MPS, k: int, alphas: tuple[float, ...]) -> tuple[MPS, CostV
 class Sweep:
     """One backward sweep of V(theta)^dagger over the target, kept for the gradient.
 
-    num_params is the size of theta, ops are the slot ops of ansatz_ops at
-    theta, prefixes[i] is the target after the first i of their adjoint ops
-    (i < M, the last state is phi), and bra is the flip-count bra of phi.
+    theta is a copy of the parameters, so the caller may reuse its array; ops
+    are the slot ops of ansatz_ops at theta, prefixes[i] is the target after
+    the first i of their adjoint ops (i < M, the last state is phi), and bra
+    is the flip-count bra of phi. The gradient rebuilds the slot derivatives
+    from ansatz and theta.
     """
 
-    num_params: int
+    ansatz: Ansatz
+    theta: np.ndarray
     policy: TruncationPolicy
-    ops: list[AnsatzOp]
+    ops: list[CircuitOp]
     prefixes: list[MPS]
     bra: MPS
 
@@ -164,11 +169,12 @@ def cost_local_truncated(a: Ansatz, theta: np.ndarray, target: MPS, cfg: CostCon
     """
     if target.n != a.n:
         raise ValueError(f"state has {target.n} sites, ansatz has {a.n}")
+    theta = np.array(theta, dtype=float)
     ops = ansatz_ops(a, theta)
     prefixes = [target, *mpslib.iter_ops(target, adjoint_ops(ops), cfg.policy)]
     phi = mpslib.normalize(prefixes.pop())
     bra, value = _flip_count(phi, cfg.k, cfg.alphas)
-    return replace(value, sweep=Sweep(a.num_params, cfg.policy, ops, prefixes, bra))
+    return replace(value, sweep=Sweep(a, theta, cfg.policy, ops, prefixes, bra))
 
 
 # --- gradients ---------------------------------------------------------------
@@ -192,19 +198,20 @@ def cost_and_gradient(value: CostValue) -> tuple[CostValue, np.ndarray]:
     """
     sweep = value.sweep
     ops = sweep.ops
-    grad = np.zeros(sweep.num_params)
+    grad = np.zeros(sweep.ansatz.num_params)
     bra = sweep.bra
     bras = mpslib.iter_ops(bra, ops, sweep.policy)
     envs = _OverlapEnvironments()
 
     # sweep.prefixes[-1 - m] is prefix_m, the target before the adjoint of op m
-    for op, prefix, dmats in zip(ops, reversed(sweep.prefixes), slot_derivatives(ops)):
+    for op, prefix, (params, dmats) in zip(ops, reversed(sweep.prefixes),
+                                           slot_derivatives(sweep.ansatz, sweep.theta)):
         left = envs.left(bra, prefix, op.sites[0])
         right = envs.right(bra, prefix, op.sites[1])
         e = _local_operator(left, right, bra, prefix, op.sites[0])
         # <W| dM^dag |prefix> = sum_{s,t} E[s, t] conj(dM[t, s])
         vals = dmats.reshape(len(dmats), 16).conj() @ e.T.ravel()
-        grad[list(op.param_indices)] = -2.0 * vals.real
+        grad[list(params)] = -2.0 * vals.real
         bra = next(bras)
     return value, grad
 

@@ -1,4 +1,4 @@
-"""Elementary gates, circuit-op records, CNOT-depth accounting, gate-list text I/O."""
+"""Elementary gates, circuit-op records, CNOT-depth accounting, gate-list text output."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -24,11 +24,6 @@ CX_REVERSED = np.array(
 )
 
 
-def rx(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]])
-
-
 def ry(theta: float) -> np.ndarray:
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     return np.array([[c, -s], [s, c]], dtype=complex)
@@ -36,9 +31,6 @@ def ry(theta: float) -> np.ndarray:
 
 def rz(theta: float) -> np.ndarray:
     return np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]])
-
-
-ROTATIONS = {"rx": rx, "ry": ry, "rz": rz}
 
 
 @dataclass(frozen=True)
@@ -77,40 +69,3 @@ def write_gate_list(lines: Iterable[str], path: str) -> None:
         fh.write("# aqctensor gate list v1\n")
         for line in lines:
             fh.write(line + "\n")
-
-
-def parse_gate_line(line: str) -> tuple[str, list[int], list[float]]:
-    parts = line.split()
-    name = parts[0]
-    qubits = [int(p[1:]) for p in parts if p.startswith("q")]
-    angles = [float(p) for p in parts[1 + len(qubits):]]
-    return name, qubits, angles
-
-
-def read_gate_list(path: str) -> list[tuple[str, list[int], list[float]]]:
-    """Parse a gate-list file back into (name, qubits, angles) records."""
-    out = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            out.append(parse_gate_line(line))
-    return out
-
-
-def op_from_record(name: str, qubits: Sequence[int], angles: Sequence[float]) -> CircuitOp:
-    """Turn a parsed gate-list entry (cx, rx, ry, rz) into an executable op.
-
-    For cx the first qubit is the control; sites are normalized to ascending
-    order with the matrix direction adjusted accordingly.
-    """
-    if name == "cx":
-        c, t = qubits
-        if abs(c - t) != 1:
-            raise ValueError(f"cx requires adjacent qubits, got {qubits}")
-        mat = CX_FORWARD if c < t else CX_REVERSED
-        return CircuitOp((min(c, t), max(c, t)), mat)
-    if name in ROTATIONS:
-        return CircuitOp((qubits[0],), ROTATIONS[name](angles[0]))
-    raise ValueError(f"unknown gate name {name!r}")

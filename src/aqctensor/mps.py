@@ -106,7 +106,7 @@ class MPS:
 def from_product_state(bits: str) -> MPS:
     """Build the computational-basis product state for a 0/1 string.
 
-    amplitude(result, bits) == 1 and every bond dimension is 1.
+    The state |bits> has amplitude 1 on that string and every bond dimension is 1.
     """
     if not bits:
         raise ValueError("bits must be a nonempty 0/1 string")
@@ -156,16 +156,6 @@ def norm(psi: MPS) -> float:
 def fidelity(a: MPS, b: MPS) -> float:
     """|<a|b>|^2; symmetric and global-phase invariant."""
     return abs(inner_product(a, b)) ** 2
-
-
-def amplitude(psi: MPS, bits: str) -> complex:
-    """Coefficient of the given basis string, O(n chi^2)."""
-    if len(bits) != psi.n:
-        raise ValueError(f"basis string length {len(bits)} != {psi.n} sites")
-    vec = np.ones(1, dtype=complex)
-    for ch, t in zip(bits, psi.tensors):
-        vec = vec @ t[:, int(ch), :]
-    return complex(vec[0])
 
 
 def normalize(psi: MPS) -> MPS:

@@ -3,6 +3,8 @@
 dense_hamiltonian and sv_exact_evolution give exact evolution by dense
 diagonalization; statevector_to_mps and random_mps make test states;
 total_sz and initial_rotation are the closed forms the tests compare with.
+amplitude reads one basis-string coefficient of an MPS; parse_gate_line,
+read_gate_list and op_from_record read an exported circuit back into ops.
 cost_full_local_bruteforce enumerates all 2^n amplitudes of a small chain;
 probe_gradient_samples and variance_probe give the gradient of the order-k
 local cost in closed form for a product circuit, the case whose variance the
@@ -12,7 +14,7 @@ import numpy as np
 from scipy.stats import unitary_group
 
 from aqctensor.ansatz import Ansatz, adjoint_ops, ansatz_ops
-from aqctensor.gates import SZ, ry, rz
+from aqctensor.gates import CX_FORWARD, CX_REVERSED, SZ, CircuitOp, ry, rz
 from aqctensor.hamiltonian import XYZHamiltonian
 from aqctensor.mps import (EXACT, MPS, TruncationPolicy, apply_ops, apply_two_site_gate, expectation_single,
                            from_product_state, normalize)
@@ -145,3 +147,43 @@ def initial_rotation(angles: np.ndarray) -> np.ndarray:
     """Rz(a) Ry(b) Rz(c) on one qubit (rightmost factor acts first)."""
     a, b, c = angles
     return rz(a) @ ry(b) @ rz(c)
+
+
+def amplitude(psi: MPS, bits: str) -> complex:
+    """Coefficient of the given basis string, O(n chi^2)."""
+    if len(bits) != psi.n:
+        raise ValueError(f"basis string length {len(bits)} != {psi.n} sites")
+    vec = np.ones(1, dtype=complex)
+    for ch, t in zip(bits, psi.tensors):
+        vec = vec @ t[:, int(ch), :]
+    return complex(vec[0])
+
+
+def parse_gate_line(line: str) -> tuple[str, list[int], list[float]]:
+    """(name, qubits, angles) of one gate-list line."""
+    parts = line.split()
+    qubits = [int(p[1:]) for p in parts if p.startswith("q")]
+    return parts[0], qubits, [float(p) for p in parts[1 + len(qubits):]]
+
+
+def read_gate_list(path: str) -> list[tuple[str, list[int], list[float]]]:
+    """Parse a gate-list file back into (name, qubits, angles) records."""
+    with open(path) as fh:
+        return [parse_gate_line(line) for line in map(str.strip, fh) if line and not line.startswith("#")]
+
+
+def op_from_record(name: str, qubits: list[int], angles: list[float]) -> CircuitOp:
+    """Turn a parsed gate-list entry (cx, ry, rz) into an executable op.
+
+    For cx the first qubit is the control; sites are normalized to ascending
+    order with the matrix direction adjusted accordingly.
+    """
+    if name == "cx":
+        c, t = qubits
+        if abs(c - t) != 1:
+            raise ValueError(f"cx requires adjacent qubits, got {qubits}")
+        return CircuitOp((min(c, t), max(c, t)), CX_FORWARD if c < t else CX_REVERSED)
+    rotations = {"ry": ry, "rz": rz}
+    if name in rotations:
+        return CircuitOp((qubits[0],), rotations[name](angles[0]))
+    raise ValueError(f"unknown gate name {name!r}")

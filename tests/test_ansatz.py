@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from aqctensor.ansatz import (
-    _GEN,
     _factors,
     ansatz_ops,
     adjoint_ops,
@@ -16,7 +15,7 @@ from aqctensor.ansatz import (
     triplet_unitary,
     trotter_initialize,
 )
-from aqctensor.gates import CX_FORWARD, CX_REVERSED, CircuitOp, op_from_record, parse_gate_line, rz
+from aqctensor.gates import CX_FORWARD, CX_REVERSED, CircuitOp, rz
 from aqctensor.hamiltonian import (
     XYZHamiltonian,
     build_trotter_schedule,
@@ -24,7 +23,7 @@ from aqctensor.hamiltonian import (
     tebd_evolve,
     two_site_unitary,
 )
-from aqctensor.mps import amplitude, fidelity, from_product_state
+from aqctensor.mps import fidelity, from_product_state
 from aqctensor.statevector import (
     basis_state,
     mps_to_statevector,
@@ -33,7 +32,8 @@ from aqctensor.statevector import (
 )
 
 from conftest import EXACT
-from oracles import apply_ansatz_adjoint, initial_rotation, random_mps
+from oracles import (amplitude, apply_ansatz_adjoint, initial_rotation, op_from_record, parse_gate_line,
+                     random_mps, read_gate_list)
 
 
 def dense_ops_matrix(ops, n):
@@ -105,19 +105,23 @@ class TestBlockUnitary:
             np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
 
 
+SLOT_SHAPES = [(2, 1, False), (5, 2, True), (8, 4, False), (17, 1, True), (32, 2, False)]
+
+
 class TestDerivativeMatrices:
-    @pytest.mark.parametrize("trainable_fields", [False, True])
-    def test_each_derivative_is_its_shift_difference(self, trainable_fields):
+    @pytest.mark.parametrize("n, l, trainable_fields", [(3, 1, False), (3, 1, True), *SLOT_SHAPES],
+                             ids=["False", "True", *("-".join(map(str, shape)) for shape in SLOT_SHAPES)])
+    def test_each_derivative_is_its_shift_difference(self, n, l, trainable_fields):
         # every angle drives one rotation exp(-i t G / 2) with G^2 = 1, and M
         # is linear in it, so dM/dt = (M(t + pi) - M(t - pi)) / 4 holds exactly
-        ham = random_xyz(3, 0.375, 1.125, seed=8)
-        a = build_brickwork_ansatz(3, 1, ham, 0.2, trainable_fields=trainable_fields)
+        ham = random_xyz(n, 0.375, 1.125, seed=8)
+        a = build_brickwork_ansatz(n, l, ham, 0.2, trainable_fields=trainable_fields)
         theta = np.random.default_rng(9).uniform(-np.pi, np.pi, a.num_params)
         checked = set()
         ops = ansatz_ops(a, theta)
-        for pos, (op, dms) in enumerate(zip(ops, slot_derivatives(ops))):
-            assert dms.shape == (len(op.param_indices),) + op.matrix.shape
-            for dm, j in zip(dms, op.param_indices):
+        for pos, (op, (params, dms)) in enumerate(zip(ops, slot_derivatives(a, theta))):
+            assert dms.shape == (len(params),) + op.matrix.shape
+            for dm, j in zip(dms, params):
                 shifted = []
                 for sign in (1, -1):
                     t = theta.copy()
@@ -127,22 +131,21 @@ class TestDerivativeMatrices:
                 checked.add(j)
         assert checked == set(range(a.num_params))
 
-    @pytest.mark.parametrize("n, l, trainable_fields", [(2, 1, False), (5, 2, True), (8, 4, False),
-                                                         (17, 1, True), (32, 2, False)])
+    @pytest.mark.parametrize("n, l, trainable_fields", SLOT_SHAPES)
     def test_batched_build_equals_per_slot_build(self, n, l, trainable_fields):
-        # the suffixes of every slot, built one 4x4 product at a time: the same arithmetic
+        # each slot matrix, built from the layout one 4x4 product at a time: the same arithmetic
         ham = random_xyz(n, 0.375, 1.125, seed=n)
         a = build_brickwork_ansatz(n, l, ham, 0.25, trainable_fields=trainable_fields)
-        ops = ansatz_ops(a, np.random.default_rng(n + l).uniform(-np.pi, np.pi, a.num_params))
-        for op, dms in zip(ops, slot_derivatives(ops)):
-            factors = _factors(op.kinds, op.cos, op.sin)
-            suffixes = np.empty_like(op.prefixes)
-            suffixes[-1] = np.eye(4)
-            for j in range(len(factors) - 1, -1, -1):
-                suffixes[j] = suffixes[j + 1].dot(factors[j])
-            after = op.positions + 1
-            per_slot = suffixes[after] @ _GEN[op.kinds[op.positions]] @ op.prefixes[after]
-            assert dms.tobytes() == per_slot.tobytes()
+        theta = np.random.default_rng(n + l).uniform(-np.pi, np.pi, a.num_params)
+        kinds, angles, fixed, _ = a._layout
+        half = np.concatenate([theta, fixed]) / 2
+        ops = ansatz_ops(a, theta)
+        assert len(ops) == len(kinds)
+        for op, slot_kinds, slot_angles in zip(ops, kinds, angles):
+            matrix = np.eye(4, dtype=complex)
+            for factor in _factors(slot_kinds, np.cos(half[slot_angles]), np.sin(half[slot_angles])):
+                matrix = factor.dot(matrix)
+            assert op.matrix.tobytes() == matrix.tobytes()
 
 
 def per_gate_ops(a, theta):
@@ -199,15 +202,20 @@ class TestFusion:
         ham = random_xyz(5, 0.375, 1.125, seed=16)
         a = build_brickwork_ansatz(5, 2, ham, 0.2, trainable_fields=True)
         rng = np.random.default_rng(17)
-        first = ansatz_ops(a, rng.uniform(-np.pi, np.pi, a.num_params))
-        saved = [(op.matrix.copy(), dms) for op, dms in zip(first, slot_derivatives(first))]
-        second = ansatz_ops(a, rng.uniform(-np.pi, np.pi, a.num_params))
+        theta = rng.uniform(-np.pi, np.pi, a.num_params)
+        first, first_derivatives = ansatz_ops(a, theta), slot_derivatives(a, theta)
+        saved = [(op.matrix.copy(), dms.copy()) for op, (_, dms) in zip(first, first_derivatives)]
+        other = rng.uniform(-np.pi, np.pi, a.num_params)
+        second, second_derivatives = ansatz_ops(a, other), slot_derivatives(a, other)
         assert not np.array_equal(second[0].matrix, saved[0][0])
-        for op, dms, (matrix, dmatrices) in zip(first, slot_derivatives(first), saved):
+        assert not np.array_equal(second_derivatives[0][1], saved[0][1])
+        for op, (_, dms), (_, again), (matrix, dmatrices) in zip(first, first_derivatives,
+                                                                 slot_derivatives(a, theta), saved):
             np.testing.assert_array_equal(op.matrix, matrix)
             np.testing.assert_array_equal(dms, dmatrices)
+            np.testing.assert_array_equal(again, dmatrices)
         kinds, angles, fixed, slots = a._layout
-        for arr in (kinds, angles, fixed, *(slot[3] for slot in slots)):
+        for arr in (kinds, angles, fixed, *(positions for _, _, positions in slots)):
             assert not arr.flags.writeable
 
 
@@ -383,7 +391,7 @@ class TestTrainableFields:
 
 class TestExport:
     def test_round_trip_reproduces_circuit(self, tmp_path):
-        from aqctensor.gates import read_gate_list, write_gate_list
+        from aqctensor.gates import write_gate_list
 
         rng = np.random.default_rng(12)
         # n=6, l=2: odd-full columns of two slots, which ansatz_ops runs right to left

@@ -279,7 +279,7 @@ class TestExportCircuit:
                        "--out", str(export_dir))
         assert code == EXIT_OK
 
-        from aqctensor.gates import op_from_record, read_gate_list
+        from oracles import op_from_record, read_gate_list
         from aqctensor.statevector import basis_state, sv_apply_schedule, sv_fidelity
 
         records = read_gate_list(str(export_dir / "circuit.txt"))

@@ -20,7 +20,6 @@ from aqctensor.mps import (
     _shift_center_left,
     _shift_center_right,
     _svd,
-    amplitude,
     apply_single_site_gate,
     apply_two_site_gate,
     canonicalize,
@@ -29,6 +28,7 @@ from aqctensor.mps import (
 )
 
 from conftest import EXACT, assert_left_orthonormal, assert_right_orthonormal
+from oracles import amplitude
 
 ATOL = 1e-12
 

@@ -308,7 +308,8 @@ class TestSweepHandOver:
         assert handed_value is value
         assert value == fresh_value
         assert [g.hex() for g in handed_grad] == [g.hex() for g in fresh_grad]
-        assert value.sweep.num_params == theta.size
+        assert value.sweep.theta is not reused
+        np.testing.assert_array_equal(value.sweep.theta, theta)
 
 
 class TestVarianceProbe:

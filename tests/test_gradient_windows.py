@@ -61,11 +61,11 @@ def rebuild_gradient(a, theta, target, cfg):
         prefixes.append(apply_ops(prefixes[-1], (op,), cfg.policy))
     bra = cost._flip_count(normalize(prefixes[-1]), cfg.k, cfg.alphas)[0]
     grad = np.zeros(theta.size)
-    for m, (op, dmats) in enumerate(zip(ops, slot_derivatives(ops)), start=1):
-        if op.param_indices:
+    for m, (op, (params, dmats)) in enumerate(zip(ops, slot_derivatives(a, theta)), start=1):
+        if params:
             prefix = prefixes[len(ops) - m]
             left, right = _overlap_environments(bra, prefix, op.sites[0], op.sites[-1])
-            for dmat, j in zip(dmats, op.param_indices):
+            for dmat, j in zip(dmats, params):
                 val = _window_value(bra, prefix, op.sites, dmat.conj().T, left, right)
                 grad[j] = -2.0 * val.real
         bra = apply_ops(bra, (op,), cfg.policy)

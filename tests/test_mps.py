@@ -6,7 +6,6 @@ from aqctensor.hamiltonian import random_xyz, tebd_evolve
 from aqctensor.mps import (
     MPS,
     TruncationPolicy,
-    amplitude,
     apply_single_site_gate,
     apply_two_site_gate,
     canonicalize,
@@ -21,7 +20,7 @@ from aqctensor.mps import (
 from aqctensor.statevector import mps_to_statevector
 
 from conftest import EXACT, assert_canonical, assert_left_orthonormal, random_circuit_pair
-from oracles import random_mps
+from oracles import amplitude, random_mps
 
 H_GATE = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X_GATE = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -285,7 +285,7 @@ class TestTebdEvolve:
 
 class TestPrimitiveRecords:
     def test_three_cnot_form_matches_exponential(self):
-        from aqctensor.gates import op_from_record, parse_gate_line
+        from oracles import op_from_record, parse_gate_line
         from aqctensor.hamiltonian import two_site_gate_records
         from aqctensor.statevector import sv_apply_schedule
 
@@ -306,7 +306,7 @@ class TestPrimitiveRecords:
             assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_schedule_records_reproduce_evolution(self):
-        from aqctensor.gates import op_from_record, parse_gate_line
+        from oracles import op_from_record, parse_gate_line
         from aqctensor.hamiltonian import schedule_gate_records
         from aqctensor.statevector import sv_apply_schedule
 
