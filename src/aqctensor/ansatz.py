@@ -9,8 +9,10 @@ circuit; _block states where each block's angles sit in theta.
 
 A CNOT block is a CNOT followed by Ry(t1) Rz(t2) on the control line and
 Ry(t3) Rz(t4) on the target line. With this layout a triplet reproduces the
-two-site exchange exponential exactly (up to a global phase) in closed form,
-which is what makes exact Trotter initialization possible.
+two-site exchange exponential exactly (up to a global phase) in closed form
+(solve_triplet_angles), which is what makes exact Trotter initialization
+possible. It is the package's one realization of a two-site Trotter gate:
+Trotter steps are exported as the Trotter-initialized ansatz.
 
 For execution the circuit is fused: ansatz_ops returns one 4x4 op per
 two-site slot, the triplet B3 B2 B1 with the single-qubit rotations next to it
@@ -40,11 +42,8 @@ from .gates import (
     Z,
     cnot_depth_from_pairs,
     format_gate_line,
-    ry,
-    rz,
 )
-from .hamiltonian import (XYZHamiltonian, build_trotter_schedule, sweep_order, triplet_angles,
-                          two_site_unitary)
+from .hamiltonian import XYZHamiltonian, build_trotter_schedule, sweep_order
 from .mps import MPS, TruncationPolicy
 
 
@@ -114,21 +113,7 @@ def build_brickwork_ansatz(
     return Ansatz(n, dt, tuple(h * dt for h in ham.h), columns, trainable_fields)
 
 
-# --- gate matrices -----------------------------------------------------------
-
-
-def block_unitary(theta: np.ndarray, reverse: bool = False) -> np.ndarray:
-    """4x4 matrix of a CNOT block on a (left, right) pair.
-
-    Normal direction: control = left qubit. All four angles at zero gives the
-    bare CNOT.
-    """
-    t1, t2, t3, t4 = theta
-    lc = ry(t1) @ rz(t2)
-    lt = ry(t3) @ rz(t4)
-    if reverse:
-        return np.kron(lt, lc) @ CX_REVERSED
-    return np.kron(lc, lt) @ CX_FORWARD
+# --- fused slots -------------------------------------------------------------
 
 
 _I4 = np.eye(4, dtype=complex)
@@ -267,16 +252,20 @@ def slot_derivatives(a: Ansatz, theta: np.ndarray) -> list[tuple[tuple[int, ...]
     and including R_j and S_{j+1} that of the factors after it. The suffixes
     S of all slots are built together, one batched product per factor
     position from the last (the identity that pads a short slot leaves them
-    unchanged). Every factor is unitary, so P_j = S_j^dagger S_0.
+    unchanged). Every factor is unitary, so P_j = S_j^dagger S_0; it is formed
+    only at the positions of the angles, gathered from all slots into one batch.
     """
     kinds, cos, sin = _slot_factors(a, theta)
     suffixes = np.empty((len(kinds), kinds.shape[1] + 1, 4, 4), dtype=complex)
     suffixes[:, -1] = _I4
     for j in range(kinds.shape[1] - 1, -1, -1):
         np.matmul(suffixes[:, j + 1], _factors(kinds[:, j], cos[:, j], sin[:, j]), out=suffixes[:, j])
-    prefixes = suffixes.conj().swapaxes(-1, -2) @ suffixes[:, :1]
-    return [(params, suffixes[s, pos + 1] @ _GEN[kinds[s, pos]] @ prefixes[s, pos + 1])
-            for s, (_, params, pos) in enumerate(a._layout[3])]
+    slots = a._layout[3]
+    sizes = [len(positions) for _, _, positions in slots]
+    rows, pos = np.repeat(np.arange(len(slots)), sizes), np.concatenate([p for _, _, p in slots])
+    after = suffixes[rows, pos + 1]
+    dmats = after @ _GEN[kinds[rows, pos]] @ (after.conj().swapaxes(-1, -2) @ suffixes[rows, 0])
+    return [(params, d) for (_, params, _), d in zip(slots, np.split(dmats, np.cumsum(sizes)[:-1]))]
 
 
 def adjoint_ops(ops: list[CircuitOp]) -> list[CircuitOp]:
@@ -301,38 +290,19 @@ def cnot_depth(a: Ansatz) -> int:
 
 
 def solve_triplet_angles(alpha: float, beta: float, delta: float, dt: float) -> np.ndarray:
-    """12 angles making a block triplet equal the two-site exponential, up to phase.
+    """12 angles making a block triplet equal two_site_unitary(alpha, beta, delta, dt), up to phase.
 
-    Closed form, with (theta, phi, lam) = triplet_angles(alpha, beta, delta, dt):
-    block 1 (reversed): control Ry(phi) Rz(-pi/2);
-    block 2 (normal):  control Rz(theta), target Ry(lam);
-    block 3 (reversed): target Rz(pi/2).
-    The closed form is an identity; it is still checked against the dense
-    exponential, and a distance above 1e-10 raises RuntimeError.
+    The standard 3-CNOT form of the exchange exponential, in closed form with
+    (a, b, c) = (alpha, beta, delta) * dt:
+    block 1 (reversed): control Ry(a/2 - pi/2) Rz(-pi/2);
+    block 2 (normal):  control Rz(pi/2 - c/2), target Ry(pi/2 - b/2);
+    block 3 (reversed): target Rz(pi/2);
+    every other angle is 0.
     """
-    theta, phi, lam = triplet_angles(alpha, beta, delta, dt)
-    angles = np.array([phi, -np.pi / 2, 0, 0,
-                       0, theta, lam, 0,
-                       0, 0, 0, np.pi / 2])
-    target = two_site_unitary(alpha, beta, delta, dt)
-    if _triplet_distance(angles, target) > 1e-10:
-        raise RuntimeError("closed-form triplet angles miss the two-site exponential")
-    return angles
-
-
-def triplet_unitary(angles: np.ndarray) -> np.ndarray:
-    """Product of the three blocks (outer two reversed), first block rightmost."""
-    b1 = block_unitary(angles[0:4], reverse=True)
-    b2 = block_unitary(angles[4:8], reverse=False)
-    b3 = block_unitary(angles[8:12], reverse=True)
-    return b3 @ b2 @ b1
-
-
-def _triplet_distance(angles: np.ndarray, target: np.ndarray) -> float:
-    t = triplet_unitary(angles)
-    tr = np.trace(target.conj().T @ t)
-    phase = tr / abs(tr) if abs(tr) > 1e-12 else 1.0
-    return float(np.linalg.norm(t - phase * target))
+    a, b, c = alpha * dt, beta * dt, delta * dt
+    return np.array([a / 2 - np.pi / 2, -np.pi / 2, 0, 0,
+                     0, np.pi / 2 - c / 2, np.pi / 2 - b / 2, 0,
+                     0, 0, 0, np.pi / 2])
 
 
 def trotter_initialize(a: Ansatz, ham: XYZHamiltonian, dt: float, bits: str | None = None) -> np.ndarray:
@@ -372,6 +342,9 @@ def trotter_initialize(a: Ansatz, ham: XYZHamiltonian, dt: float, bits: str | No
 
 
 def export_circuit_records(a: Ansatz, theta: np.ndarray) -> list[str]:
-    """Primitive gate-list lines (rz/ry/cx) for the circuit at given angles."""
+    """Primitive gate-list lines (rz/ry/cx) for the circuit at given angles.
+
+    A rotation whose angle is exactly 0 is the identity and is left out.
+    """
     return [format_gate_line(name, qubits, () if angle is None else (angle,))
-            for name, qubits, angle, _ in _primitive_gates(a, _checked_theta(a, theta))]
+            for name, qubits, angle, _ in _primitive_gates(a, _checked_theta(a, theta)) if angle != 0.0]

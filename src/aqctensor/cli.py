@@ -133,17 +133,23 @@ def cmd_evolve(args) -> int:
 
 
 def _write_circuit(cfg, theta, out: Path) -> None:
-    """circuit.txt: the ansatz at theta, then the config's appended Trotter steps."""
-    from .ansatz import build_brickwork_ansatz, export_circuit_records
+    """circuit.txt: the ansatz at theta, then the config's appended Trotter steps.
+
+    The appended steps are the ansatz of append_steps layers at dt_app, at its
+    Trotter initialization: each two-site gate is three CNOTs and five
+    rotations. Rotations at angle 0 (the initial ones, and the field where
+    h = 0) are the identity and are left out.
+    """
+    from .ansatz import build_brickwork_ansatz, export_circuit_records, trotter_initialize
     from .gates import write_gate_list
-    from .hamiltonian import schedule_gate_records
 
     ham = resolve_hamiltonian(cfg)
     ansatz = build_brickwork_ansatz(cfg.n, cfg.layers, ham, cfg.dt,
                                     trainable_fields=cfg.trainable_fields)
     lines = export_circuit_records(ansatz, theta)
     if cfg.append_steps > 0:
-        lines += schedule_gate_records(ham, cfg.dt_app, cfg.append_steps)
+        steps = build_brickwork_ansatz(cfg.n, cfg.append_steps, ham, cfg.dt_app)
+        lines += export_circuit_records(steps, trotter_initialize(steps, ham, cfg.dt_app))
     write_gate_list(lines, str(_out_dir(out) / "circuit.txt"))  # made once theta is checked
 
 

@@ -24,11 +24,6 @@ CX_REVERSED = np.array(
 )
 
 
-def ry(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 def rz(theta: float) -> np.ndarray:
     return np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]])
 

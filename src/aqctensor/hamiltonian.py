@@ -10,6 +10,9 @@ a half step on even bonds, half field rotations, a full step on odd bonds, half
 field rotations, and a closing half step on even bonds. Across multiple steps
 the interior even half-steps are fused into full steps, so half-steps survive
 only at the circuit boundaries.
+
+The module knows Hamiltonians, schedules and TEBD only; the circuit form of a
+two-site gate (three CNOT blocks) lives in the ansatz.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import mps as mpslib
-from .gates import SX, SY, SZ, CircuitOp, cnot_depth_from_pairs, format_gate_line, rz
+from .gates import SX, SY, SZ, CircuitOp, cnot_depth_from_pairs, rz
 from .mps import MPS, TruncationPolicy
 
 _XX = np.kron(2 * SX, 2 * SX)
@@ -200,58 +203,20 @@ def tebd_evolve(
 
 
 def expectation_energy(ham: XYZHamiltonian, psi: MPS) -> float:
-    """<H> summed from two-site and one-site expectations on the MPS."""
-    e = 0.0
-    for i in range(ham.n - 1):
-        e += -mpslib.expectation_two(psi, ham.bond_matrix(i), i).real
-    for j in range(ham.n):
-        if ham.h[j] != 0.0:
-            e += ham.h[j] * mpslib.expectation_single(psi, SZ, j).real
-    return e
+    """<H> in one left-to-right sweep of the orthogonality center.
 
-
-# --- primitive (3-CNOT) realization, used for circuit export ----------------
-
-
-def triplet_angles(alpha: float, beta: float, delta: float, dt: float) -> tuple[float, float, float]:
-    """Closed-form (theta, phi, lam) of the 3-CNOT form of two_site_unitary(...)."""
-    a, b, c = alpha * dt, beta * dt, delta * dt
-    return np.pi / 2 - c / 2, a / 2 - np.pi / 2, np.pi / 2 - b / 2
-
-
-def two_site_gate_records(
-    i: int, alpha: float, beta: float, delta: float, dt: float
-) -> list[str]:
-    """Gate-list lines realizing two_site_unitary(...) on (i, i+1), up to phase.
-
-    Standard 3-CNOT form: the outer CNOTs point right-to-left, the middle one
-    left-to-right, with corner Rz(-pi/2) / Rz(pi/2) rotations.
+    With the center on site i, every term on i or (i, i + 1) is read from
+    those tensors alone; one QR step then moves the center to i + 1.
     """
-    theta, phi, lam = triplet_angles(alpha, beta, delta, dt)
-    j = i + 1
-    return [
-        format_gate_line("rz", [j], [-np.pi / 2]),
-        format_gate_line("cx", [j, i]),
-        format_gate_line("rz", [i], [theta]),
-        format_gate_line("ry", [j], [phi]),
-        format_gate_line("cx", [i, j]),
-        format_gate_line("ry", [j], [lam]),
-        format_gate_line("cx", [j, i]),
-        format_gate_line("rz", [i], [np.pi / 2]),
-    ]
-
-
-def schedule_gate_records(ham: XYZHamiltonian, dt: float, steps: int) -> list[str]:
-    """Primitive gate-list lines for the full fused Trotter schedule."""
-    lines: list[str] = []
-    schedule = build_trotter_schedule(ham, dt, steps)
-    for col in schedule.columns:
-        if col.tag == "field":
-            for g in col.gates:
-                lines.append(format_gate_line("rz", [g.sites[0]], [ham.h[g.sites[0]] * dt / 2]))
-        else:
-            tau = dt / 2 if col.tag == "even-half" else dt
-            for g in col.gates:
-                i = g.sites[0]
-                lines.extend(two_site_gate_records(i, ham.alpha[i], ham.beta[i], ham.delta[i], tau))
-    return lines
+    tensors = mpslib.canonicalize(psi, 0).tensors  # a fresh list: the QR steps replace its entries
+    e = 0.0
+    for i in range(ham.n):
+        t = tensors[i]
+        if ham.h[i] != 0.0:
+            e += ham.h[i] * np.vdot(t, np.matmul(SZ, t)).real
+        if i < ham.n - 1:
+            nxt = tensors[i + 1]
+            pair = (t.reshape(-1, t.shape[2]) @ nxt.reshape(nxt.shape[0], -1)).reshape(t.shape[0], 4, -1)
+            e -= np.vdot(pair, np.matmul(ham.bond_matrix(i), pair)).real
+            mpslib._shift_center_right(tensors, i)
+    return float(e)

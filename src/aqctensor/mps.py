@@ -338,19 +338,3 @@ def apply_ops(psi: MPS, ops: Iterable, policy: TruncationPolicy) -> MPS:
     for psi in iter_ops(psi, ops, policy):
         pass
     return psi
-
-
-def expectation_single(psi: MPS, op: np.ndarray, site: int) -> complex:
-    """<psi| op_site |psi> for a 2x2 operator at one site."""
-    p = canonicalize(psi, site)
-    t = p.tensors[site]
-    return complex(np.einsum("asb,st,atb->", t.conj(), op, t, optimize=True))
-
-
-def expectation_two(psi: MPS, op: np.ndarray, left_site: int) -> complex:
-    """<psi| op |psi> for a 4x4 operator on (left_site, left_site + 1)."""
-    p = canonicalize(psi, left_site)
-    a, b = p.tensors[left_site], p.tensors[left_site + 1]
-    theta = np.einsum("asb,btc->astc", a, b)
-    o4 = np.asarray(op).reshape(2, 2, 2, 2)
-    return complex(np.einsum("astc,stuv,auvc->", theta.conj(), o4, theta, optimize=True))

@@ -2,8 +2,9 @@
 
 dense_hamiltonian and sv_exact_evolution give exact evolution by dense
 diagonalization; statevector_to_mps and random_mps make test states;
-total_sz and initial_rotation are the closed forms the tests compare with.
-amplitude reads one basis-string coefficient of an MPS; parse_gate_line,
+total_sz and initial_rotation are the closed forms the tests compare with;
+block_unitary and triplet_unitary build the CNOT blocks of the ansatz as
+dense matrices. amplitude reads one basis-string coefficient of an MPS; parse_gate_line,
 read_gate_list and op_from_record read an exported circuit back into ops.
 cost_full_local_bruteforce enumerates all 2^n amplitudes of a small chain;
 probe_gradient_samples and variance_probe give the gradient of the order-k
@@ -14,9 +15,9 @@ import numpy as np
 from scipy.stats import unitary_group
 
 from aqctensor.ansatz import Ansatz, adjoint_ops, ansatz_ops
-from aqctensor.gates import CX_FORWARD, CX_REVERSED, SZ, CircuitOp, ry, rz
+from aqctensor.gates import CX_FORWARD, CX_REVERSED, SZ, CircuitOp, rz
 from aqctensor.hamiltonian import XYZHamiltonian
-from aqctensor.mps import (EXACT, MPS, TruncationPolicy, apply_ops, apply_two_site_gate, expectation_single,
+from aqctensor.mps import (EXACT, MPS, TruncationPolicy, apply_ops, apply_two_site_gate, canonicalize,
                            from_product_state, normalize)
 from aqctensor.statevector import MAX_QUBITS_CIRCUIT, _guard, mps_to_statevector
 
@@ -138,15 +139,48 @@ def random_mps(n: int, seed: int, entangling_layers: int = 2) -> MPS:
     return psi
 
 
+def expectation_single(psi: MPS, op: np.ndarray, site: int) -> complex:
+    """<psi| op_site |psi> for a 2x2 operator at one site."""
+    t = canonicalize(psi, site).tensors[site]
+    return complex(np.einsum("asb,st,atb->", t.conj(), op, t, optimize=True))
+
+
 def total_sz(psi: MPS) -> float:
     """Total-magnetization expectation sum_j <Sz_j>."""
     return sum(expectation_single(psi, SZ, j).real for j in range(psi.n))
+
+
+def ry(theta: float) -> np.ndarray:
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 def initial_rotation(angles: np.ndarray) -> np.ndarray:
     """Rz(a) Ry(b) Rz(c) on one qubit (rightmost factor acts first)."""
     a, b, c = angles
     return rz(a) @ ry(b) @ rz(c)
+
+
+def block_unitary(theta: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """4x4 matrix of a CNOT block on a (left, right) pair.
+
+    Normal direction: control = left qubit. All four angles at zero gives the
+    bare CNOT.
+    """
+    t1, t2, t3, t4 = theta
+    lc = ry(t1) @ rz(t2)
+    lt = ry(t3) @ rz(t4)
+    if reverse:
+        return np.kron(lt, lc) @ CX_REVERSED
+    return np.kron(lc, lt) @ CX_FORWARD
+
+
+def triplet_unitary(angles: np.ndarray) -> np.ndarray:
+    """Product of the three blocks of a slot (outer two reversed), first block rightmost."""
+    b1 = block_unitary(angles[0:4], reverse=True)
+    b2 = block_unitary(angles[4:8], reverse=False)
+    b3 = block_unitary(angles[8:12], reverse=True)
+    return b3 @ b2 @ b1
 
 
 def amplitude(psi: MPS, bits: str) -> complex:

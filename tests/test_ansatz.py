@@ -6,13 +6,11 @@ from aqctensor.ansatz import (
     ansatz_ops,
     adjoint_ops,
     apply_ansatz,
-    block_unitary,
     build_brickwork_ansatz,
     cnot_depth,
     export_circuit_records,
     slot_derivatives,
     solve_triplet_angles,
-    triplet_unitary,
     trotter_initialize,
 )
 from aqctensor.gates import CX_FORWARD, CX_REVERSED, CircuitOp, rz
@@ -32,8 +30,8 @@ from aqctensor.statevector import (
 )
 
 from conftest import EXACT
-from oracles import (amplitude, apply_ansatz_adjoint, initial_rotation, op_from_record, parse_gate_line,
-                     random_mps, read_gate_list)
+from oracles import (amplitude, apply_ansatz_adjoint, block_unitary, initial_rotation, op_from_record,
+                     parse_gate_line, random_mps, read_gate_list, triplet_unitary)
 
 
 def dense_ops_matrix(ops, n):

@@ -296,24 +296,61 @@ class TestExportCircuit:
         direct = sv_apply_schedule(basis_state("0000"), ansatz_ops(ansatz, np.array(report["theta_opt"])))
         assert sv_fidelity(state, direct) == pytest.approx(1.0, abs=1e-12)
 
+    @staticmethod
+    def export_with_appended_steps(tmp_path, config, theta):
+        """circuit.txt of export-circuit on a report holding config and theta, as parsed records."""
+        from oracles import read_gate_list
+
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"config": config, "theta_opt": list(theta)}))
+        out = tmp_path / "export"
+        assert run_cli("export-circuit", "--report", str(report), "--out", str(out)) == EXIT_OK
+        return read_gate_list(str(out / "circuit.txt"))
+
     def test_appended_steps_use_append_dt(self, tmp_path):
-        from aqctensor.ansatz import build_brickwork_ansatz
-        from aqctensor.hamiltonian import schedule_gate_records
+        from oracles import op_from_record
+        from aqctensor.ansatz import build_brickwork_ansatz, export_circuit_records
+        from aqctensor.hamiltonian import build_trotter_schedule
         from aqctensor.pipeline import RunConfig, resolve_hamiltonian
+        from aqctensor.statevector import sv_apply_schedule, sv_fidelity
 
         config = {"preset": "xxz", "n": 4, "layers": 1, "t": 0.6, "append_steps": 1, "append_dt": 0.25}
         cfg = RunConfig.from_dict(config)
         ham = resolve_hamiltonian(cfg)
-        theta = [0.1] * build_brickwork_ansatz(4, 1, ham, cfg.dt).num_params
-        report = tmp_path / "report.json"
-        report.write_text(json.dumps({"config": config, "theta_opt": theta}))
-        out = tmp_path / "export"
-        assert run_cli("export-circuit", "--report", str(report), "--out", str(out)) == EXIT_OK
+        ansatz = build_brickwork_ansatz(4, 1, ham, cfg.dt)
+        theta = np.full(ansatz.num_params, 0.1)
+        records = self.export_with_appended_steps(tmp_path, config, theta)
+        appended = [op_from_record(*rec) for rec in records[len(export_circuit_records(ansatz, theta)):]]
 
-        lines = (out / "circuit.txt").read_text().splitlines()
-        appended = schedule_gate_records(ham, 0.25, 1)
-        assert appended != schedule_gate_records(ham, cfg.dt, 1)
-        assert lines[-len(appended):] == appended
+        rng = np.random.default_rng(5)
+        start = rng.normal(size=16) + 1j * rng.normal(size=16)
+        start /= np.linalg.norm(start)
+        state = sv_apply_schedule(start, appended)
+        assert sv_fidelity(state, sv_apply_schedule(start, build_trotter_schedule(ham, 0.25, 1))) == \
+            pytest.approx(1.0, abs=1e-12)
+        assert sv_fidelity(state, sv_apply_schedule(start, build_trotter_schedule(ham, cfg.dt, 1))) < 1 - 1e-6
+
+    def test_appended_block_is_three_cx_and_five_rotations_per_gate(self, tmp_path):
+        from aqctensor.ansatz import build_brickwork_ansatz, export_circuit_records
+        from aqctensor.hamiltonian import build_trotter_schedule, random_xyz
+        from aqctensor.pipeline import RunConfig, resolve_hamiltonian
+
+        h = (0.3, 0.0, -0.2, 0.0, 0.1)
+        ham = random_xyz(5, 0.375, 1.125, seed=6).to_dict()
+        config = {"preset": None, "hamiltonian": dict(ham, h=list(h)), "n": 5, "layers": 1, "t": 0.6,
+                  "append_steps": 2, "append_dt": 0.2}
+        cfg = RunConfig.from_dict(config)
+        ansatz = build_brickwork_ansatz(5, 1, resolve_hamiltonian(cfg), cfg.dt)
+        theta = np.where(np.arange(ansatz.num_params) % 3 == 0, 0.0, 0.1)  # some exact zeros
+        records = self.export_with_appended_steps(tmp_path, config, theta)
+        assert all(angles[0] != 0.0 for name, _, angles in records if name != "cx")
+
+        appended = [name for name, _, _ in records[len(export_circuit_records(ansatz, theta)):]]
+        schedule = build_trotter_schedule(resolve_hamiltonian(cfg), 0.2, 2)
+        gates = sum(len(col.gates) for col in schedule.two_site_columns())
+        fields = 2 * 2 * sum(x != 0.0 for x in h)  # two field columns per step
+        assert appended.count("cx") == 3 * gates
+        assert len(appended) - appended.count("cx") == 5 * gates + fields
 
     def test_missing_theta_is_usage_error(self, tmp_path):
         bad = tmp_path / "report.json"

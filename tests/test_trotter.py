@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from aqctensor import hamiltonian
+from aqctensor.ansatz import build_brickwork_ansatz, export_circuit_records, trotter_initialize
 from aqctensor.gates import CircuitOp, rz
 from aqctensor.hamiltonian import (
     Column,
@@ -10,15 +11,14 @@ from aqctensor.hamiltonian import (
     build_trotter_schedule,
     expectation_energy,
     random_xyz,
-    schedule_gate_records,
     tebd_evolve,
     two_site_unitary,
 )
-from aqctensor.mps import fidelity, from_product_state
+from aqctensor.mps import MPS, canonicalize, fidelity, from_product_state
 from aqctensor.statevector import basis_state, mps_to_statevector, sv_apply_schedule, sv_fidelity
 
 from conftest import EXACT
-from oracles import sv_exact_evolution, total_sz
+from oracles import dense_hamiltonian, op_from_record, parse_gate_line, random_mps, sv_exact_evolution, total_sz
 
 
 def expm_eig(generator: np.ndarray) -> np.ndarray:
@@ -197,7 +197,7 @@ class TestColumnReuse:
         assert calls[0] <= 3 * (ham.n - 1)
 
     @pytest.mark.parametrize("steps", [1, 5, 40])
-    def test_columns_equal_a_fresh_build(self, steps, monkeypatch):
+    def test_columns_equal_a_fresh_build(self, steps):
         ham = self.ham()
         built, fresh = build_trotter_schedule(ham, 0.1, steps), fresh_schedule(ham, 0.1, steps)
         assert [c.tag for c in built.columns] == [c.tag for c in fresh.columns]
@@ -205,9 +205,6 @@ class TestColumnReuse:
             assert [g.sites for g in col.gates] == [g.sites for g in want.gates]
             assert all(np.array_equal(g.matrix, w.matrix) for g, w in zip(col.gates, want.gates))
         assert built.cnot_depth() == fresh.cnot_depth()
-        records = schedule_gate_records(ham, 0.1, steps)
-        monkeypatch.setattr(hamiltonian, "build_trotter_schedule", fresh_schedule)
-        assert schedule_gate_records(ham, 0.1, steps) == records
 
 
 class TestTebdEvolve:
@@ -283,39 +280,52 @@ class TestTebdEvolve:
         assert stats["discarded_weight"] == pytest.approx(0.0, abs=1e-12)
 
 
-class TestPrimitiveRecords:
-    def test_three_cnot_form_matches_exponential(self):
-        from oracles import op_from_record, parse_gate_line
-        from aqctensor.hamiltonian import two_site_gate_records
-        from aqctensor.statevector import sv_apply_schedule
+class TestExpectationEnergy:
+    @pytest.mark.parametrize("center", [None, 0, 5])
+    def test_equals_dense_expectation(self, center):
+        rng = np.random.default_rng(20)
+        base = random_xyz(6, 0.375, 1.125, seed=21)
+        ham = XYZHamiltonian(base.alpha, base.beta, base.delta, tuple(rng.uniform(-0.5, 0.5, 6)))
+        psi = random_mps(6, seed=22, entangling_layers=3)
+        if center is None:  # an invertible gauge on bond 2 leaves no site canonical
+            tensors = list(psi.tensors)
+            g = np.eye(tensors[2].shape[2]) + 0.3 * rng.normal(size=(tensors[2].shape[2],) * 2)
+            tensors[2] = tensors[2] @ g
+            tensors[3] = np.einsum("ab,bsc->asc", np.linalg.inv(g), tensors[3])
+            psi = MPS(tensors, center=None)
+        else:
+            psi = canonicalize(psi, center)
+        vec = mps_to_statevector(psi)
+        want = np.vdot(vec, dense_hamiltonian(ham) @ vec).real
+        assert expectation_energy(ham, psi) == pytest.approx(want, abs=1e-12)
 
+
+class TestPrimitiveRecords:
+    """Trotter steps as gate-list lines: the exported Trotter-initialized ansatz."""
+
+    @staticmethod
+    def trotter_ops(ham, dt, steps):
+        a = build_brickwork_ansatz(ham.n, steps, ham, dt)
+        return [op_from_record(*parse_gate_line(line))
+                for line in export_circuit_records(a, trotter_initialize(a, ham, dt))]
+
+    def test_three_cnot_form_matches_exponential(self):
+        # n = 2, one step, no field: two half-step gates, whose product is the full exponential
         rng = np.random.default_rng(14)
         for _ in range(5):
             a, b, d = rng.uniform(-1.5, 1.5, 3)
             dt = rng.uniform(0.05, 0.5)
-            ops = [op_from_record(*parse_gate_line(line))
-                   for line in two_site_gate_records(0, a, b, d, dt)]
-            dim = 4
-            built = np.eye(dim, dtype=complex)
-            for idx in range(dim):
-                col = np.zeros(dim, dtype=complex)
-                col[idx] = 1.0
-                built[:, idx] = sv_apply_schedule(col, ops)
+            ops = self.trotter_ops(XYZHamiltonian((a,), (b,), (d,), (0.0, 0.0)), dt, 1)
+            built = np.column_stack([sv_apply_schedule(col, ops) for col in np.eye(4, dtype=complex)])
             target = two_site_unitary(a, b, d, dt)
             overlap = abs(np.trace(target.conj().T @ built)) / 4
             assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_schedule_records_reproduce_evolution(self):
-        from oracles import op_from_record, parse_gate_line
-        from aqctensor.hamiltonian import schedule_gate_records
-        from aqctensor.statevector import sv_apply_schedule
-
         rng = np.random.default_rng(15)
         base = random_xyz(5, 0.375, 1.125, seed=16)
         ham = XYZHamiltonian(base.alpha, base.beta, base.delta, tuple(rng.uniform(-0.4, 0.4, 5)))
-        ops = [op_from_record(*parse_gate_line(line))
-               for line in schedule_gate_records(ham, 0.21, 2)]
-        from_records = sv_apply_schedule(basis_state("10101"), ops)
+        from_records = sv_apply_schedule(basis_state("10101"), self.trotter_ops(ham, 0.21, 2))
         direct = sv_apply_schedule(basis_state("10101"), build_trotter_schedule(ham, 0.21, 2))
         assert sv_fidelity(from_records, direct) == pytest.approx(1.0, abs=1e-12)
 
