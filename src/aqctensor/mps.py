@@ -14,13 +14,19 @@ overlap environments) is reshapes plus one matmul, never einsum or tensordot:
 einsum without optimize does not call BLAS.
 
 The factorizations on the gate path (the gate's SVD, the QR and LQ re-gauge
-steps) call LAPACK directly through scipy.linalg.lapack: one zgesdd per gate,
-one zgeqrf + zungqr per re-gauge step. The gate path factors 2x4 ... 256x256
-matrices, and at the small end numpy.linalg's Python wrapper (type checks,
-errstate, a fresh triu mask per QR) takes as long as LAPACK itself. A nonzero
-LAPACK info raises numpy.linalg.LinAlgError, as numpy.linalg does, so a failed
-factorization never reaches the truncation. SciPy loads its own OpenBLAS,
-apart from numpy's; OPENBLAS_NUM_THREADS sets the thread count of both.
+steps) call LAPACK directly through scipy.linalg.lapack, not numpy.linalg's
+slower wrapper: one zgesdd per gate, one zgeqrf + zungqr per re-gauge step. A
+nonzero LAPACK info raises numpy.linalg.LinAlgError, so a failed factorization
+never reaches the truncation. SciPy loads its own OpenBLAS, apart from numpy's;
+OPENBLAS_NUM_THREADS sets the thread count of both.
+
+Where a gate step's time goes, from replaying the gate calls of the bench's
+compile-n8-exact call (chi <= 16, 1 BLAS thread): LAPACK is 46% of a two-site
+step and the glue around it (unitarity check, re-gauge and theta matmuls,
+copies, bookkeeping) 54%; at chi 128 (evolve-n24-chi128) LAPACK is 87%. So a
+step that drops nothing skips the truncation sums and the rescale by 1, and R
+is masked in place. Every public gate call still checks its matrix: the shape,
+and max |u^dag u - 1| <= 1e-10, which also rejects NaN and inf.
 
 All operations return new MPS values; inputs are never mutated.
 """
@@ -39,7 +45,7 @@ from scipy.linalg import lapack
 logger = logging.getLogger(__name__)
 
 _UNITARY_ATOL = 1e-10
-_IDENTITY = {dim: np.eye(dim, dtype=int) for dim in (2, 4)}  # int: subtracts in place from any gram dtype
+_IDENTITY = {dim: np.eye(dim, dtype=complex) for dim in (2, 4)}
 
 
 @dataclass(frozen=True)
@@ -172,9 +178,7 @@ def normalize(psi: MPS) -> MPS:
 def _check_unitary(u: np.ndarray, dim: int) -> None:
     if u.shape != (dim, dim):
         raise ValueError(f"gate must be {dim}x{dim}, got {u.shape}")
-    gram = u.conj().T @ u
-    gram -= _IDENTITY[dim]
-    err = np.abs(gram).max()
+    err = np.maximum.reduce(np.abs(np.dot(u.conj().T, u) - _IDENTITY[dim]), axis=None)
     if not err <= _UNITARY_ATOL:  # also catches a NaN deviation
         raise ValueError(f"gate is not unitary (deviation {err:.2e})")
 
@@ -198,9 +202,9 @@ def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=128)
-def _upper(k: int, n: int) -> np.ndarray:
-    """Read-only boolean mask of the upper triangle of a k x n matrix (shared by every caller)."""
-    mask = np.triu(np.ones((k, n), dtype=bool))
+def _lower(k: int, n: int) -> np.ndarray:
+    """Read-only boolean mask of the strict lower triangle of a k x n matrix (shared by every caller)."""
+    mask = np.tri(k, n, -1, dtype=bool)
     mask.flags.writeable = False
     return mask
 
@@ -211,10 +215,12 @@ def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if info != 0:
         raise LinAlgError(f"zgeqrf failed with info {info}")
     k = tau.shape[0]
-    q, _, info = lapack.zungqr(qr[:, :k], tau)
+    q, _, info = lapack.zungqr(qr[:, :k], tau)  # on a copy: qr keeps R for the lines below
     if info != 0:
         raise LinAlgError(f"zungqr failed with info {info}")
-    return q, np.where(_upper(k, qr.shape[1]), qr[:k], 0)
+    r = qr[:k]
+    r[_lower(k, qr.shape[1])] = 0
+    return q, r
 
 
 def _shift_center_right(tensors: list[np.ndarray], c: int) -> None:
@@ -293,28 +299,25 @@ def apply_two_site_gate(
 
     uu, s, vh = _svd(theta.reshape(chi_l * 2, 2 * chi_r))
 
-    s2 = s * s
-    total = float(s2.sum())
-    keep = int(np.count_nonzero(s > policy.cutoff * s[0])) if s[0] > 0 else 1
+    cut = policy.cutoff * s[0]
+    keep = len(s) if s[-1] > cut else int(np.count_nonzero(s > cut)) if s[0] > 0 else 1
     if policy.chi_max is not None:
         keep = min(keep, policy.chi_max)
-    keep = max(keep, 1)
-    kept = float(s2[:keep].sum())
-    discarded = float(s2[keep:].sum())
-    if discarded > 0:
-        logger.debug(
-            "truncation at bond %d: kept %d of %d, discarded weight %.3e",
-            left_site, keep, len(s), discarded,
-        )
-    s = s[:keep]
-    if kept > 0:
-        s = s * math.sqrt(total / kept)
+    if keep < len(s):  # sorted s: nothing dropped otherwise, and the rescale would be by exactly 1
+        s2 = s * s
+        total, kept, discarded = float(s2.sum()), float(s2[:keep].sum()), float(s2[keep:].sum())
+        if discarded > 0:
+            logger.debug("truncation at bond %d: kept %d of %d, discarded weight %.3e",
+                         left_site, keep, len(s), discarded)
+        uu, s, vh = uu[:, :keep], s[:keep], vh[:keep]
+        if kept > 0 and kept != total:
+            s = s * math.sqrt(total / kept)
+        out.discarded_weight += discarded / total if total > 0 else 0.0
 
-    uu, vh = (uu[:, :keep] * s, vh[:keep]) if end_left else (uu[:, :keep], s[:, None] * vh[:keep])
+    uu, vh = (uu * s, vh) if end_left else (uu, s[:, None] * vh)
     tensors[left_site] = uu.reshape(chi_l, 2, keep)
     tensors[left_site + 1] = vh.reshape(keep, 2, chi_r)
     out.center = left_site if end_left else left_site + 1
-    out.discarded_weight += discarded / total if total > 0 else 0.0
     return out
 
 
@@ -322,8 +325,12 @@ def iter_ops(psi: MPS, ops: Iterable, policy: TruncationPolicy) -> Iterator[MPS]
     """Apply ops with .sites and .matrix in order, yielding the state after each.
 
     A two-site gate ends on its left site when the next two-site op lies further left.
+    Sites other than (i,) or (i, i + 1) raise ValueError before the first gate.
     """
     ops = list(ops)
+    for op in ops:
+        if len(op.sites) not in (1, 2) or op.sites[-1] != op.sites[0] + len(op.sites) - 1:
+            raise ValueError(f"op sites must be (i,) or (i, i + 1), got {tuple(op.sites)}")
     following = iter([op.sites[0] for op in ops if len(op.sites) == 2][1:] + [psi.n])
     for op in ops:
         if len(op.sites) == 1:

@@ -96,7 +96,9 @@ def minimize(
     returns the gradient at the theta where evaluate made point; it is asked
     at theta0 and at each accepted step, and no point is held past that call.
     Returns the best theta seen and the per-iteration trace, which starts
-    with a record of theta0 at iteration 0 and carries alpha1 = 0.
+    with a record of theta0 at iteration 0 and carries alpha1 = 0. A note left
+    empty by a reset or fallback reads memory_reset when a second curvature
+    skip in a row clears the L-BFGS memory.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     t0 = time.perf_counter()
@@ -165,6 +167,7 @@ def minimize(
                 s_list.clear()
                 y_list.clear()
                 consecutive_skips = 0
+                note = note or "memory_reset"
 
         decrease = cost - new_cost
         theta, cost, grad, infid = new_theta, new_cost, new_grad, new_infid

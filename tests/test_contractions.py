@@ -9,7 +9,7 @@ axis cannot cancel out.
 """
 import numpy as np
 import pytest
-from scipy.stats import unitary_group
+from scipy.stats import ortho_group, unitary_group
 
 from aqctensor.cost import _local_operator
 from aqctensor.mps import (
@@ -24,6 +24,7 @@ from aqctensor.mps import (
     apply_two_site_gate,
     canonicalize,
     from_product_state,
+    norm,
     normalize,
 )
 
@@ -200,17 +201,18 @@ class TestUnitarityTolerance:
     """The check allows a deviation |u^dag u - 1| of at most 1e-10."""
 
     @staticmethod
-    def perturbed(dim, eps, off_diagonal):
+    def perturbed(dim, eps, off_diagonal, real=False):
         """u (1 + eps A) for a random unitary u, so u'^dag u' - 1 = 2 eps A + eps^2 A^2.
 
         A is the identity, or the symmetric A with A[0, 1] = A[1, 0] = 1 and
-        zeros elsewhere.
+        zeros elsewhere. With real set, u is a real orthogonal matrix (float64).
         """
         a = np.eye(dim)
         if off_diagonal:
             a = np.zeros((dim, dim))
             a[0, 1] = a[1, 0] = 1.0
-        return unitary_group.rvs(dim, random_state=np.random.default_rng(dim)) @ (np.eye(dim) + eps * a)
+        group = ortho_group if real else unitary_group
+        return group.rvs(dim, random_state=np.random.default_rng(dim)) @ (np.eye(dim) + eps * a)
 
     @pytest.mark.parametrize("off_diagonal", [False, True])
     def test_single_site_gate(self, off_diagonal):
@@ -225,6 +227,16 @@ class TestUnitarityTolerance:
         with pytest.raises(ValueError, match="not unitary"):
             apply_two_site_gate(psi, self.perturbed(4, 1e-9, off_diagonal), 0, EXACT)
         apply_two_site_gate(psi, self.perturbed(4, 1e-12, off_diagonal), 0, EXACT)
+
+    @pytest.mark.parametrize("off_diagonal", [False, True])
+    def test_real_gates(self, off_diagonal):
+        psi = from_product_state("01")
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_single_site_gate(psi, self.perturbed(2, 1e-9, off_diagonal, real=True), 1)
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_two_site_gate(psi, self.perturbed(4, 1e-9, off_diagonal, real=True), 0, EXACT)
+        apply_single_site_gate(psi, self.perturbed(2, 1e-12, off_diagonal, real=True), 1)
+        apply_two_site_gate(psi, self.perturbed(4, 1e-12, off_diagonal, real=True), 0, EXACT)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the gram matrix
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -242,3 +254,50 @@ class TestUnitarityTolerance:
         out = apply_single_site_gate(psi, np.array([[0, 1], [1, 0]]), 1)
         out = apply_two_site_gate(out, np.eye(4, dtype=int)[[0, 1, 3, 2]], 0, EXACT)
         assert amplitude(out, "10") == pytest.approx(1.0)
+
+    @staticmethod
+    def unitaries(dtype):
+        """(2x2, 4x4) unitaries of one dtype; the complex64 ones are exact (Pauli Y and Y x S)."""
+        rng = np.random.default_rng(40)
+        if dtype == np.int64:
+            return np.array([[0, 1], [1, 0]]), np.eye(4, dtype=np.int64)[[0, 1, 3, 2]]
+        if dtype == np.float64:
+            return ortho_group.rvs(2, random_state=rng), ortho_group.rvs(4, random_state=rng)
+        if dtype == np.complex64:
+            y = np.array([[0, -1j], [1j, 0]], dtype=np.complex64)
+            return y, np.kron(y, np.diag([1, 1j]).astype(np.complex64))
+        return unitary_group.rvs(2, random_state=rng), unitary_group.rvs(4, random_state=rng)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.complex64, np.complex128])
+    def test_every_gate_dtype_passes_and_acts_as_complex128(self, dtype):
+        u2, u4 = self.unitaries(dtype)
+        assert (u2.dtype, u4.dtype) == (dtype, dtype)
+        psi = canonicalize(random_chain([1, 3, 2, 1], np.random.default_rng(41)), 1)
+        pairs = [(apply_single_site_gate(psi, u2, 1), apply_single_site_gate(psi, u2.astype(complex), 1)),
+                 (apply_two_site_gate(psi, u4, 1, EXACT), apply_two_site_gate(psi, u4.astype(complex), 1, EXACT))]
+        for out, ref in pairs:
+            for t, r in zip(out.tensors, ref.tensors):
+                np.testing.assert_allclose(t, r, rtol=0, atol=ATOL)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (3, 3), (4,), (2, 4), (1, 2, 2)])
+    def test_wrong_shape_raises(self, shape):
+        psi = from_product_state("01")
+        u = np.ones(shape)
+        if shape != (2, 2):
+            with pytest.raises(ValueError, match="gate must be 2x2"):
+                apply_single_site_gate(psi, u, 1)
+        if shape != (4, 4):
+            with pytest.raises(ValueError, match="gate must be 4x4"):
+                apply_two_site_gate(psi, u, 0, EXACT)
+
+    @pytest.mark.parametrize("end_left", [False, True])
+    def test_gate_that_drops_nothing_adds_exactly_zero(self, end_left):
+        rng = np.random.default_rng(42)
+        psi = canonicalize(random_chain([1, 2, 4, 3, 1], rng), 2)
+        for site in (1, 0, 2, 1):
+            out = apply_two_site_gate(psi, unitary_group.rvs(4, random_state=rng), site, EXACT, end_left)
+            chi_l, chi_r = psi.tensors[site].shape[0], psi.tensors[site + 1].shape[2]
+            assert out.bond_dims()[site] == min(2 * chi_l, 2 * chi_r)  # full rank: nothing dropped
+            assert out.discarded_weight == psi.discarded_weight == 0.0
+            assert norm(out) == pytest.approx(1.0, abs=1e-14)
+            psi = out

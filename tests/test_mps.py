@@ -6,6 +6,7 @@ from aqctensor.hamiltonian import random_xyz, tebd_evolve
 from aqctensor.mps import (
     MPS,
     TruncationPolicy,
+    apply_ops,
     apply_single_site_gate,
     apply_two_site_gate,
     canonicalize,
@@ -250,6 +251,17 @@ class TestIterOps:
         assert len(states) == len(ops)
         # a single-site op keeps the center; the last gate has no successor
         assert [psi.center for psi in states] == [3, 1, 1, 1, 3]
+
+
+    @pytest.mark.parametrize("sites", [(0, 2), (1, 0), (0, 1, 2), ()])
+    def test_ops_off_a_pair_of_neighbours_raise(self, sites):
+        matrix = np.eye(2 ** len(sites), dtype=complex)
+        ops = [CircuitOp((0,), X_GATE), CircuitOp(sites, matrix)]
+        psi = from_product_state("100")
+        with pytest.raises(ValueError, match="sites must be"):
+            apply_ops(psi, ops, EXACT)
+        with pytest.raises(ValueError, match="sites must be"):
+            next(iter_ops(psi, ops, EXACT))  # before the first gate, which is a valid one
 
 
 class TestCanonicalize:

@@ -3,6 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
+from aqctensor import optimize
 from aqctensor.optimize import OptimizerConfig, _backtrack, minimize
 
 
@@ -118,6 +119,30 @@ class TestContracts:
         rows = path.read_text().splitlines()
         assert rows[1].endswith(",")  # the start record has no note
         assert rows[-1].endswith(",line_search_failed")
+
+
+class TestMemoryReset:
+    """On a linear objective every y = g(new) - g(old) is 0, so every curvature pair is skipped."""
+
+    @staticmethod
+    def linear(x):
+        return float(np.sum(x)), np.ones_like(x)
+
+    def test_second_skip_in_a_row_is_noted(self):
+        _, trace = minimize(*split(self.linear), np.zeros(3), OptimizerConfig(max_iter=4))
+        assert [r.note for r in trace.records] == ["", "", "memory_reset", "", "memory_reset"]
+
+    def test_a_fallback_keeps_its_own_note(self, monkeypatch):
+        # the quasi-Newton search of iteration 2 fails, so its steepest-descent retry runs
+        calls = []
+
+        def failing_second(*args, _search=optimize._backtrack):
+            calls.append(len(calls))
+            return None if len(calls) == 2 else _search(*args)
+
+        monkeypatch.setattr(optimize, "_backtrack", failing_second)
+        _, trace = minimize(*split(self.linear), np.zeros(3), OptimizerConfig(max_iter=4))
+        assert [r.note for r in trace.records] == ["", "", "line_search_fallback", "", "memory_reset"]
 
 
 class Tag:
