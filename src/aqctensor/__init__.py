@@ -26,6 +26,7 @@ from .hamiltonian import (
     build_trotter_schedule,
     random_xyz,
     tebd_evolve,
+    trotter_columns,
     two_site_unitary,
 )
 from .mps import (

@@ -1,11 +1,12 @@
 """Brickwork parametric circuit made of 4-angle CNOT blocks.
 
 The circuit starts with three trainable rotations Rz Ry Rz on every qubit,
-then mirrors the fused second-order Trotter layout column for column: every
-two-site gate slot becomes a triplet of CNOT blocks (outer two with reversed
-CNOT direction) and every field column keeps its fixed, non-trainable
-rotations. The slot list Ansatz.columns is the only description of the
-circuit; _block states where each block's angles sit in theta.
+then mirrors the fused second-order Trotter layout (hamiltonian.trotter_columns)
+column for column: every two-site gate slot becomes a triplet of CNOT blocks
+(outer two with reversed CNOT direction) and every field column keeps its
+fixed, non-trainable rotations. The slot list Ansatz.columns is that layout
+and the only description of the circuit; _block states where each block's
+angles sit in theta, and cnot_depth gives the CNOT depth of any such layout.
 
 A CNOT block is a CNOT followed by Ry(t1) Rz(t2) on the control line and
 Ry(t3) Rz(t4) on the target line. With this layout a triplet reproduces the
@@ -33,17 +34,8 @@ from functools import cached_property
 import numpy as np
 
 from . import mps as mpslib
-from .gates import (
-    CX_FORWARD,
-    CX_REVERSED,
-    I2,
-    CircuitOp,
-    Y,
-    Z,
-    cnot_depth_from_pairs,
-    format_gate_line,
-)
-from .hamiltonian import XYZHamiltonian, build_trotter_schedule, sweep_order
+from .gates import CX_FORWARD, CX_REVERSED, I2, CircuitOp, Y, Z, format_gate_line
+from .hamiltonian import XYZHamiltonian, pair_time_step, sweep_order, trotter_columns
 from .mps import MPS, TruncationPolicy
 
 
@@ -54,7 +46,7 @@ class Ansatz:
     n: int
     dt: float
     field_phis: tuple[float, ...]  # per-qubit fixed angle h_i * dt (one full step)
-    columns: tuple[tuple[str, tuple[int, ...]], ...]  # (tag, left sites of pair slots)
+    columns: tuple[tuple[str, tuple[int, ...]], ...]  # trotter_columns: (tag, left sites of pair slots)
     trainable_fields: bool = False  # promote the field rotations into the parameter list
 
     @property
@@ -100,17 +92,14 @@ def _block(a: Ansatz, s: int, k: int, left: int) -> tuple[int, int, int]:
 def build_brickwork_ansatz(
     n: int, l: int, ham: XYZHamiltonian, dt: float, trainable_fields: bool = False
 ) -> Ansatz:
-    """Ansatz mirroring build_trotter_schedule(ham, dt, l) column for column."""
+    """Ansatz on trotter_columns(n, l), the layout of build_trotter_schedule(ham, dt, l)."""
     if n < 2:
         raise ValueError(f"need at least 2 qubits, got {n}")
     if l < 1:
         raise ValueError(f"need at least 1 layer, got {l}")
     if ham.n != n:
         raise ValueError(f"Hamiltonian has {ham.n} sites, expected {n}")
-    schedule = build_trotter_schedule(ham, dt, l)
-    columns = tuple((col.tag, () if col.tag == "field" else tuple(g.sites[0] for g in col.gates))
-                    for col in schedule.columns)
-    return Ansatz(n, dt, tuple(h * dt for h in ham.h), columns, trainable_fields)
+    return Ansatz(n, dt, tuple(h * dt for h in ham.h), trotter_columns(n, l), trainable_fields)
 
 
 # --- fused slots -------------------------------------------------------------
@@ -280,10 +269,17 @@ def apply_ansatz(a: Ansatz, theta: np.ndarray, psi_in: MPS, policy: TruncationPo
     return mpslib.normalize(mpslib.apply_ops(psi_in, ansatz_ops(a, theta), policy))
 
 
-def cnot_depth(a: Ansatz) -> int:
-    """CNOT depth of the ansatz (one CNOT per block, three blocks per slot)."""
-    return cnot_depth_from_pairs(((i, i + 1) for _, pairs in a.columns for i in pairs
-                                  for _ in range(3)), a.n)
+def cnot_depth(columns: tuple[tuple[str, tuple[int, ...]], ...]) -> int:
+    """CNOT depth of a column layout (trotter_columns, Ansatz.columns), three CNOTs per pair.
+
+    Each pair is a slot of three blocks, one CNOT each, as in the ansatz; the
+    depth is the greedy per-qubit levelling of the pairs in time order.
+    """
+    level: dict[int, int] = {}
+    for _, pairs in columns:
+        for i in pairs:
+            level[i] = level[i + 1] = max(level.get(i, 0), level.get(i + 1, 0)) + 3
+    return max(level.values(), default=0)
 
 
 # --- Trotter initialization --------------------------------------------------
@@ -332,7 +328,7 @@ def trotter_initialize(a: Ansatz, ham: XYZHamiltonian, dt: float, bits: str | No
                 theta[field_base + f * a.n + q] = a.field_phis[q] / 2
 
     for s, (tag, i) in enumerate(a.slot_multiset()):
-        tau = dt / 2 if tag == "even-half" else dt
+        tau = pair_time_step(tag, dt)
         o = _block(a, s, 0, i)[2]  # the slot's three blocks own 12 consecutive angles
         theta[o: o + 12] = solve_triplet_angles(ham.alpha[i], ham.beta[i], ham.delta[i], tau)
     return theta

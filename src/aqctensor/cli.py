@@ -228,31 +228,26 @@ def cmd_export_circuit(args) -> int:
 
 def run_self_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     """Oracle-equivalence and gradient suites used by the verify subcommand."""
-    from .ansatz import build_brickwork_ansatz, trotter_initialize
-    from .cost import CostConfig, cost_and_gradient, cost_local_truncated, gradient_fd
-    from .hamiltonian import random_xyz, tebd_evolve
-    from .mps import EXACT, from_product_state
-    from .statevector import mps_to_statevector, sv_fidelity
-
     from scipy.stats import unitary_group
 
-    from .mps import apply_two_site_gate
-    from .statevector import apply_gate, basis_state
+    from .ansatz import build_brickwork_ansatz, trotter_initialize
+    from .cost import CostConfig, cost_and_gradient, cost_local_truncated, gradient_fd
+    from .gates import CircuitOp
+    from .hamiltonian import build_trotter_schedule, random_xyz, tebd_evolve
+    from .mps import EXACT, apply_ops, from_product_state
+    from .statevector import basis_state, mps_to_statevector, sv_apply_schedule, sv_fidelity
 
     rng = np.random.default_rng(seed)
     results = []
 
     worst = 0.0
-    for i in range(5):
+    for _ in range(5):  # a random three-layer brickwork, on an MPS and on a dense state
         n = int(rng.integers(4, 9))
         bits = "".join(rng.choice(["0", "1"]) for _ in range(n))
-        psi = from_product_state(bits)
-        dense = basis_state(bits)
-        for layer in range(3):
-            for j in range(layer % 2, n - 1, 2):
-                u = unitary_group.rvs(4, random_state=rng)
-                psi = apply_two_site_gate(psi, u, j, EXACT)
-                dense = apply_gate(dense, u, (j, j + 1))
+        ops = [CircuitOp((j, j + 1), unitary_group.rvs(4, random_state=rng))
+               for layer in range(3) for j in range(layer % 2, n - 1, 2)]
+        psi = apply_ops(from_product_state(bits), ops, EXACT)
+        dense = sv_apply_schedule(basis_state(bits), ops)
         worst = max(worst, float(np.max(np.abs(mps_to_statevector(psi) - dense))))
     results.append(("oracle_amplitudes", worst < 1e-10, f"max amplitude deviation {worst:.2e}"))
 
@@ -262,9 +257,6 @@ def run_self_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
         ham = random_xyz(n, 0.375, 1.125, seed=seed + i)
         psi0 = from_product_state("101010")
         evolved = tebd_evolve(psi0, ham, 0.1, 2, EXACT)
-        from .hamiltonian import build_trotter_schedule
-        from .statevector import sv_apply_schedule
-
         dense = sv_apply_schedule(basis_state("101010"), build_trotter_schedule(ham, 0.1, 2))
         dense /= np.linalg.norm(dense)
         worst = max(worst, 1.0 - sv_fidelity(mps_to_statevector(evolved), dense))

@@ -1,4 +1,4 @@
-"""Elementary gates, circuit-op records, CNOT-depth accounting, gate-list text output."""
+"""Elementary gates, circuit-op records, gate-list text output."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -34,21 +34,6 @@ class CircuitOp:
 
     sites: tuple[int, ...]
     matrix: np.ndarray
-
-
-def cnot_depth_from_pairs(pairs: Iterable[tuple[int, int]], n: int) -> int:
-    """CNOT depth of a circuit given its CNOT placements in temporal order.
-
-    Greedy per-qubit levelling; equals the makespan of any as-late-as-possible
-    schedule since only CNOTs are counted.
-    """
-    level = [0] * n
-    depth = 0
-    for a, b in pairs:
-        d = max(level[a], level[b]) + 1
-        level[a] = level[b] = d
-        depth = max(depth, d)
-    return depth
 
 
 # --- plain-text gate list (one gate per line: name, qubits, angles) ---------

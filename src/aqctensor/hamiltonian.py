@@ -11,8 +11,10 @@ field rotations, and a closing half step on even bonds. Across multiple steps
 the interior even half-steps are fused into full steps, so half-steps survive
 only at the circuit boundaries.
 
-The module knows Hamiltonians, schedules and TEBD only; the circuit form of a
-two-site gate (three CNOT blocks) lives in the ansatz.
+trotter_columns is the one statement of that fused column layout; the gate
+schedule, the ansatz and every CNOT depth read it. The module knows
+Hamiltonians, schedules and TEBD only; the circuit form of a two-site gate
+(three CNOT blocks) and the CNOT depth of a layout live in the ansatz.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import mps as mpslib
-from .gates import SX, SY, SZ, CircuitOp, cnot_depth_from_pairs, rz
+from .gates import SX, SY, SZ, CircuitOp, rz
 from .mps import MPS, TruncationPolicy
 
 _XX = np.kron(2 * SX, 2 * SX)
@@ -114,36 +116,39 @@ class Column:
 class GateSchedule:
     """Fused second-order Trotter circuit: an ordered list of columns."""
 
-    n: int
     columns: tuple[Column, ...]
 
     def flat_gates(self) -> Iterator[CircuitOp]:
         for col in self.columns:
             yield from col.gates
 
-    def two_site_columns(self) -> list[Column]:
-        return [c for c in self.columns if c.tag != "field"]
 
-    def cnot_depth(self) -> int:
-        """Depth when every two-site gate is realized in its 3-CNOT form."""
-        pairs = []
-        for col in self.two_site_columns():
-            for g in col.gates:
-                pairs.extend([(g.sites[0], g.sites[1])] * 3)
-        return cnot_depth_from_pairs(pairs, self.n)
+def trotter_columns(n: int, steps: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """The fused layout of (U_trott(dt))^steps on n sites: (tag, left sites of its pairs) per column.
 
-
-def _pair_column(ham: XYZHamiltonian, start: int, tau: float, tag: str) -> Column:
-    gates = tuple(
-        CircuitOp((i, i + 1), two_site_unitary(ham.alpha[i], ham.beta[i], ham.delta[i], tau))
-        for i in range(start, ham.n - 1, 2)
-    )
-    return Column(tag, gates)
+    steps+1 even columns (the first and last are half-steps, interior ones are
+    fused full steps), steps odd columns, and 2*steps field columns (no pairs),
+    in the order even-half, (field, odd-full, field, even)*steps.
+    """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    even, odd = tuple(range(0, n - 1, 2)), tuple(range(1, n - 1, 2))
+    step = (("field", ()), ("odd-full", odd), ("field", ()))
+    fused = (*step, ("even-full", even)) * (steps - 1)
+    return (("even-half", even), *fused, *step, ("even-half", even))
 
 
-def _field_column(ham: XYZHamiltonian, dt: float) -> Column:
-    gates = tuple(CircuitOp((j,), rz(ham.h[j] * dt / 2)) for j in range(ham.n))
-    return Column("field", gates)
+def pair_time_step(tag: str, dt: float) -> float:
+    """Time step of a pair column: dt / 2 for an even-half column, dt for a full one."""
+    return dt / 2 if tag == "even-half" else dt
+
+
+def _column(ham: XYZHamiltonian, tag: str, pairs: tuple[int, ...], dt: float) -> Column:
+    if tag == "field":
+        return Column(tag, tuple(CircuitOp((j,), rz(ham.h[j] * dt / 2)) for j in range(ham.n)))
+    tau = pair_time_step(tag, dt)
+    gates = (two_site_unitary(ham.alpha[i], ham.beta[i], ham.delta[i], tau) for i in pairs)
+    return Column(tag, tuple(CircuitOp((i, i + 1), u) for i, u in zip(pairs, gates)))
 
 
 def sweep_order(tag: str, items: Sequence) -> Sequence:
@@ -156,19 +161,13 @@ def sweep_order(tag: str, items: Sequence) -> Sequence:
 
 
 def build_trotter_schedule(ham: XYZHamiltonian, dt: float, steps: int) -> GateSchedule:
-    """Fused schedule realizing (U_trott(dt))^steps.
+    """Fused schedule realizing (U_trott(dt))^steps: the gates of trotter_columns(ham.n, steps).
 
-    steps+1 even columns (the first and last are half-steps, interior ones are
-    fused full steps), steps odd columns, and 2*steps field columns, in the
-    order even-half, (field, odd-full, field, even)*steps; each distinct column is built once.
+    Each distinct column is built once and shared by every place it appears.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    even_half = _pair_column(ham, 0, dt / 2, "even-half")
-    field, odd = _field_column(ham, dt), _pair_column(ham, 1, dt, "odd-full")
-    inner = [field, odd, field, _pair_column(ham, 0, dt, "even-full")] if steps > 1 else []
-    cols = [even_half, *(inner * (steps - 1)), field, odd, field, even_half]
-    return GateSchedule(ham.n, tuple(cols))
+    layout = trotter_columns(ham.n, steps)
+    built = {tag: _column(ham, tag, pairs, dt) for tag, pairs in dict(layout).items()}
+    return GateSchedule(tuple(built[tag] for tag, _ in layout))
 
 
 def tebd_evolve(

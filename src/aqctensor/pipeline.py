@@ -39,12 +39,7 @@ from .ansatz import (
     trotter_initialize,
 )
 from .cost import CostConfig, cost_and_gradient, cost_local_truncated, default_alpha_schedule
-from .hamiltonian import (
-    XYZHamiltonian,
-    build_trotter_schedule,
-    random_xyz,
-    tebd_evolve,
-)
+from .hamiltonian import XYZHamiltonian, random_xyz, tebd_evolve, trotter_columns
 from .mps import MPS, TruncationPolicy, fidelity, from_product_state, max_bond
 from .optimize import OptimizationTrace, OptimizerConfig, minimize
 
@@ -341,8 +336,8 @@ def run_aqctensor(cfg: RunConfig, raise_on_error: bool = False) -> tuple[RunRepo
         ansatz = build_brickwork_ansatz(cfg.n, cfg.layers, ham, dt,
                                         trainable_fields=cfg.trainable_fields)
         theta0 = trotter_initialize(ansatz, ham, dt, bits=bits)
-        report.depths["ansatz"] = cnot_depth(ansatz)
-        report.depths["trotter_l"] = build_trotter_schedule(ham, dt, cfg.layers).cnot_depth()
+        report.depths["ansatz"] = cnot_depth(ansatz.columns)
+        report.depths["trotter_l"] = cnot_depth(trotter_columns(cfg.n, cfg.layers))
 
         stage = "optimize"
         t0 = time.perf_counter()
@@ -364,7 +359,7 @@ def run_aqctensor(cfg: RunConfig, raise_on_error: bool = False) -> tuple[RunRepo
             "a1_vs_t1": fidelity(a1, t1),
             "t1_double_vs_gt": fidelity(t1_double, target),
         }
-        report.depths["trotter_2l"] = build_trotter_schedule(ham, dt / 2, 2 * cfg.layers).cnot_depth()
+        report.depths["trotter_2l"] = cnot_depth(trotter_columns(cfg.n, 2 * cfg.layers))
         report.timings["fidelities"] = time.perf_counter() - t0
 
         if cfg.append_steps > 0:
@@ -470,8 +465,8 @@ def _append_stage(cfg, ham, psi0, target, a1, ansatz, gt_policy, evolution_polic
         "verified": verified,
         "ground_truth_dt": k * dt_app / gt2_stats["steps"],
         "ground_truth_discarded_weight": gt2.discarded_weight,
-        "depth_final": cnot_depth(ansatz) + build_trotter_schedule(ham, dt_app, k).cnot_depth(),
-        "depth_trotter_matched": build_trotter_schedule(ham, t_total / steps_ref, steps_ref).cnot_depth(),
+        "depth_final": cnot_depth(ansatz.columns) + cnot_depth(trotter_columns(cfg.n, k)),
+        "depth_trotter_matched": cnot_depth(trotter_columns(cfg.n, steps_ref)),
     }
 
 

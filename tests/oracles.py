@@ -4,7 +4,8 @@ dense_hamiltonian and sv_exact_evolution give exact evolution by dense
 diagonalization; statevector_to_mps and random_mps make test states;
 total_sz and initial_rotation are the closed forms the tests compare with;
 block_unitary and triplet_unitary build the CNOT blocks of the ansatz as
-dense matrices. amplitude reads one basis-string coefficient of an MPS; parse_gate_line,
+dense matrices; levelled_cnot_depth and schedule_cnot_depth count CNOT depth
+gate by gate. amplitude reads one basis-string coefficient of an MPS; parse_gate_line,
 read_gate_list and op_from_record read an exported circuit back into ops.
 cost_full_local_bruteforce enumerates all 2^n amplitudes of a small chain;
 probe_gradient_samples and variance_probe give the gradient of the order-k
@@ -16,7 +17,7 @@ from scipy.stats import unitary_group
 
 from aqctensor.ansatz import Ansatz, adjoint_ops, ansatz_ops
 from aqctensor.gates import CX_FORWARD, CX_REVERSED, SZ, CircuitOp, rz
-from aqctensor.hamiltonian import XYZHamiltonian
+from aqctensor.hamiltonian import GateSchedule, XYZHamiltonian
 from aqctensor.mps import (EXACT, MPS, TruncationPolicy, apply_ops, apply_two_site_gate, canonicalize,
                            from_product_state, normalize)
 from aqctensor.statevector import MAX_QUBITS_CIRCUIT, _guard, mps_to_statevector
@@ -181,6 +182,20 @@ def triplet_unitary(angles: np.ndarray) -> np.ndarray:
     b2 = block_unitary(angles[4:8], reverse=False)
     b3 = block_unitary(angles[8:12], reverse=True)
     return b3 @ b2 @ b1
+
+
+def levelled_cnot_depth(cnots, n: int) -> int:
+    """CNOT depth of CNOTs on these qubit pairs, in time order, by greedy per-qubit levelling."""
+    level = [0] * n
+    for a, b in cnots:
+        level[a] = level[b] = max(level[a], level[b]) + 1
+    return max(level)
+
+
+def schedule_cnot_depth(schedule: GateSchedule, n: int) -> int:
+    """CNOT depth of a dense Trotter schedule on n qubits, each two-site gate as three CNOTs."""
+    gates = [g.sites for g in schedule.flat_gates() if len(g.sites) == 2]
+    return levelled_cnot_depth([sites for sites in gates for _ in range(3)], n)
 
 
 def amplitude(psi: MPS, bits: str) -> complex:

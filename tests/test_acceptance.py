@@ -28,7 +28,8 @@ from aqctensor.pipeline import RunConfig, resolve_hamiltonian, run_aqctensor
 from aqctensor.statevector import basis_state, mps_to_statevector, sv_apply_schedule, sv_fidelity
 
 from conftest import EXACT, random_circuit_pair
-from oracles import cost_full_local_bruteforce, random_mps, sv_exact_evolution, variance_probe
+from oracles import (cost_full_local_bruteforce, random_mps, schedule_cnot_depth, sv_exact_evolution,
+                     variance_probe)
 
 PRESET_NAMES = ("random-xyz", "xxx", "xxz")
 
@@ -110,7 +111,7 @@ def test_criterion_04_parameter_count_and_depth():
             ham = XYZHamiltonian.uniform(n, 1, 1, 1)
             a = build_brickwork_ansatz(n, l, ham, 0.1)
             schedule = build_trotter_schedule(ham, 0.1, l)
-            if cnot_depth(a) != schedule.cnot_depth():
+            if cnot_depth(a.columns) != schedule_cnot_depth(schedule, n):
                 mismatches.append((n, l))
     passed = params == 108 and not mismatches
     report_line(4, passed, f"108 parameters confirmed; depth equality on 54 (n, l) pairs")

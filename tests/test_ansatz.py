@@ -19,6 +19,7 @@ from aqctensor.hamiltonian import (
     build_trotter_schedule,
     random_xyz,
     tebd_evolve,
+    trotter_columns,
     two_site_unitary,
 )
 from aqctensor.mps import fidelity, from_product_state
@@ -31,7 +32,7 @@ from aqctensor.statevector import (
 
 from conftest import EXACT
 from oracles import (amplitude, apply_ansatz_adjoint, block_unitary, initial_rotation, op_from_record,
-                     parse_gate_line, random_mps, read_gate_list, triplet_unitary)
+                     parse_gate_line, random_mps, read_gate_list, schedule_cnot_depth, triplet_unitary)
 
 
 def dense_ops_matrix(ops, n):
@@ -72,8 +73,18 @@ class TestStructure:
         ham = XYZHamiltonian.uniform(n, 1, 1, 1)
         a = build_brickwork_ansatz(n, l, ham, 0.2)
         schedule = build_trotter_schedule(ham, 0.2, l)
-        expected = [(c.tag, g.sites[0]) for c in schedule.two_site_columns() for g in c.gates]
+        expected = [(c.tag, g.sites[0]) for c in schedule.columns if c.tag != "field" for g in c.gates]
         assert a.slot_multiset() == expected
+
+    def test_building_needs_no_gate_matrix(self, monkeypatch):
+        from aqctensor import hamiltonian
+
+        def refuse(*args):
+            raise AssertionError("build_brickwork_ansatz built a two-site gate matrix")
+
+        monkeypatch.setattr(hamiltonian, "two_site_unitary", refuse)
+        a = build_brickwork_ansatz(5, 3, random_xyz(5, 0.375, 1.125, seed=4), 0.2)
+        assert a.columns == trotter_columns(5, 3)
 
     def test_parameter_count_formula(self):
         for n, l in [(3, 1), (6, 2), (9, 3)]:
@@ -338,18 +349,18 @@ class TestDepth:
     def test_depth_formula(self, n, l):
         ham = XYZHamiltonian.uniform(n, 1, 1, 1)
         a = build_brickwork_ansatz(n, l, ham, 0.1)
-        assert cnot_depth(a) == 3 * (2 * l + 1)
+        assert cnot_depth(a.columns) == 3 * (2 * l + 1)
 
     def test_two_qubit_depth(self):
         ham = XYZHamiltonian.uniform(2, 1, 1, 1)
         a = build_brickwork_ansatz(2, 1, ham, 0.1)
-        assert cnot_depth(a) == 6
+        assert cnot_depth(a.columns) == 6
 
     @pytest.mark.parametrize("n,l", [(4, 1), (5, 2), (8, 3), (9, 4)])
     def test_equals_trotter_depth(self, n, l):
         ham = XYZHamiltonian.uniform(n, 1, 1, 1)
         a = build_brickwork_ansatz(n, l, ham, 0.1)
-        assert cnot_depth(a) == build_trotter_schedule(ham, 0.1, l).cnot_depth()
+        assert cnot_depth(a.columns) == schedule_cnot_depth(build_trotter_schedule(ham, 0.1, l), n)
 
 
 class TestTrainableFields:

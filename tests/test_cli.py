@@ -347,7 +347,7 @@ class TestExportCircuit:
 
         appended = [name for name, _, _ in records[len(export_circuit_records(ansatz, theta)):]]
         schedule = build_trotter_schedule(resolve_hamiltonian(cfg), 0.2, 2)
-        gates = sum(len(col.gates) for col in schedule.two_site_columns())
+        gates = sum(len(g.sites) == 2 for g in schedule.flat_gates())
         fields = 2 * 2 * sum(x != 0.0 for x in h)  # two field columns per step
         assert appended.count("cx") == 3 * gates
         assert len(appended) - appended.count("cx") == 5 * gates + fields

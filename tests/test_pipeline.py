@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from aqctensor.hamiltonian import XYZHamiltonian
+from aqctensor.ansatz import build_brickwork_ansatz, export_circuit_records
+from aqctensor.hamiltonian import XYZHamiltonian, build_trotter_schedule
 from aqctensor.mps import TruncationPolicy, fidelity, from_product_state, max_bond
 from aqctensor.pipeline import (
     ConfigError,
@@ -20,7 +21,7 @@ from aqctensor.pipeline import (
 )
 from aqctensor.statevector import basis_state, mps_to_statevector, sv_fidelity
 
-from oracles import sv_exact_evolution
+from oracles import levelled_cnot_depth, parse_gate_line, schedule_cnot_depth, sv_exact_evolution
 
 
 def tiny_config(**overrides):
@@ -333,6 +334,29 @@ class TestRun:
         assert app["verified"] is True
         assert app["fidelity_final_vs_gt"] >= app["fidelity_trotter_matched_vs_gt"] - 1e-9
         assert app["depth_final"] == report.depths["ansatz"] + 3 * (2 * 2 + 1)
+
+
+class TestReportedDepths:
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    @pytest.mark.parametrize("layers", [1, 2, 5])
+    def test_every_depth_equals_the_gate_by_gate_count(self, n, layers):
+        # the ansatz from its exported cx gates, each Trotter circuit from its dense schedule
+        cfg = tiny_config(n=n, t=0.1 * layers, layers=layers, preset="random-xyz", max_iter=1,
+                          append_steps=2, append_dt=0.07)
+        report, _ = run_aqctensor(cfg, raise_on_error=True)
+        ham, dt, k = resolve_hamiltonian(cfg), cfg.dt, cfg.append_steps
+        records = map(parse_gate_line, export_circuit_records(build_brickwork_ansatz(n, layers, ham, dt),
+                                                              np.array(report.theta_opt)))
+        ansatz = levelled_cnot_depth([qubits for name, qubits, _ in records if name == "cx"], n)
+
+        def trotter(step, steps):
+            return schedule_cnot_depth(build_trotter_schedule(ham, step, steps), n)
+
+        assert report.depths == {"ansatz": ansatz, "trotter_l": trotter(dt, layers),
+                                 "trotter_2l": trotter(dt / 2, 2 * layers)}
+        assert report.append["depth_final"] == ansatz + trotter(cfg.dt_app, k)
+        t_total, steps_ref = report.append["t_total"], layers + k
+        assert report.append["depth_trotter_matched"] == trotter(t_total / steps_ref, steps_ref)
 
 
 def rerun_reference(ham, psi0, t_total, dt, policy):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from aqctensor import hamiltonian
-from aqctensor.ansatz import build_brickwork_ansatz, export_circuit_records, trotter_initialize
+from aqctensor.ansatz import (build_brickwork_ansatz, cnot_depth, export_circuit_records,
+                              trotter_initialize)
 from aqctensor.gates import CircuitOp, rz
 from aqctensor.hamiltonian import (
     Column,
@@ -12,13 +13,15 @@ from aqctensor.hamiltonian import (
     expectation_energy,
     random_xyz,
     tebd_evolve,
+    trotter_columns,
     two_site_unitary,
 )
 from aqctensor.mps import MPS, canonicalize, fidelity, from_product_state
 from aqctensor.statevector import basis_state, mps_to_statevector, sv_apply_schedule, sv_fidelity
 
 from conftest import EXACT
-from oracles import dense_hamiltonian, op_from_record, parse_gate_line, random_mps, sv_exact_evolution, total_sz
+from oracles import (dense_hamiltonian, op_from_record, parse_gate_line, random_mps, schedule_cnot_depth,
+                     sv_exact_evolution, total_sz)
 
 
 def expm_eig(generator: np.ndarray) -> np.ndarray:
@@ -134,7 +137,7 @@ class TestSchedule:
     def test_column_counts_with_fusion(self):
         ham = XYZHamiltonian.uniform(6, 1, 1, 1)
         schedule = build_trotter_schedule(ham, 0.1, 3)
-        two_site = schedule.two_site_columns()
+        two_site = [c for c in schedule.columns if c.tag != "field"]
         assert len(two_site) == 7  # 2 * 3 + 1 fused columns
         tags = [c.tag for c in schedule.columns if c.tag != "field"]
         assert tags[0] == "even-half" and tags[-1] == "even-half"
@@ -158,6 +161,26 @@ class TestSchedule:
         np.testing.assert_allclose(forward @ backward, np.eye(64), atol=1e-10)
 
 
+class TestTrotterColumns:
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    def test_layout_is_the_schedule_tags_and_pair_sites(self, n, steps):
+        schedule = build_trotter_schedule(random_xyz(n, 0.375, 1.125, seed=n), 0.1, steps)
+        expected = tuple((c.tag, tuple(g.sites[0] for g in c.gates if len(g.sites) == 2))
+                         for c in schedule.columns)
+        assert trotter_columns(n, steps) == expected
+
+    def test_two_sites_have_empty_odd_columns(self):
+        layout = trotter_columns(2, 3)
+        assert [pairs for tag, pairs in layout if tag == "odd-full"] == [()] * 3
+        assert all(pairs == (0,) for tag, pairs in layout if tag.startswith("even"))
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_steps_must_be_positive(self, steps):
+        with pytest.raises(ValueError):
+            trotter_columns(4, steps)
+
+
 def fresh_schedule(ham: XYZHamiltonian, dt: float, steps: int) -> GateSchedule:
     """Oracle: the fused schedule with every column built afresh, gate by gate."""
 
@@ -174,7 +197,7 @@ def fresh_schedule(ham: XYZHamiltonian, dt: float, steps: int) -> GateSchedule:
         last = s == steps - 1
         cols += [fields(), pairs(1, dt, "odd-full"), fields(),
                  pairs(0, dt / 2 if last else dt, "even-half" if last else "even-full")]
-    return GateSchedule(ham.n, tuple(cols))
+    return GateSchedule(tuple(cols))
 
 
 class TestColumnReuse:
@@ -204,7 +227,7 @@ class TestColumnReuse:
         for col, want in zip(built.columns, fresh.columns):
             assert [g.sites for g in col.gates] == [g.sites for g in want.gates]
             assert all(np.array_equal(g.matrix, w.matrix) for g, w in zip(col.gates, want.gates))
-        assert built.cnot_depth() == fresh.cnot_depth()
+        assert cnot_depth(trotter_columns(ham.n, steps)) == schedule_cnot_depth(fresh, ham.n)
 
 
 class TestTebdEvolve:
@@ -269,7 +292,7 @@ class TestTebdEvolve:
             monkeypatch.setattr(mps, name, counted)
         ham = random_xyz(12, 0.375, 1.125, seed=19)
         tebd_evolve(from_product_state("10" * 6), ham, 0.2, 4, EXACT)
-        gates = sum(len(c.gates) for c in build_trotter_schedule(ham, 0.2, 4).two_site_columns())
+        gates = sum(len(g.sites) == 2 for g in build_trotter_schedule(ham, 0.2, 4).flat_gates())
         assert calls[0] <= gates
 
     def test_stats_reporting(self):
