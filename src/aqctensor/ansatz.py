@@ -16,25 +16,27 @@ possible. It is the package's one realization of a two-site Trotter gate:
 Trotter steps are exported as the Trotter-initialized ansatz.
 
 For execution the circuit is fused: ansatz_ops returns one 4x4 op per
-two-site slot, the triplet B3 B2 B1 with the single-qubit rotations next to it
+two-site slot, its three blocks with the single-qubit rotations next to them
 multiplied in (a rotation joins the last slot that touched its qubit, or the
-first one that will). Every initial and field rotation is absorbed, so a cost
-sweep puts one SVD-truncated gate per slot on the MPS. The slot layout, which
-factor sits where and which angle drives it, is fixed per Ansatz and held in
-one padded factor table (Ansatz._layout): ansatz_ops builds every slot from
-it in one batched product per factor position, and slot_derivatives builds
-the derivatives of all angles of a slot (12 block angles plus absorbed
-initial and trainable field angles) from the same table.
+first one that will), so a cost sweep puts one SVD-truncated gate per slot on
+the MPS. Every slot has one closed form, M = D (K3 C3) (K2 C2) (K1 C1) E: C_j
+is block j's CNOT, K_j the kron of its two Ry Rz lines, E the Euler rotations
+of the qubits the slot opens (pending field angles summed in) and D the phase
+of the field angles after its last block. One walk over the columns lays out,
+once per Ansatz, which angles each slot sums into each layer
+(Ansatz._layout); ansatz_ops builds all slots from it at once, and
+slot_derivatives every derivative by one formula, dM = M Q^dagger lift(g) Q.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import mps as mpslib
-from .gates import CX_FORWARD, CX_REVERSED, I2, CircuitOp, Y, Z, format_gate_line
+from .gates import CX_FORWARD, CX_REVERSED, I2, CircuitOp, X, Y, Z, format_gate_line
 from .hamiltonian import XYZHamiltonian, pair_time_step, sweep_order, trotter_columns
 from .mps import MPS, TruncationPolicy
 
@@ -65,7 +67,7 @@ class Ansatz:
         return 3 * sum(len(pairs) for _, pairs in self.columns)
 
     @cached_property
-    def _layout(self) -> tuple:
+    def _layout(self) -> _Layout:
         """The fused slots of ansatz_ops (see _slot_layout); computed on first use."""
         return _slot_layout(self)
 
@@ -105,71 +107,76 @@ def build_brickwork_ansatz(
 # --- fused slots -------------------------------------------------------------
 
 
-_I4 = np.eye(4, dtype=complex)
+class _Layout(NamedTuple):
+    """Which angles each fused slot sums into which channel, slot rows in ansatz_ops order.
 
-# Every factor of a fused slot is A + cos(t/2) B + sin(t/2) C at its angle t,
-# with (A, B, C) picked by its kind: 0 is the identity that pads a slot after
-# its last factor, 1 and 2 the CNOT with control left or right, 3 + 2r + side
-# the rotation exp(-i t G / 2), G = Y (r = 0) or Z (r = 1), on the left (0) or
-# right (1) qubit of the pair. _GEN = C / 2 is a rotation's generator term -iG/2.
-_ROTATION_KIND = {(name, side): 3 + 2 * r + side for r, name in enumerate(("ry", "rz")) for side in (0, 1)}
-_GEN, _A, _B = np.zeros((3, 7, 4, 4), dtype=complex)
-_GEN[3:] = [m for g in (-0.5j * Y, -0.5j * Z) for m in (np.kron(g, I2), np.kron(I2, g))]
-_A[:3], _B[3:] = (_I4, CX_FORWARD, CX_REVERSED), _I4
-_C = 2 * _GEN
-
-
-def _factors(kinds: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """The 4x4 factors of these kinds whose angles t have these cos(t/2) and sin(t/2)."""
-    return _A[kinds] + cos[..., None, None] * _B[kinds] + sin[..., None, None] * _C[kinds]
-
-
-def _slot_layout(a: Ansatz):
-    """Fuse the gates of _primitive_gates into slots by the rule in ansatz_ops.
-
-    Returns (kinds, angles, fixed, slots), rows in ansatz_ops order: factor j
-    of slot s has kind kinds[s, j] and angle angles[s, j] of (theta, fixed),
-    where fixed holds the fixed field angles (a CNOT or padding reads entry -1,
-    whatever it holds: B and C are 0 there). slots holds (sites,
-    param_indices, their factor positions) per slot.
+    Channel (r, side, layer, 0 | 1) is the t or u of layer Ry(t) Rz(u) of slot
+    row r on its left (0) or right (1) qubit (see _prefixes). Term i adds angle
+    angles[i] of (theta, fixed) to the channel at flat index keys[i]; the
+    trainable terms give derivatives, their channels, and params, their angles.
     """
-    slots: list[tuple[int, list[tuple[int, int]]]] = []  # (left site, [(kind, angle index)])
-    owner: list[tuple | None] = [None] * a.n  # slot that last touched each qubit
-    pending: list[list[tuple]] = [[] for _ in range(a.n)]  # rotations before any slot
-    fixed: list[float] = []
-    blocks = 0
-    for name, qubits, angle, idx in _primitive_gates(a, np.zeros(a.num_params)):
-        if name == "cx":
-            if blocks % 3 == 0:  # the first of a slot's three blocks opens it
-                left = min(qubits)
-                slot = (left, [])
-                for side in (0, 1):
-                    slot[1].extend((_ROTATION_KIND[rot, side], i) for rot, i in pending[left + side])
-                    pending[left + side] = []
-                owner[left] = owner[left + 1] = slot
-                slots.append(slot)
-            blocks += 1
-            slot[1].append((1 if qubits[0] < qubits[1] else 2, -1))
+
+    sites: tuple[tuple[int, int], ...]
+    keys: np.ndarray
+    angles: np.ndarray
+    fixed: np.ndarray
+    derivatives: np.ndarray
+    params: tuple[tuple[int, ...], ...]
+
+
+# -i P / 2 lifted onto the left (0) or right (1) qubit of a pair, P = X, Y, Z
+_LIFTED = -0.5j * np.array([[np.kron(p, I2) for p in (X, Y, Z)], [np.kron(I2, p) for p in (X, Y, Z)]])
+# C before layers 1..5 as the rows of C Q: none before Rz(c) or D, blocks 1 and 3 reversed, 2 forward
+_CNOT_ROWS = [slice(None)] + [np.nonzero(cx)[1] for cx in (CX_REVERSED, CX_FORWARD, CX_REVERSED)] + [slice(None)]
+
+
+def _slot_layout(a: Ansatz) -> _Layout:
+    """One walk over a.columns: the angles each slot of ansatz_ops sums into each channel.
+
+    A rotation joins the last slot that touched its qubit; before that it joins
+    the next slot there, which opens the qubit: the initial rotation becomes its
+    layers (b, a) and (0, c), and pending field angles add to c. Field angles
+    after a slot's last block, until the next slot on the qubit, add to d.
+    """
+    n, num_params = a.n, a.num_params
+    terms = []  # (slot, side, channel = 2 layer + (0 | 1), angle index) of the Euler and field angles
+    owner: list[tuple[int, int] | None] = [None] * n  # (slot, side) that last touched each qubit
+    pending: list[list[int]] = [[] for _ in range(n)]
+    fields = iter(np.arange(3 * n + 4 * a.num_blocks, num_params).reshape(-1, n).tolist())  # trainable
+    lefts, order = [], []
+    for tag, pairs in a.columns:
+        if tag == "field":  # the fixed field angles sit after theta
+            for q, idx in enumerate(next(fields) if a.trainable_fields else range(num_params, num_params + n)):
+                if owner[q] is None:
+                    pending[q].append(idx)
+                else:
+                    terms.append((*owner[q], 11, idx))  # layer 5, (0, d)
             continue
-        if idx < 0:  # a fixed rotation: its angle goes after theta
-            idx = a.num_params + len(fixed)
-            fixed.append(angle)
-        if owner[qubits[0]] is None:
-            pending[qubits[0]].append((name, idx))
-        else:
-            left, factors = owner[qubits[0]]
-            factors.append((_ROTATION_KIND[name, qubits[0] - left], idx))
-    ids = iter(slots)
-    slots = [s for tag, pairs in a.columns for s in sweep_order(tag, [next(ids) for _ in pairs])]
-    kinds = np.zeros((len(slots), max(len(f) for _, f in slots)), dtype=np.int8)
-    angles = np.full(kinds.shape, -1)
-    records = []
-    for s, (left, factors) in enumerate(slots):
-        kinds[s, :len(factors)], angles[s, :len(factors)] = zip(*factors)
-        pos = np.flatnonzero((angles[s] >= 0) & (angles[s] < a.num_params))
-        records.append(((left, left + 1), tuple(angles[s, pos].tolist()), pos))
-    layout = kinds, angles, np.array(fixed), tuple(records)
-    for arr in (*layout[:3], *(r[2] for r in records)):
+        for left in pairs:
+            s = len(lefts)
+            for side, q in enumerate((left, left + 1)):
+                if owner[q] is None:  # Ry(b) Rz(a), then Rz(c) with the pending fields
+                    terms += [(s, side, 0, 3 * q + 1), (s, side, 1, 3 * q + 2), (s, side, 3, 3 * q)]
+                    terms += [(s, side, 3, i) for i in pending[q]]
+                owner[q] = (s, side)
+            lefts.append(left)
+        order.extend(sweep_order(tag, range(len(lefts) - len(pairs), len(lefts))))
+
+    blocks = []  # the block terms of slot 0 on sites (0, 1); slot s adds 12 s to the angle
+    for k in range(3):
+        control, target, o = _block(a, 0, k, 0)
+        blocks += [(0, q, 4 + 2 * k + j, i + j) for q, i in ((control, o), (target, o + 2)) for j in (0, 1)]
+    blocks = np.array(blocks) + np.multiply.outer(np.arange(len(lefts)), [1, 0, 0, 12])[:, None]
+    terms = np.concatenate([np.array(terms).reshape(-1, 4), *blocks])
+    terms[:, 0] = np.argsort(order)[terms[:, 0]]  # the row of each slot in ansatz_ops order
+    row, side, channel, angles = terms[np.argsort(terms[:, 0], kind="stable")].T
+    trainable = angles < num_params
+    sizes = np.bincount(row[trainable], minlength=len(order))
+    layout = _Layout(tuple((lefts[s], lefts[s] + 1) for s in order), (2 * row + side) * 12 + channel, angles,
+                     np.array([] if a.trainable_fields else a.field_phis) / 2,
+                     np.stack([row, side, *np.divmod(channel, 2)], 1)[trainable],
+                     tuple(tuple(x.tolist()) for x in np.split(angles[trainable], np.cumsum(sizes)[:-1])))
+    for arr in layout[1:5]:
         arr.flags.writeable = False
     return layout
 
@@ -184,77 +191,73 @@ def _checked_theta(a: Ansatz, theta: np.ndarray) -> np.ndarray:
 
 
 def _primitive_gates(a: Ansatz, theta: np.ndarray):
-    """The circuit gate by gate in time order: (rz | ry | cx, qubits, angle, parameter index)."""
+    """The circuit gate by gate in time order: (rz | ry | cx, qubits, angle or None)."""
     for q in range(a.n):  # initial rotation: Rz(theta_3q) Ry(theta_3q+1) Rz(theta_3q+2)
         for name, j in (("rz", 3 * q + 2), ("ry", 3 * q + 1), ("rz", 3 * q)):
-            yield name, (q,), theta[j], j
-    field_base = 3 * a.n + 4 * a.num_blocks
-    field_column = 0
+            yield name, (q,), theta[j]
+    fields = iter(theta[3 * a.n + 4 * a.num_blocks:].reshape(-1, a.n))  # one row per field column
     s = 0  # two-site slot index
     for tag, pairs in a.columns:
         if tag == "field":
-            for q in range(a.n):
-                if a.trainable_fields:
-                    idx = field_base + field_column * a.n + q
-                    yield "rz", (q,), theta[idx], idx
-                else:
-                    yield "rz", (q,), a.field_phis[q] / 2, -1
-            field_column += 1
+            angles = next(fields) if a.trainable_fields else [phi / 2 for phi in a.field_phis]
+            yield from (("rz", (q,), angles[q]) for q in range(a.n))
             continue
         for left in pairs:
             for k in range(3):
                 control, target, o = _block(a, s, k, left)
-                yield "cx", (control, target), None, -1
-                yield "rz", (control,), theta[o + 1], o + 1
-                yield "ry", (control,), theta[o], o
-                yield "rz", (target,), theta[o + 3], o + 3
-                yield "ry", (target,), theta[o + 2], o + 2
+                yield "cx", (control, target), None
+                for q, i in ((control, o), (target, o + 2)):
+                    yield "rz", (q,), theta[i + 1]
+                    yield "ry", (q,), theta[i]
             s += 1
 
 
-def _slot_factors(a: Ansatz, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """kinds, cos(t/2) and sin(t/2) of every factor of every slot at these parameters, (S, F) each."""
-    kinds, angles, fixed, _ = a._layout
-    half = np.concatenate([_checked_theta(a, theta), fixed]) / 2
-    return kinds, np.cos(half)[angles], np.sin(half)[angles]
+def _prefixes(a: Ansatz, theta: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(channels, Q) of every slot at these parameters; Q[5] is the slot matrix M.
+
+    M = D (K3 C3) (K2 C2) (K1 C1) E is six local layers kron(Ry(t) Rz(u),
+    Ry(t') Rz(u')) with a CNOT C_j before each block layer K_j: E is the
+    Euler rotations Rz(c) Ry(b) Rz(a) as layers 0 = (b, a) and 1 = (0, c), and
+    D the trailing field phases, layer 5 = (0, d). channels (S, 2, 6, 2) holds
+    each layer's (t, u) per qubit, Q[j] (S, 4, 4) the product up to layer j.
+    """
+    lay = a._layout
+    angles = np.concatenate([_checked_theta(a, theta), lay.fixed])[lay.angles]
+    channels = np.bincount(lay.keys, angles, len(lay.sites) * 24).reshape(-1, 2, 6, 2)
+    c, s, p = np.cos(channels[..., 0] / 2), np.sin(channels[..., 0] / 2), np.exp(-0.5j * channels[..., 1])
+    lines = np.stack([c * p, -s * p.conj(), s * p, c * p.conj()], -1).reshape(-1, 2, 6, 2, 2)  # Ry(t) Rz(u)
+    layers = np.einsum("sjab,sjcd->sjacbd", lines[:, 0], lines[:, 1]).reshape(-1, 6, 4, 4)
+    q = [layers[:, 0]]
+    for j, rows in enumerate(_CNOT_ROWS, start=1):
+        q.append(layers[:, j] @ q[-1][:, rows])
+    return channels, q
 
 
 def ansatz_ops(a: Ansatz, theta: np.ndarray) -> list[CircuitOp]:
-    """The circuit at the given parameters as one fused op per two-site slot, column by column.
+    """The circuit at the given parameters as one fused op per two-site slot (see _slot_layout).
 
-    A rotation joins the last slot that touched its qubit; before any slot has
-    touched the qubit it joins the next one there, as its first factor. The
-    slots of a column come in sweep_order.
+    Slots come column by column, a column's slots in sweep_order.
     """
-    kinds, cos, sin = _slot_factors(a, theta)
-    product = np.broadcast_to(_I4, (len(kinds), 4, 4))
-    for j in range(kinds.shape[1]):
-        product = _factors(kinds[:, j], cos[:, j], sin[:, j]) @ product
-    return [CircuitOp(sites, m) for (sites, _, _), m in zip(a._layout[3], product)]
+    return [CircuitOp(sites, m) for sites, m in zip(a._layout.sites, _prefixes(a, theta)[1][5])]
 
 
 def slot_derivatives(a: Ansatz, theta: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """(param_indices, derivatives (P, 4, 4)) of each slot matrix of ansatz_ops, in its order.
 
-    The angle of factor j drives R_j = exp(-i t G / 2), so its derivative is
-    S_{j+1} (-iG/2) P_{j+1}, with P_{j+1} the product of the factors up to
-    and including R_j and S_{j+1} that of the factors after it. The suffixes
-    S of all slots are built together, one batched product per factor
-    position from the last (the identity that pads a short slot leaves them
-    unchanged). Every factor is unitary, so P_j = S_j^dagger S_0; it is formed
-    only at the positions of the angles, gathered from all slots into one batch.
+    Each angle drives a rotation exp(-i t P / 2) in a layer Ry(t) Rz(u) of
+    _prefixes. With Q the prefix after that layer and X Q the product up to
+    and including the rotation, dM = M Q^dagger lift(g) Q with the 2x2
+    g = X^dagger (-iP/2) X: -iY/2 for the Ry, -i/2 (cos(t) Z + sin(t) X) for
+    the Rz under it; so -iZ/2 for c, d and every field angle summed into them.
     """
-    kinds, cos, sin = _slot_factors(a, theta)
-    suffixes = np.empty((len(kinds), kinds.shape[1] + 1, 4, 4), dtype=complex)
-    suffixes[:, -1] = _I4
-    for j in range(kinds.shape[1] - 1, -1, -1):
-        np.matmul(suffixes[:, j + 1], _factors(kinds[:, j], cos[:, j], sin[:, j]), out=suffixes[:, j])
-    slots = a._layout[3]
-    sizes = [len(positions) for _, _, positions in slots]
-    rows, pos = np.repeat(np.arange(len(slots)), sizes), np.concatenate([p for _, _, p in slots])
-    after = suffixes[rows, pos + 1]
-    dmats = after @ _GEN[kinds[rows, pos]] @ (after.conj().swapaxes(-1, -2) @ suffixes[rows, 0])
-    return [(params, d) for (_, params, _), d in zip(slots, np.split(dmats, np.cumsum(sizes)[:-1]))]
+    lay = a._layout
+    channels, q = _prefixes(a, theta)
+    q = np.stack(q, 1)
+    rows, side, layer, rz = lay.derivatives.T
+    phi = (channels[rows, side, layer, 0] * rz)[:, None, None]  # the layer's t for an Rz, 0 for the Ry
+    g = np.cos(phi) * _LIFTED[side, 1 + rz] + np.sin(phi) * _LIFTED[side, 0]  # P = Y or Z
+    dmats = (q[:, 5:] @ q.conj().swapaxes(-1, -2))[rows, layer] @ g @ q[rows, layer]
+    return list(zip(lay.params, np.split(dmats, np.cumsum([len(p) for p in lay.params])[:-1])))
 
 
 def adjoint_ops(ops: list[CircuitOp]) -> list[CircuitOp]:
@@ -321,11 +324,7 @@ def trotter_initialize(a: Ansatz, ham: XYZHamiltonian, dt: float, bits: str | No
     for q, ch in enumerate(bits):
         if ch == "1":
             theta[3 * q + 1] = np.pi  # Rz(0) Ry(pi) Rz(0) |0> = |1>
-    if a.trainable_fields:
-        field_base = 3 * a.n + 4 * a.num_blocks
-        for f in range(a.num_field_params // a.n):
-            for q in range(a.n):
-                theta[field_base + f * a.n + q] = a.field_phis[q] / 2
+    theta[3 * a.n + 4 * a.num_blocks:] = np.tile(a.field_phis, a.num_field_params // a.n) / 2  # trainable fields
 
     for s, (tag, i) in enumerate(a.slot_multiset()):
         tau = pair_time_step(tag, dt)
@@ -343,4 +342,4 @@ def export_circuit_records(a: Ansatz, theta: np.ndarray) -> list[str]:
     A rotation whose angle is exactly 0 is the identity and is left out.
     """
     return [format_gate_line(name, qubits, () if angle is None else (angle,))
-            for name, qubits, angle, _ in _primitive_gates(a, _checked_theta(a, theta)) if angle != 0.0]
+            for name, qubits, angle in _primitive_gates(a, _checked_theta(a, theta)) if angle != 0.0]

@@ -4,8 +4,9 @@ dense_hamiltonian and sv_exact_evolution give exact evolution by dense
 diagonalization; statevector_to_mps and random_mps make test states;
 total_sz and initial_rotation are the closed forms the tests compare with;
 block_unitary and triplet_unitary build the CNOT blocks of the ansatz as
-dense matrices; levelled_cnot_depth and schedule_cnot_depth count CNOT depth
-gate by gate. amplitude reads one basis-string coefficient of an MPS; parse_gate_line,
+dense matrices, and gate_walk_slots fuses its slots gate by gate;
+levelled_cnot_depth and schedule_cnot_depth count CNOT depth gate by gate.
+amplitude reads one basis-string coefficient of an MPS; parse_gate_line,
 read_gate_list and op_from_record read an exported circuit back into ops.
 cost_full_local_bruteforce enumerates all 2^n amplitudes of a small chain;
 probe_gradient_samples and variance_probe give the gradient of the order-k
@@ -17,7 +18,7 @@ from scipy.stats import unitary_group
 
 from aqctensor.ansatz import Ansatz, adjoint_ops, ansatz_ops
 from aqctensor.gates import CX_FORWARD, CX_REVERSED, SZ, CircuitOp, rz
-from aqctensor.hamiltonian import GateSchedule, XYZHamiltonian
+from aqctensor.hamiltonian import GateSchedule, XYZHamiltonian, sweep_order
 from aqctensor.mps import (EXACT, MPS, TruncationPolicy, apply_ops, apply_two_site_gate, canonicalize,
                            from_product_state, normalize)
 from aqctensor.statevector import MAX_QUBITS_CIRCUIT, _guard, mps_to_statevector
@@ -182,6 +183,58 @@ def triplet_unitary(angles: np.ndarray) -> np.ndarray:
     b2 = block_unitary(angles[4:8], reverse=False)
     b3 = block_unitary(angles[8:12], reverse=True)
     return b3 @ b2 @ b1
+
+
+def gate_walk_slots(a: Ansatz, theta: np.ndarray) -> list[CircuitOp]:
+    """ansatz_ops by walking the circuit gate by gate: each slot is the 4x4 product of its gates.
+
+    The circuit in time order is Rz(theta_3q+2), Ry(theta_3q+1), Rz(theta_3q)
+    on every qubit, then per column either one field Rz per qubit or, per
+    pair, three CNOT blocks: CX, then Rz, Ry on the control and Rz, Ry on the
+    target line (block k of slot s owns angles 3n + 12s + 4k .. +4: the
+    control line's Ry, Rz at +0, +1, the target line's at +2, +3; blocks 1
+    and 3 reversed). A rotation joins the last slot that touched its qubit; before
+    any slot has touched the qubit it waits for the next slot there and goes
+    in before its first CNOT. A column's slots come in sweep_order.
+    """
+    n = a.n
+    gates = [(name, q, theta[3 * q + j]) for q in range(n) for name, j in (("rz", 2), ("ry", 1), ("rz", 0))]
+    field, s = 3 * n + 4 * a.num_blocks, 0
+    for tag, pairs in a.columns:
+        if tag == "field":
+            gates += [("rz", q, theta[field + q] if a.trainable_fields else a.field_phis[q] / 2) for q in range(n)]
+            field += n if a.trainable_fields else 0
+            continue
+        for i in pairs:
+            for k in range(3):
+                o = 3 * n + 12 * s + 4 * k
+                control, target = (i + 1, i) if k % 2 == 0 else (i, i + 1)
+                gates += [("cx", control, target), ("rz", control, theta[o + 1]), ("ry", control, theta[o]),
+                          ("rz", target, theta[o + 3]), ("ry", target, theta[o + 2])]
+            s += 1
+
+    def lift(m, left, q):
+        return np.kron(m, np.eye(2)) if q == left else np.kron(np.eye(2), m)
+
+    slots, owner, pending, cnots = [], [None] * n, [[] for _ in range(n)], 0
+    for name, q, value in gates:
+        if name == "cx":
+            if cnots % 3 == 0:  # a slot's three CNOTs come one after another; the first opens it
+                slot = [min(q, value), np.eye(4, dtype=complex)]
+                for p in (slot[0], slot[0] + 1):
+                    for m in pending[p]:
+                        slot[1] = lift(m, slot[0], p) @ slot[1]
+                    pending[p], owner[p] = [], slot
+                slots.append(slot)
+            slot[1] = (CX_FORWARD if q < value else CX_REVERSED) @ slot[1]
+            cnots += 1
+        elif owner[q] is None:
+            pending[q].append(rz(value) if name == "rz" else ry(value))
+        else:
+            owner[q][1] = lift(rz(value) if name == "rz" else ry(value), owner[q][0], q) @ owner[q][1]
+    ids = iter(slots)
+    ordered = [slot for tag, pairs in a.columns for slot in sweep_order(tag, [next(ids) for _ in pairs])]
+    return [CircuitOp((left, left + 1), matrix) for left, matrix in ordered]
 
 
 def levelled_cnot_depth(cnots, n: int) -> int:

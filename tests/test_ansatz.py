@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from aqctensor import ansatz
 from aqctensor.ansatz import (
-    _factors,
     ansatz_ops,
     adjoint_ops,
     apply_ansatz,
@@ -31,8 +31,9 @@ from aqctensor.statevector import (
 )
 
 from conftest import EXACT
-from oracles import (amplitude, apply_ansatz_adjoint, block_unitary, initial_rotation, op_from_record,
-                     parse_gate_line, random_mps, read_gate_list, schedule_cnot_depth, triplet_unitary)
+from oracles import (amplitude, apply_ansatz_adjoint, block_unitary, gate_walk_slots, initial_rotation,
+                     op_from_record, parse_gate_line, random_mps, read_gate_list, schedule_cnot_depth,
+                     triplet_unitary)
 
 
 def dense_ops_matrix(ops, n):
@@ -115,46 +116,68 @@ class TestBlockUnitary:
 
 
 SLOT_SHAPES = [(2, 1, False), (5, 2, True), (8, 4, False), (17, 1, True), (32, 2, False)]
+# Shapes run with a field h = 0.3 on every site. At odd n the last qubit's first slot comes after a
+# field column, so a field rotation waits for it: fixed at (3, 1, False), trainable at (5, 2) and
+# (7, 3). At n = 2 both qubits sit out the odd columns, so a slot absorbs two field columns on
+# each after its last block.
+FIELD_SHAPES = [(3, 1, False), (2, 1, True), (2, 1, False), (5, 2, True), (7, 3, True)]
+FIELD_IDS = ["h-" + "-".join(map(str, shape)) for shape in FIELD_SHAPES]
+
+
+def slot_ansatz(n, l, trainable_fields, seed, dt, h=0.0):
+    base = random_xyz(n, 0.375, 1.125, seed=seed)
+    ham = XYZHamiltonian(base.alpha, base.beta, base.delta, (h,) * n) if h else base
+    return build_brickwork_ansatz(n, l, ham, dt, trainable_fields=trainable_fields)
 
 
 class TestDerivativeMatrices:
-    @pytest.mark.parametrize("n, l, trainable_fields", [(3, 1, False), (3, 1, True), *SLOT_SHAPES],
-                             ids=["False", "True", *("-".join(map(str, shape)) for shape in SLOT_SHAPES)])
-    def test_each_derivative_is_its_shift_difference(self, n, l, trainable_fields):
+    @pytest.mark.parametrize("n, l, trainable_fields, h",
+                             [(3, 1, False, 0.0), (3, 1, True, 0.0), *((*s, 0.0) for s in SLOT_SHAPES),
+                              *((*s, 0.3) for s in FIELD_SHAPES)],
+                             ids=["False", "True", *("-".join(map(str, shape)) for shape in SLOT_SHAPES),
+                                  *FIELD_IDS])
+    def test_each_derivative_is_its_shift_difference(self, n, l, trainable_fields, h):
         # every angle drives one rotation exp(-i t G / 2) with G^2 = 1, and M
-        # is linear in it, so dM/dt = (M(t + pi) - M(t - pi)) / 4 holds exactly
-        ham = random_xyz(n, 0.375, 1.125, seed=8)
-        a = build_brickwork_ansatz(n, l, ham, 0.2, trainable_fields=trainable_fields)
+        # is linear in it, so dM/dt = (M(t + pi) - M(t - pi)) / 4 holds exactly;
+        # a slot whose parameter list leaves the angle out does not change with it
+        a = slot_ansatz(n, l, trainable_fields, 8, 0.2, h)
         theta = np.random.default_rng(9).uniform(-np.pi, np.pi, a.num_params)
-        checked = set()
         ops = ansatz_ops(a, theta)
-        for pos, (op, (params, dms)) in enumerate(zip(ops, slot_derivatives(a, theta))):
-            assert dms.shape == (len(params),) + op.matrix.shape
-            for dm, j in zip(dms, params):
-                shifted = []
-                for sign in (1, -1):
-                    t = theta.copy()
-                    t[j] += sign * np.pi
-                    shifted.append(ansatz_ops(a, t)[pos].matrix)
-                np.testing.assert_allclose(dm, (shifted[0] - shifted[1]) / 4, atol=1e-14)
-                checked.add(j)
-        assert checked == set(range(a.num_params))
+        derivatives = slot_derivatives(a, theta)
+        assert [dms.shape for _, dms in derivatives] == [(len(params), 4, 4) for params, _ in derivatives]
+        for j in range(a.num_params):
+            shifted = []
+            for sign in (1, -1):
+                t = theta.copy()
+                t[j] += sign * np.pi
+                shifted.append(ansatz_ops(a, t))
+            for op, up, down, (params, dms) in zip(ops, *shifted, derivatives):
+                if j in params:
+                    np.testing.assert_allclose(dms[params.index(j)], (up.matrix - down.matrix) / 4, atol=1e-14)
+                else:
+                    np.testing.assert_allclose(up.matrix, op.matrix, atol=1e-14)
+        assert set().union(*(params for params, _ in derivatives)) == set(range(a.num_params))
 
-    @pytest.mark.parametrize("n, l, trainable_fields", SLOT_SHAPES)
-    def test_batched_build_equals_per_slot_build(self, n, l, trainable_fields):
-        # each slot matrix, built from the layout one 4x4 product at a time: the same arithmetic
-        ham = random_xyz(n, 0.375, 1.125, seed=n)
-        a = build_brickwork_ansatz(n, l, ham, 0.25, trainable_fields=trainable_fields)
+    @pytest.mark.parametrize("n, l, trainable_fields, h", [*((*s, 0.0) for s in SLOT_SHAPES),
+                                                           *((*s, 0.3) for s in FIELD_SHAPES)],
+                             ids=[*("-".join(map(str, shape)) for shape in SLOT_SHAPES), *FIELD_IDS])
+    def test_batched_build_equals_per_slot_build(self, n, l, trainable_fields, h):
+        # every slot matrix against the 4x4 product of its gates, walked one gate at a time
+        a = slot_ansatz(n, l, trainable_fields, n, 0.25, h)
         theta = np.random.default_rng(n + l).uniform(-np.pi, np.pi, a.num_params)
-        kinds, angles, fixed, _ = a._layout
-        half = np.concatenate([theta, fixed]) / 2
-        ops = ansatz_ops(a, theta)
-        assert len(ops) == len(kinds)
-        for op, slot_kinds, slot_angles in zip(ops, kinds, angles):
-            matrix = np.eye(4, dtype=complex)
-            for factor in _factors(slot_kinds, np.cos(half[slot_angles]), np.sin(half[slot_angles])):
-                matrix = factor.dot(matrix)
-            assert op.matrix.tobytes() == matrix.tobytes()
+        ops, oracle = ansatz_ops(a, theta), gate_walk_slots(a, theta)
+        assert [op.sites for op in ops] == [op.sites for op in oracle]
+        for op, expected in zip(ops, oracle):
+            np.testing.assert_allclose(op.matrix, expected.matrix, rtol=0, atol=1e-14)
+
+    def test_building_a_layout_walks_no_gate(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the slot layout walked the circuit gate by gate")
+
+        monkeypatch.setattr(ansatz, "_primitive_gates", refuse)
+        a = slot_ansatz(8, 40, False, 3, 0.05, h=0.3)
+        theta = np.random.default_rng(3).uniform(-np.pi, np.pi, a.num_params)
+        assert len(ansatz_ops(a, theta)) == len(slot_derivatives(a, theta)) == len(a.slot_multiset())
 
 
 def per_gate_ops(a, theta):
@@ -223,8 +246,8 @@ class TestFusion:
             np.testing.assert_array_equal(op.matrix, matrix)
             np.testing.assert_array_equal(dms, dmatrices)
             np.testing.assert_array_equal(again, dmatrices)
-        kinds, angles, fixed, slots = a._layout
-        for arr in (kinds, angles, fixed, *(positions for _, _, positions in slots)):
+        layout = a._layout
+        for arr in (layout.keys, layout.angles, layout.fixed, layout.derivatives):
             assert not arr.flags.writeable
 
 
