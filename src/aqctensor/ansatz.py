@@ -25,7 +25,8 @@ of the qubits the slot opens (pending field angles summed in) and D the phase
 of the field angles after its last block. One walk over the columns lays out,
 once per Ansatz, which angles each slot sums into each layer
 (Ansatz._layout); ansatz_ops builds all slots from it at once, and
-slot_derivatives every derivative by one formula, dM = M Q^dagger lift(g) Q.
+slot_vjp contracts a cotangent with the derivatives of all slots by one
+formula, dM = M Q^dagger lift(g) Q, without forming any dM.
 """
 from __future__ import annotations
 
@@ -112,8 +113,8 @@ class _Layout(NamedTuple):
 
     Channel (r, side, layer, 0 | 1) is the t or u of layer Ry(t) Rz(u) of slot
     row r on its left (0) or right (1) qubit (see _prefixes). Term i adds angle
-    angles[i] of (theta, fixed) to the channel at flat index keys[i]; the
-    trainable terms give derivatives, their channels, and params, their angles.
+    angles[i] of (theta, fixed) to the channel at flat index keys[i]; every
+    trainable angle has one term, and derivatives[j] is the channel of angle j.
     """
 
     sites: tuple[tuple[int, int], ...]
@@ -121,11 +122,12 @@ class _Layout(NamedTuple):
     angles: np.ndarray
     fixed: np.ndarray
     derivatives: np.ndarray
-    params: tuple[tuple[int, ...], ...]
 
 
-# -i P / 2 lifted onto the left (0) or right (1) qubit of a pair, P = X, Y, Z
-_LIFTED = -0.5j * np.array([[np.kron(p, I2) for p in (X, Y, Z)], [np.kron(I2, p) for p in (X, Y, Z)]])
+# -i P / 2 lifted onto the left (0) or right (1) qubit of a pair, P = X, Y, Z, transposed: column
+# 3 side + p of G.reshape(16) @ _LIFTED is sum(lift(-iP/2)^T * G)
+_LIFTED = -0.5j * np.array([np.kron(p, I2).T for p in (X, Y, Z)] + [np.kron(I2, p).T for p in (X, Y, Z)])
+_LIFTED = _LIFTED.reshape(6, 16).T
 # C before layers 1..5 as the rows of C Q: none before Rz(c) or D, blocks 1 and 3 reversed, 2 forward
 _CNOT_ROWS = [slice(None)] + [np.nonzero(cx)[1] for cx in (CX_REVERSED, CX_FORWARD, CX_REVERSED)] + [slice(None)]
 
@@ -171,12 +173,11 @@ def _slot_layout(a: Ansatz) -> _Layout:
     terms[:, 0] = np.argsort(order)[terms[:, 0]]  # the row of each slot in ansatz_ops order
     row, side, channel, angles = terms[np.argsort(terms[:, 0], kind="stable")].T
     trainable = angles < num_params
-    sizes = np.bincount(row[trainable], minlength=len(order))
+    derivatives = np.empty((num_params, 4), dtype=int)
+    derivatives[angles[trainable]] = np.stack([row, side, *np.divmod(channel, 2)], 1)[trainable]
     layout = _Layout(tuple((lefts[s], lefts[s] + 1) for s in order), (2 * row + side) * 12 + channel, angles,
-                     np.array([] if a.trainable_fields else a.field_phis) / 2,
-                     np.stack([row, side, *np.divmod(channel, 2)], 1)[trainable],
-                     tuple(tuple(x.tolist()) for x in np.split(angles[trainable], np.cumsum(sizes)[:-1])))
-    for arr in layout[1:5]:
+                     np.array([] if a.trainable_fields else a.field_phis) / 2, derivatives)
+    for arr in layout[1:]:
         arr.flags.writeable = False
     return layout
 
@@ -241,23 +242,25 @@ def ansatz_ops(a: Ansatz, theta: np.ndarray) -> list[CircuitOp]:
     return [CircuitOp(sites, m) for sites, m in zip(a._layout.sites, _prefixes(a, theta)[1][5])]
 
 
-def slot_derivatives(a: Ansatz, theta: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """(param_indices, derivatives (P, 4, 4)) of each slot matrix of ansatz_ops, in its order.
+def slot_vjp(a: Ansatz, theta: np.ndarray, cot: np.ndarray) -> np.ndarray:
+    """d/dtheta_j sum_s sum(cot[s] * M_s) for every angle j, M_s the slot matrices of ansatz_ops.
 
-    Each angle drives a rotation exp(-i t P / 2) in a layer Ry(t) Rz(u) of
-    _prefixes. With Q the prefix after that layer and X Q the product up to
-    and including the rotation, dM = M Q^dagger lift(g) Q with the 2x2
-    g = X^dagger (-iP/2) X: -iY/2 for the Ry, -i/2 (cos(t) Z + sin(t) X) for
-    the Rz under it; so -iZ/2 for c, d and every field angle summed into them.
+    cot (S, 4, 4) holds one cotangent per slot, in ansatz_ops order. Each angle
+    drives a rotation exp(-i t P / 2) in a layer Ry(t) Rz(u) of _prefixes.
+    With Q the prefix after that layer and X Q the product up to and including
+    the rotation, dM = M Q^dagger lift(g) Q with the 2x2 g = X^dagger (-iP/2) X:
+    -iY/2 for the Ry, -i/2 (cos(t) Z + sin(t) X) for the Rz under it; so -iZ/2
+    for c, d and every field angle summed into them. The contraction is then
+    sum(lift(g)^T * G) with G = Q cot^T M Q^dagger: six G per slot, one per
+    layer, read through their Pauli components; no dM is formed.
     """
-    lay = a._layout
     channels, q = _prefixes(a, theta)
     q = np.stack(q, 1)
-    rows, side, layer, rz = lay.derivatives.T
-    phi = (channels[rows, side, layer, 0] * rz)[:, None, None]  # the layer's t for an Rz, 0 for the Ry
-    g = np.cos(phi) * _LIFTED[side, 1 + rz] + np.sin(phi) * _LIFTED[side, 0]  # P = Y or Z
-    dmats = (q[:, 5:] @ q.conj().swapaxes(-1, -2))[rows, layer] @ g @ q[rows, layer]
-    return list(zip(lay.params, np.split(dmats, np.cumsum([len(p) for p in lay.params])[:-1])))
+    g = q @ (np.swapaxes(cot, -1, -2) @ q[:, 5])[:, None] @ q.conj().swapaxes(-1, -2)  # G (S, 6, 4, 4)
+    paulis = (g.reshape(-1, 16) @ _LIFTED).reshape(-1, 6, 2, 3)  # (row, layer, side, P = X, Y, Z)
+    rows, side, layer, rz = a._layout.derivatives.T
+    phi = channels[rows, side, layer, 0] * rz  # the layer's t for an Rz, 0 for the Ry
+    return np.cos(phi) * paulis[rows, layer, side, 1 + rz] + np.sin(phi) * paulis[rows, layer, side, 0]
 
 
 def adjoint_ops(ops: list[CircuitOp]) -> list[CircuitOp]:

@@ -28,14 +28,13 @@ ansatz. Every gradient comes from a cost value: cost_and_gradient takes the
 backward (adjoint) sweep that value kept and runs one forward sweep of the
 weighted bra state, M two-site gates for M slots, plus per slot one window:
 amortized O(chi^3) environment work (the overlap environments are reused
-while the tensors they absorbed are unchanged), one O(chi^3) contraction
-into a 4x4 operator E, and O(P) 4x4 products for the slot's P angles (12 to
-18 plus trainable fields). The gradient builds the derivative matrices of
-all slots in one batch from the ansatz layout and the kept theta
-(slot_derivatives); a cost-only sweep builds none of them. The gradient
-equals the shifted-cost difference exactly only when no sweep truncates;
-under a binding bond cap each sweep truncates differently, and the result
-is not the derivative of the untruncated cost.
+while the tensors they absorbed are unchanged) and one O(chi^3) contraction
+into a 4x4 operator E. The window operators of all slots are the cotangent
+of one vector-Jacobian product of the slot matrices at the kept theta
+(ansatz.slot_vjp), which forms no derivative matrix; a cost-only sweep takes
+none. The gradient equals the shifted-cost difference exactly only when no
+sweep truncates; under a binding bond cap each sweep truncates differently,
+and the result is not the derivative of the untruncated cost.
 """
 from __future__ import annotations
 
@@ -44,7 +43,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import mps as mpslib
-from .ansatz import Ansatz, adjoint_ops, ansatz_ops, slot_derivatives
+from .ansatz import Ansatz, adjoint_ops, ansatz_ops, slot_vjp
 from .gates import CircuitOp
 from .mps import MPS, TruncationPolicy, _env_step_left, _env_step_right
 
@@ -149,8 +148,8 @@ class Sweep:
     theta is a copy of the parameters, so the caller may reuse its array; ops
     are the slot ops of ansatz_ops at theta, prefixes[i] is the target after
     the first i of their adjoint ops (i < M, the last state is phi), and bra
-    is the flip-count bra of phi. The gradient rebuilds the slot derivatives
-    from ansatz and theta.
+    is the flip-count bra of phi. The gradient contracts its window operators
+    with the slot derivatives at theta (ansatz.slot_vjp).
     """
 
     ansatz: Ansatz
@@ -192,28 +191,23 @@ def cost_and_gradient(value: CostValue) -> tuple[CostValue, np.ndarray]:
     flip-string state propagated through ops 1..m-1. The flip-count
     construct over phi that gave the value also gave that bra (bond 1, 2 or
     2 + (k-1) chi at k = 0, 1, >= 2). Each slot's window contracts into one
-    4x4 local operator E, and every angle of the slot is then the sum of E
-    times that angle's derivative matrix. The values are exact when no sweep
-    truncates (policy chi_max and cutoff never bind).
+    4x4 local operator E, and <W| dM^dag |prefix> = sum(E * conj(dM)^T) has the
+    real part of sum(E^dag * dM): the E^dag of all slots are the cotangent of
+    one slot_vjp. The values are exact when no sweep truncates (policy chi_max
+    and cutoff never bind).
     """
     sweep = value.sweep
-    ops = sweep.ops
-    grad = np.zeros(sweep.ansatz.num_params)
     bra = sweep.bra
-    bras = mpslib.iter_ops(bra, ops, sweep.policy)
+    bras = mpslib.iter_ops(bra, sweep.ops, sweep.policy)
     envs = _OverlapEnvironments()
-
+    windows = []
     # sweep.prefixes[-1 - m] is prefix_m, the target before the adjoint of op m
-    for op, prefix, (params, dmats) in zip(ops, reversed(sweep.prefixes),
-                                           slot_derivatives(sweep.ansatz, sweep.theta)):
+    for op, prefix in zip(sweep.ops, reversed(sweep.prefixes)):
         left = envs.left(bra, prefix, op.sites[0])
         right = envs.right(bra, prefix, op.sites[1])
-        e = _local_operator(left, right, bra, prefix, op.sites[0])
-        # <W| dM^dag |prefix> = sum_{s,t} E[s, t] conj(dM[t, s])
-        vals = dmats.reshape(len(dmats), 16).conj() @ e.T.ravel()
-        grad[list(params)] = -2.0 * vals.real
+        windows.append(_local_operator(left, right, bra, prefix, op.sites[0]))
         bra = next(bras)
-    return value, grad
+    return value, -2.0 * slot_vjp(sweep.ansatz, sweep.theta, np.conj(windows).swapaxes(-1, -2)).real
 
 
 def gradient_fd(

@@ -1,8 +1,7 @@
 """Elementary gates, circuit-op records, gate-list text output."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,8 +27,7 @@ def rz(theta: float) -> np.ndarray:
     return np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]])
 
 
-@dataclass(frozen=True)
-class CircuitOp:
+class CircuitOp(NamedTuple):
     """One gate in an executable circuit: a dense matrix on 1 or 2 adjacent sites."""
 
     sites: tuple[int, ...]

@@ -9,7 +9,7 @@ from aqctensor.ansatz import (
     build_brickwork_ansatz,
     cnot_depth,
     export_circuit_records,
-    slot_derivatives,
+    slot_vjp,
     solve_triplet_angles,
     trotter_initialize,
 )
@@ -139,24 +139,29 @@ class TestDerivativeMatrices:
     def test_each_derivative_is_its_shift_difference(self, n, l, trainable_fields, h):
         # every angle drives one rotation exp(-i t G / 2) with G^2 = 1, and M
         # is linear in it, so dM/dt = (M(t + pi) - M(t - pi)) / 4 holds exactly;
-        # a slot whose parameter list leaves the angle out does not change with it
+        # a slot that does not read the angle does not change with it
         a = slot_ansatz(n, l, trainable_fields, 8, 0.2, h)
-        theta = np.random.default_rng(9).uniform(-np.pi, np.pi, a.num_params)
-        ops = ansatz_ops(a, theta)
-        derivatives = slot_derivatives(a, theta)
-        assert [dms.shape for _, dms in derivatives] == [(len(params), 4, 4) for params, _ in derivatives]
+        rng = np.random.default_rng(9)
+        theta = rng.uniform(-np.pi, np.pi, a.num_params)
+        num_slots = len(a.slot_multiset())
+        cot = rng.normal(size=(num_slots, 4, 4)) + 1j * rng.normal(size=(num_slots, 4, 4))
+        shifts = []  # shifts[j, s] = sum(cot[s] * dM_s / dtheta_j) by the shift difference
         for j in range(a.num_params):
-            shifted = []
-            for sign in (1, -1):
-                t = theta.copy()
-                t[j] += sign * np.pi
-                shifted.append(ansatz_ops(a, t))
-            for op, up, down, (params, dms) in zip(ops, *shifted, derivatives):
-                if j in params:
-                    np.testing.assert_allclose(dms[params.index(j)], (up.matrix - down.matrix) / 4, atol=1e-14)
-                else:
-                    np.testing.assert_allclose(up.matrix, op.matrix, atol=1e-14)
-        assert set().union(*(params for params, _ in derivatives)) == set(range(a.num_params))
+            up, down = theta.copy(), theta.copy()
+            up[j] += np.pi
+            down[j] -= np.pi
+            diff = [u.matrix - d.matrix for u, d in zip(ansatz_ops(a, up), ansatz_ops(a, down))]
+            shifts.append(np.einsum("sab,sab->s", cot, diff) / 4)
+        shifts = np.array(shifts)
+        owner = (shifts != 0).argmax(1)
+        assert np.count_nonzero(shifts, 1).tolist() == [1] * a.num_params  # one slot reads each angle
+        np.testing.assert_allclose(slot_vjp(a, theta, cot), shifts.sum(1), rtol=0, atol=1e-14)
+        for s in range(num_slots):  # a cotangent on one slot moves that slot's angles only
+            one = np.zeros_like(cot)
+            one[s] = cot[s]
+            vjp = slot_vjp(a, theta, one)
+            np.testing.assert_allclose(vjp, shifts[:, s], rtol=0, atol=1e-14)
+            assert not vjp[owner != s].any()
 
     @pytest.mark.parametrize("n, l, trainable_fields, h", [*((*s, 0.0) for s in SLOT_SHAPES),
                                                            *((*s, 0.3) for s in FIELD_SHAPES)],
@@ -177,7 +182,9 @@ class TestDerivativeMatrices:
         monkeypatch.setattr(ansatz, "_primitive_gates", refuse)
         a = slot_ansatz(8, 40, False, 3, 0.05, h=0.3)
         theta = np.random.default_rng(3).uniform(-np.pi, np.pi, a.num_params)
-        assert len(ansatz_ops(a, theta)) == len(slot_derivatives(a, theta)) == len(a.slot_multiset())
+        num_slots = len(a.slot_multiset())
+        assert len(ansatz_ops(a, theta)) == num_slots
+        assert slot_vjp(a, theta, np.ones((num_slots, 4, 4))).shape == (a.num_params,)
 
 
 def per_gate_ops(a, theta):
@@ -235,17 +242,16 @@ class TestFusion:
         a = build_brickwork_ansatz(5, 2, ham, 0.2, trainable_fields=True)
         rng = np.random.default_rng(17)
         theta = rng.uniform(-np.pi, np.pi, a.num_params)
-        first, first_derivatives = ansatz_ops(a, theta), slot_derivatives(a, theta)
-        saved = [(op.matrix.copy(), dms.copy()) for op, (_, dms) in zip(first, first_derivatives)]
+        cot = rng.normal(size=(len(a.slot_multiset()), 4, 4))
+        first, first_vjp = ansatz_ops(a, theta), slot_vjp(a, theta, cot)
+        saved = [op.matrix.copy() for op in first]
         other = rng.uniform(-np.pi, np.pi, a.num_params)
-        second, second_derivatives = ansatz_ops(a, other), slot_derivatives(a, other)
-        assert not np.array_equal(second[0].matrix, saved[0][0])
-        assert not np.array_equal(second_derivatives[0][1], saved[0][1])
-        for op, (_, dms), (_, again), (matrix, dmatrices) in zip(first, first_derivatives,
-                                                                 slot_derivatives(a, theta), saved):
+        second, second_vjp = ansatz_ops(a, other), slot_vjp(a, other, cot)
+        assert not np.array_equal(second[0].matrix, saved[0])
+        assert not np.array_equal(second_vjp, first_vjp)
+        for op, matrix in zip(first, saved):
             np.testing.assert_array_equal(op.matrix, matrix)
-            np.testing.assert_array_equal(dms, dmatrices)
-            np.testing.assert_array_equal(again, dmatrices)
+        np.testing.assert_array_equal(slot_vjp(a, theta, cot), first_vjp)
         layout = a._layout
         for arr in (layout.keys, layout.angles, layout.fixed, layout.derivatives):
             assert not arr.flags.writeable

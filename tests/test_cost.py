@@ -226,11 +226,18 @@ class TestGradient:
         assert value.total == cost_local_truncated(a, theta, target, cfg).total
 
     def test_environment_and_reevaluation_agree(self):
-        ham, a, theta = make_instance(5, 2, seed=23)
+        _, a, theta = make_instance(5, 2, seed=23)
+        # fixed nonzero fields on every site: pending fields sum into a slot's c, trailing ones into d
+        base = random_xyz(5, 0.375, 1.125, seed=24)
+        fields = XYZHamiltonian(base.alpha, base.beta, base.delta, (0.7, -0.4, 0.55, -0.8, 0.3))
+        b = build_brickwork_ansatz(5, 2, fields, 0.2, trainable_fields=False)
+        phi = trotter_initialize(b, fields, 0.2, bits="10101")
+        phi = phi + np.random.default_rng(24).normal(0, 0.15, b.num_params)
         target = random_mps(5, seed=123)
         cfg = CostConfig(alphas=(0.8,), policy=EXACT)
-        g_env = cost_and_gradient(cost_local_truncated(a, theta, target, cfg))[1]
-        np.testing.assert_allclose(g_env, gradient_reevaluation(a, theta, target, cfg), atol=1e-12)
+        for c, t in ((a, theta), (b, phi)):
+            g_env = cost_and_gradient(cost_local_truncated(c, t, target, cfg))[1]
+            np.testing.assert_allclose(g_env, gradient_reevaluation(c, t, target, cfg), atol=1e-12)
 
     def test_global_cost_gradient(self):
         ham, a, theta = make_instance(4, 1, seed=24)
