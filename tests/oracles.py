@@ -4,7 +4,8 @@ dense_hamiltonian and sv_exact_evolution give exact evolution by dense
 diagonalization; statevector_to_mps and random_mps make test states;
 total_sz and initial_rotation are the closed forms the tests compare with;
 block_unitary and triplet_unitary build the CNOT blocks of the ansatz as
-dense matrices, and gate_walk_slots fuses its slots gate by gate;
+dense matrices, gate_walk_slots fuses its slots gate by gate, and
+shift_derivatives differentiates them by shifted angles;
 levelled_cnot_depth and schedule_cnot_depth count CNOT depth gate by gate.
 amplitude reads one basis-string coefficient of an MPS; parse_gate_line,
 read_gate_list and op_from_record read an exported circuit back into ops.
@@ -235,6 +236,20 @@ def gate_walk_slots(a: Ansatz, theta: np.ndarray) -> list[CircuitOp]:
     ids = iter(slots)
     ordered = [slot for tag, pairs in a.columns for slot in sweep_order(tag, [next(ids) for _ in pairs])]
     return [CircuitOp((left, left + 1), matrix) for left, matrix in ordered]
+
+
+def shift_derivatives(a: Ansatz, theta: np.ndarray):
+    """dM_s / dtheta_j of every slot of ansatz_ops, one (S, 4, 4) array per angle j in order.
+
+    Every angle drives one rotation exp(-i t P / 2) with P^2 = 1, and each slot
+    matrix is linear in it, so (M(theta + pi e_j) - M(theta - pi e_j)) / 4 is
+    the derivative exactly; a slot that does not read angle j gets exact zeros.
+    """
+    for j in range(theta.size):
+        up, down = theta.copy(), theta.copy()
+        up[j] += np.pi
+        down[j] -= np.pi
+        yield np.array([u.matrix - d.matrix for u, d in zip(ansatz_ops(a, up), ansatz_ops(a, down))]) / 4
 
 
 def levelled_cnot_depth(cnots, n: int) -> int:

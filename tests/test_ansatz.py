@@ -33,7 +33,7 @@ from aqctensor.statevector import (
 from conftest import EXACT
 from oracles import (amplitude, apply_ansatz_adjoint, block_unitary, gate_walk_slots, initial_rotation,
                      op_from_record, parse_gate_line, random_mps, read_gate_list, schedule_cnot_depth,
-                     triplet_unitary)
+                     shift_derivatives, triplet_unitary)
 
 
 def dense_ops_matrix(ops, n):
@@ -137,22 +137,13 @@ class TestDerivativeMatrices:
                              ids=["False", "True", *("-".join(map(str, shape)) for shape in SLOT_SHAPES),
                                   *FIELD_IDS])
     def test_each_derivative_is_its_shift_difference(self, n, l, trainable_fields, h):
-        # every angle drives one rotation exp(-i t G / 2) with G^2 = 1, and M
-        # is linear in it, so dM/dt = (M(t + pi) - M(t - pi)) / 4 holds exactly;
-        # a slot that does not read the angle does not change with it
         a = slot_ansatz(n, l, trainable_fields, 8, 0.2, h)
         rng = np.random.default_rng(9)
         theta = rng.uniform(-np.pi, np.pi, a.num_params)
         num_slots = len(a.slot_multiset())
         cot = rng.normal(size=(num_slots, 4, 4)) + 1j * rng.normal(size=(num_slots, 4, 4))
-        shifts = []  # shifts[j, s] = sum(cot[s] * dM_s / dtheta_j) by the shift difference
-        for j in range(a.num_params):
-            up, down = theta.copy(), theta.copy()
-            up[j] += np.pi
-            down[j] -= np.pi
-            diff = [u.matrix - d.matrix for u, d in zip(ansatz_ops(a, up), ansatz_ops(a, down))]
-            shifts.append(np.einsum("sab,sab->s", cot, diff) / 4)
-        shifts = np.array(shifts)
+        # shifts[j, s] = sum(cot[s] * dM_s / dtheta_j), exactly 0 where slot s does not read angle j
+        shifts = np.array([np.einsum("sab,sab->s", cot, dms) for dms in shift_derivatives(a, theta)])
         owner = (shifts != 0).argmax(1)
         assert np.count_nonzero(shifts, 1).tolist() == [1] * a.num_params  # one slot reads each angle
         np.testing.assert_allclose(slot_vjp(a, theta, cot), shifts.sum(1), rtol=0, atol=1e-14)

@@ -3,8 +3,9 @@
 The oracle rebuilds every parametrized op's left and right environments
 from both chain ends and re-contracts the window once per angle, with each
 derivative matrix taken as a shift difference of ansatz_ops. It evaluates
-the same truncated sweeps as the cached gradient, so the two agree to rounding also under a binding bond cap, where
-the re-evaluation oracle (2P shifted cost sweeps) does not.
+the same truncated sweeps as the cached gradient, so the two agree to
+rounding also under a binding bond cap, where the re-evaluation oracle
+(2P shifted cost sweeps) does not.
 """
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from aqctensor.hamiltonian import random_xyz, tebd_evolve
 from aqctensor.mps import TruncationPolicy, apply_ops, from_product_state, normalize
 
 from conftest import EXACT
-from oracles import apply_ansatz_adjoint
+from oracles import apply_ansatz_adjoint, shift_derivatives
 
 
 def _overlap_environments(bra, ket, lo, hi):
@@ -53,19 +54,6 @@ def _window_value(bra, ket, op_sites, mat, left, right):
     return complex(np.sum(t3 * right))
 
 
-def shift_derivatives(a, theta):
-    """(angle, dM) of each slot of ansatz_ops, dM = (M(theta + pi e_j) - M(theta - pi e_j)) / 4."""
-    derivatives = [[] for _ in ansatz_ops(a, theta)]
-    for j in range(theta.size):
-        up, down = theta.copy(), theta.copy()
-        up[j] += np.pi
-        down[j] -= np.pi
-        for slot, u, d in zip(derivatives, ansatz_ops(a, up), ansatz_ops(a, down)):
-            if not np.array_equal(u.matrix, d.matrix):  # the slot reads angle j
-                slot.append((j, (u.matrix - d.matrix) / 4))
-    return derivatives
-
-
 def rebuild_gradient(a, theta, target, cfg):
     """Gradient with each window's environments rebuilt from both chain ends."""
     ops = ansatz_ops(a, theta)
@@ -74,11 +62,12 @@ def rebuild_gradient(a, theta, target, cfg):
         prefixes.append(apply_ops(prefixes[-1], (op,), cfg.policy))
     bra = cost._flip_count(normalize(prefixes[-1]), cfg.k, cfg.alphas)[0]
     grad = np.zeros(theta.size)
-    for m, (op, derivatives) in enumerate(zip(ops, shift_derivatives(a, theta)), start=1):
+    derivatives = np.array(list(shift_derivatives(a, theta)))  # (angle, slot, 4, 4)
+    for m, (op, dmats) in enumerate(zip(ops, derivatives.swapaxes(0, 1)), start=1):
         prefix = prefixes[len(ops) - m]
         left, right = _overlap_environments(bra, prefix, op.sites[0], op.sites[-1])
-        for j, dmat in derivatives:
-            grad[j] += -2.0 * _window_value(bra, prefix, op.sites, dmat.conj().T, left, right).real
+        for j in np.flatnonzero(dmats.any((1, 2))):  # the angles the slot reads
+            grad[j] += -2.0 * _window_value(bra, prefix, op.sites, dmats[j].conj().T, left, right).real
         bra = apply_ops(bra, (op,), cfg.policy)
     return grad
 
