@@ -180,24 +180,22 @@ def tebd_evolve(
 ) -> MPS:
     """Evolve an MPS by `steps` second-order Trotter steps of size dt.
 
+    The whole schedule is one mps.iter_ops pass, each column in sweep_order, so
+    the last gate of a column already ends next to the next column's first pair.
     Returns a normalized state. When a stats dict is passed it receives the
     maximum bond dimension seen and the discarded weight added by this call.
     """
     if psi0.n != ham.n:
         raise ValueError(f"state has {psi0.n} sites but Hamiltonian has {ham.n}")
     schedule = build_trotter_schedule(ham, dt, steps)
-    start_discard = psi0.discarded_weight
-    max_chi = mpslib.max_bond(psi0)
-    # apply_ops gets the only reference to a column's input state, so the
-    # tensors it replaces are freed as the column runs, not at its end
-    held = [psi0]
-    for col in schedule.columns:
-        held.append(mpslib.apply_ops(held.pop(), sweep_order(col.tag, col.gates), policy))
-        max_chi = max(max_chi, mpslib.max_bond(held[0]))
-    psi = mpslib.normalize(held[0])
+    ops = [g for col in schedule.columns for g in sweep_order(col.tag, col.gates)]
+    max_chi, psi = mpslib.max_bond(psi0), psi0
+    for op, psi in zip(ops, mpslib.iter_ops(psi0, ops, policy)):
+        max_chi = max(max_chi, psi.tensors[op.sites[0]].shape[2])  # a single-site gate changes no bond
+    psi = mpslib.normalize(psi)
     if stats is not None:
         stats["max_bond"] = max_chi
-        stats["discarded_weight"] = psi.discarded_weight - start_discard
+        stats["discarded_weight"] = psi.discarded_weight - psi0.discarded_weight
     return psi
 
 

@@ -26,7 +26,9 @@ step and the glue around it (unitarity check, re-gauge and theta matmuls,
 copies, bookkeeping) 54%; at chi 128 (evolve-n24-chi128) LAPACK is 87%. So a
 step that drops nothing skips the truncation sums and the rescale by 1, and R
 is masked in place. Every public gate call still checks its matrix: the shape,
-and max |u^dag u - 1| <= 1e-10, which also rejects NaN and inf.
+and max |u^dag u - 1| <= 1e-10, which also rejects NaN and inf. An exact 2x2
+identity (rz(0)) is exactly unitary: it returns a copy sharing every tensor.
+A truncating two-site gate stores compact factors, not views of its SVD buffer.
 
 All operations return new MPS values; inputs are never mutated.
 """
@@ -187,7 +189,10 @@ def apply_single_site_gate(psi: MPS, u: np.ndarray, site: int) -> MPS:
     """Apply a 2x2 unitary at one site. Bonds and center are unchanged."""
     if not 0 <= site < psi.n:
         raise ValueError(f"site {site} out of range for {psi.n} qubits")
-    _check_unitary(np.asarray(u), 2)
+    u = np.asarray(u)
+    if u.tolist() == [[1, 0], [0, 1]]:  # an exact identity is exactly unitary: a copy, no check or matmul
+        return psi.copy()
+    _check_unitary(u, 2)
     out = psi.copy()
     out.tensors[site] = np.matmul(u, psi.tensors[site])  # u on the physical axis of every (2, chi_r) slice
     return out
@@ -309,7 +314,8 @@ def apply_two_site_gate(
         if discarded > 0:
             logger.debug("truncation at bond %d: kept %d of %d, discarded weight %.3e",
                          left_site, keep, len(s), discarded)
-        uu, s, vh = uu[:, :keep], s[:keep], vh[:keep]
+        s = s[:keep]  # the factor stored unscaled is copied: a view would keep zgesdd's whole buffer alive
+        uu, vh = (uu[:, :keep], np.copy(vh[:keep])) if end_left else (np.copy(uu[:, :keep]), vh[:keep])
         if kept > 0 and kept != total:
             s = s * math.sqrt(total / kept)
         out.discarded_weight += discarded / total if total > 0 else 0.0

@@ -1,7 +1,8 @@
 """Reference computations that only the tests use.
 
 dense_hamiltonian and sv_exact_evolution give exact evolution by dense
-diagonalization; statevector_to_mps and random_mps make test states;
+diagonalization; tebd_evolve_by_column runs the Trotter schedule one column
+per apply_ops call; statevector_to_mps and random_mps make test states;
 total_sz and initial_rotation are the closed forms the tests compare with;
 block_unitary and triplet_unitary build the CNOT blocks of the ansatz as
 dense matrices, gate_walk_slots fuses its slots gate by gate, and
@@ -19,9 +20,9 @@ from scipy.stats import unitary_group
 
 from aqctensor.ansatz import Ansatz, adjoint_ops, ansatz_ops
 from aqctensor.gates import CX_FORWARD, CX_REVERSED, SZ, CircuitOp, rz
-from aqctensor.hamiltonian import GateSchedule, XYZHamiltonian, sweep_order
+from aqctensor.hamiltonian import GateSchedule, XYZHamiltonian, build_trotter_schedule, sweep_order
 from aqctensor.mps import (EXACT, MPS, TruncationPolicy, apply_ops, apply_two_site_gate, canonicalize,
-                           from_product_state, normalize)
+                           from_product_state, max_bond, normalize)
 from aqctensor.statevector import MAX_QUBITS_CIRCUIT, _guard, mps_to_statevector
 
 MAX_QUBITS_EVOLUTION = 12
@@ -139,6 +140,18 @@ def random_mps(n: int, seed: int, entangling_layers: int = 2) -> MPS:
         for i in range(layer % 2, n - 1, 2):
             u = unitary_group.rvs(4, random_state=rng)
             psi = apply_two_site_gate(psi, u, i, EXACT)
+    return psi
+
+
+def tebd_evolve_by_column(psi0: MPS, ham: XYZHamiltonian, dt: float, steps: int,
+                          policy: TruncationPolicy, stats: dict) -> MPS:
+    """tebd_evolve with one apply_ops call per column, so each column's last gate ends on its own pair."""
+    psi, max_chi = psi0, max_bond(psi0)
+    for col in build_trotter_schedule(ham, dt, steps).columns:
+        psi = apply_ops(psi, sweep_order(col.tag, col.gates), policy)
+        max_chi = max(max_chi, max_bond(psi))
+    psi = normalize(psi)
+    stats.update(max_bond=max_chi, discarded_weight=psi.discarded_weight - psi0.discarded_weight)
     return psi
 
 

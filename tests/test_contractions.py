@@ -217,8 +217,11 @@ class TestUnitarityTolerance:
     @pytest.mark.parametrize("off_diagonal", [False, True])
     def test_single_site_gate(self, off_diagonal):
         psi = from_product_state("01")
-        with pytest.raises(ValueError, match="not unitary"):
-            apply_single_site_gate(psi, self.perturbed(2, 1e-9, off_diagonal), 1)
+        # next to an exact identity, which is not checked, the check still runs
+        near_identity = np.array([[1, 1e-9], [1e-9, 1]]) if off_diagonal else np.diag([1 + 1e-9, 1])
+        for u in (self.perturbed(2, 1e-9, off_diagonal), near_identity):
+            with pytest.raises(ValueError, match="not unitary"):
+                apply_single_site_gate(psi, u, 1)
         apply_single_site_gate(psi, self.perturbed(2, 1e-12, off_diagonal), 1)
 
     @pytest.mark.parametrize("off_diagonal", [False, True])
@@ -243,7 +246,7 @@ class TestUnitarityTolerance:
     def test_non_finite_gates_raise(self, bad):
         psi = from_product_state("01")
         u2, u4 = np.eye(2), np.eye(4)
-        u2[0, 0] = u4[3, 2] = bad
+        u2[0, 0] = u4[3, 2] = bad  # an identity with one non-finite entry is not an exact identity
         with pytest.raises(ValueError, match="not unitary"):
             apply_single_site_gate(psi, u2, 1)
         with pytest.raises(ValueError, match="not unitary"):
@@ -282,7 +285,8 @@ class TestUnitarityTolerance:
     @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (3, 3), (4,), (2, 4), (1, 2, 2)])
     def test_wrong_shape_raises(self, shape):
         psi = from_product_state("01")
-        u = np.ones(shape)
+        # identity-valued, so no wrong shape passes as the exact 2x2 identity, which is not checked
+        u = np.eye(*shape[-2:]).reshape(shape) if len(shape) > 1 else np.ones(shape)
         if shape != (2, 2):
             with pytest.raises(ValueError, match="gate must be 2x2"):
                 apply_single_site_gate(psi, u, 1)

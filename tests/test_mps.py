@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aqctensor import mps
 from aqctensor.gates import CX_FORWARD, CircuitOp, rz
 from aqctensor.hamiltonian import random_xyz, tebd_evolve
 from aqctensor.mps import (
@@ -113,10 +114,24 @@ class TestAmplitude:
 
 
 class TestSingleSiteGate:
-    def test_identity_leaves_state(self):
+    def test_identity_leaves_state(self, monkeypatch):
         psi = random_mps(4, seed=7)
         out = apply_single_site_gate(psi, np.eye(2), 2)
         assert fidelity(out, psi) == pytest.approx(1.0, abs=1e-12)
+
+        # an exact identity is a copy sharing every tensor: no unitarity check, no matmul
+        def unreachable(u, dim):
+            raise AssertionError("unitarity checked")
+
+        monkeypatch.setattr(mps, "_check_unitary", unreachable)
+        psi = MPS(psi.tensors, center=psi.center, discarded_weight=0.25)
+        for u in (np.eye(2), np.eye(2, dtype=int), [[1, 0], [0, 1]]):
+            out = apply_single_site_gate(psi, u, 2)
+            assert out is not psi and out.tensors is not psi.tensors
+            assert len(out.tensors) == psi.n and all(t is s for t, s in zip(out.tensors, psi.tensors))
+            assert (out.center, out.discarded_weight) == (psi.center, 0.25)
+        with pytest.raises(AssertionError, match="unitarity checked"):
+            apply_single_site_gate(psi, rz(0.3), 2)
 
     def test_x_flips_bit(self):
         out = apply_single_site_gate(from_product_state("00"), X_GATE, 0)
@@ -228,6 +243,21 @@ class TestTwoSiteGate:
         for i in range(7):
             psi = apply_two_site_gate(psi, unitary_group.rvs(4, random_state=rng), i, policy)
         assert max_bond(psi) <= 3
+
+    @pytest.mark.parametrize("end_left", [False, True])
+    def test_truncated_factors_own_their_memory(self, end_left):
+        # a view of the SVD factors would keep all of their buffer alive
+        from scipy.stats import unitary_group
+
+        psi = canonicalize(random_mps(6, seed=19), 2)
+        u = unitary_group.rvs(4, random_state=np.random.default_rng(19))
+        out = apply_two_site_gate(psi, u, 2, TruncationPolicy(chi_max=2), end_left)
+        assert out.discarded_weight > 0  # the cap binds
+        for t in out.tensors:
+            owner = t
+            while owner.base is not None:
+                owner = owner.base
+            assert owner.nbytes == t.nbytes
 
     def test_renormalization_keeps_unit_norm(self):
         rng = np.random.default_rng(16)

@@ -16,12 +16,12 @@ from aqctensor.hamiltonian import (
     trotter_columns,
     two_site_unitary,
 )
-from aqctensor.mps import MPS, canonicalize, fidelity, from_product_state
+from aqctensor.mps import MPS, TruncationPolicy, canonicalize, fidelity, from_product_state
 from aqctensor.statevector import basis_state, mps_to_statevector, sv_apply_schedule, sv_fidelity
 
 from conftest import EXACT
 from oracles import (dense_hamiltonian, op_from_record, parse_gate_line, random_mps, schedule_cnot_depth,
-                     sv_exact_evolution, total_sz)
+                     sv_exact_evolution, tebd_evolve_by_column, total_sz)
 
 
 def expm_eig(generator: np.ndarray) -> np.ndarray:
@@ -279,9 +279,9 @@ class TestTebdEvolve:
         ratio = max_drift(0.2, 5) / max_drift(0.1, 10)
         assert 2.5 <= ratio <= 6.5
 
-    def test_one_qr_step_per_two_site_gate(self, monkeypatch):
-        # odd-full columns run right to left, so the center never walks back
-        # across the chain between columns
+    @staticmethod
+    def count_qr_steps(monkeypatch) -> list[int]:
+        """A one-item list that counts the QR and LQ re-gauge steps from now on."""
         from aqctensor import mps
 
         calls = [0]
@@ -290,10 +290,33 @@ class TestTebdEvolve:
                 calls[0] += 1
                 return _step(*args)
             monkeypatch.setattr(mps, name, counted)
+        return calls
+
+    def test_one_qr_step_per_two_site_gate(self, monkeypatch):
+        # odd-full columns run right to left, so the center never walks back
+        # across the chain between columns
+        calls = self.count_qr_steps(monkeypatch)
         ham = random_xyz(12, 0.375, 1.125, seed=19)
         tebd_evolve(from_product_state("10" * 6), ham, 0.2, 4, EXACT)
         gates = sum(len(g.sites) == 2 for g in build_trotter_schedule(ham, 0.2, 4).flat_gates())
         assert calls[0] <= gates
+
+    @pytest.mark.parametrize("h, chi_max", [(0.0, None), (0.0, 4), (0.3, 5)])
+    def test_one_pass_matches_column_by_column(self, h, chi_max, monkeypatch):
+        # one iter_ops pass lets each column's last gate end next to the next column
+        calls = self.count_qr_steps(monkeypatch)
+        base = random_xyz(8, 0.375, 1.125, seed=23)
+        ham = XYZHamiltonian(base.alpha, base.beta, base.delta, (h,) * 8)
+        policy = TruncationPolicy(chi_max=chi_max, cutoff=1e-12)
+        psi0, stats, ref_stats = from_product_state("10" * 4), {}, {}
+        out = tebd_evolve(psi0, ham, 0.2, 3, policy, stats=stats)
+        one_pass, calls[0] = calls[0], 0
+        ref = tebd_evolve_by_column(psi0, ham, 0.2, 3, policy, ref_stats)
+        assert fidelity(out, ref) == pytest.approx(1.0, abs=1e-13)
+        assert stats["max_bond"] == ref_stats["max_bond"]
+        assert stats["discarded_weight"] == pytest.approx(ref_stats["discarded_weight"], rel=0, abs=1e-20)
+        assert chi_max is None or stats["discarded_weight"] > 1e-10  # the cap binds
+        assert one_pass < calls[0]
 
     def test_stats_reporting(self):
         ham = XYZHamiltonian.uniform(6, 0.75, 0.75, 0.75)
