@@ -88,8 +88,8 @@ def _block(a: Ansatz, s: int, k: int, left: int) -> tuple[int, int, int]:
     owns angles 3n + 12s + 4k .. +4 and is reversed (control on the right
     qubit) when k is even; the trainable field angles come after all blocks.
     """
-    offset = 3 * a.n + 12 * s + 4 * k
-    return (left + 1, left, offset) if k % 2 == 0 else (left, left + 1, offset)
+    first = 3 * a.n + 12 * s + 4 * k
+    return (left + 1, left, first) if k % 2 == 0 else (left, left + 1, first)
 
 
 def build_brickwork_ansatz(

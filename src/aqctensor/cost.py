@@ -26,18 +26,19 @@ evaluations, the gradient evaluates each derivative as one overlap
 <W_m| dO_m^dag |prefix_m>, where O_m is one fused two-site slot of the
 ansatz. Every gradient comes from a cost value: cost_and_gradient takes the
 backward (adjoint) sweep that value kept and runs one forward sweep of the
-weighted bra state, M two-site gates for M slots, plus per slot one window:
-amortized O(chi^3) environment work (the overlap environments are reused
-while the tensors they absorbed are unchanged) and one O(chi^3) contraction
-into a 4x4 operator E. The window operators of all slots are the cotangent
-of one vector-Jacobian product of the slot matrices at the kept theta
-(ansatz.slot_vjp), which forms no derivative matrix; a cost-only sweep takes
-none. The gradient equals the shifted-cost difference exactly only when no
-sweep truncates; under a binding bond cap each sweep truncates differently,
-and the result is not the derivative of the untruncated cost.
+weighted bra state, M - 1 two-site gates for M slots, plus per slot one
+window: amortized O(chi^3) environment work (the overlap environments are
+reused while the tensors they absorbed are unchanged) and one O(chi^3)
+contraction into a 4x4 operator E. The window operators of all slots are the
+cotangent of one vector-Jacobian product of the slot matrices at the kept
+theta (ansatz.slot_vjp), which forms no derivative matrix; a cost-only sweep
+takes none. The gradient equals the shifted-cost difference exactly only
+when no sweep truncates; under a binding bond cap each sweep truncates
+differently, and the result is not the derivative of the untruncated cost.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -197,16 +198,14 @@ def cost_and_gradient(value: CostValue) -> tuple[CostValue, np.ndarray]:
     and cutoff never bind).
     """
     sweep = value.sweep
-    bra = sweep.bra
-    bras = mpslib.iter_ops(bra, sweep.ops, sweep.policy)
+    bras = itertools.chain([sweep.bra], mpslib.iter_ops(sweep.bra, sweep.ops, sweep.policy))
     envs = _OverlapEnvironments()
     windows = []
-    # sweep.prefixes[-1 - m] is prefix_m, the target before the adjoint of op m
-    for op, prefix in zip(sweep.ops, reversed(sweep.prefixes)):
+    # window m reads prefix_m = sweep.prefixes[-1 - m] and W_m; zip drops the unread last bra
+    for op, prefix, bra in zip(sweep.ops, reversed(sweep.prefixes), bras):
         left = envs.left(bra, prefix, op.sites[0])
         right = envs.right(bra, prefix, op.sites[1])
         windows.append(_local_operator(left, right, bra, prefix, op.sites[0]))
-        bra = next(bras)
     return value, -2.0 * slot_vjp(sweep.ansatz, sweep.theta, np.conj(windows).swapaxes(-1, -2)).real
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -65,19 +66,19 @@ class OptimizationTrace:
                                  r.note])
 
 
-def _two_loop(grad: np.ndarray, s_list: list[np.ndarray], y_list: list[np.ndarray]) -> np.ndarray:
-    """Standard L-BFGS two-loop recursion for -H grad."""
+def _two_loop(grad: np.ndarray, memory: deque[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Standard L-BFGS two-loop recursion for -H grad over the (s, y) pairs, oldest first."""
     q = grad.copy()
     alphas = []
-    rhos = [1.0 / float(y @ s) for s, y in zip(s_list, y_list)]
-    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rhos)):
+    rhos = [1.0 / float(y @ s) for s, y in memory]
+    for (s, y), rho in zip(reversed(memory), reversed(rhos)):
         a = rho * float(s @ q)
         alphas.append(a)
         q -= a * y
-    if s_list:
-        s, y = s_list[-1], y_list[-1]
+    if memory:
+        s, y = memory[-1]
         q *= float(s @ y) / float(y @ y)
-    for (s, y, rho), a in zip(zip(s_list, y_list, rhos), reversed(alphas)):
+    for ((s, y), rho), a in zip(zip(memory, rhos), reversed(alphas)):
         b = rho * float(y @ q)
         q += (a - b) * s
     return -q
@@ -95,10 +96,13 @@ def minimize(
     evaluator: it serves theta0 and every line-search trial. gradient(point)
     returns the gradient at the theta where evaluate made point; it is asked
     at theta0 and at each accepted step, and no point is held past that call.
-    Returns the best theta seen and the per-iteration trace, which starts
-    with a record of theta0 at iteration 0 and carries alpha1 = 0. A note left
-    empty by a reset or fallback reads memory_reset when a second curvature
-    skip in a row clears the L-BFGS memory.
+    Returns the last accepted theta (theta0 if none) and the trace, which
+    starts with a record of theta0 at iteration 0 and carries alpha1 = 0.
+    That theta costs least: every step passes Armijo along a descent
+    direction (-grad replaces one with direction @ grad >= 0; the fallback
+    -grad / max(1, |grad|_inf) descends as |grad|_inf > grad_tol > 0), and
+    an exact tie ends the run on cost_tol. A second curvature skip in a row
+    clears the L-BFGS memory, noted memory_reset if nothing else was.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     t0 = time.perf_counter()
@@ -112,10 +116,7 @@ def minimize(
     grad = np.asarray(gradient(point), dtype=float)
     del point  # hold no point through the line search
     trace = OptimizationTrace([record(0)])
-    best_theta, best_cost = theta.copy(), cost
-
-    s_list: list[np.ndarray] = []
-    y_list: list[np.ndarray] = []
+    memory: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=MEMORY)  # (s, y), oldest first
     consecutive_skips = 0
 
     for it in range(1, cfg.max_iter + 1):
@@ -124,19 +125,17 @@ def minimize(
             trace.stop_reason = "grad_tol"
             break
 
-        direction = _two_loop(grad, s_list, y_list)
+        direction = _two_loop(grad, memory)
         note = ""
         if float(direction @ grad) >= 0.0:  # not a descent direction
-            s_list.clear()
-            y_list.clear()
+            memory.clear()
             direction = -grad
             note = "direction_reset"
 
         found = _backtrack(evaluate, theta, cost, grad, direction)
         if found is None:
             # quasi-Newton direction failed; retry along steepest descent
-            s_list.clear()
-            y_list.clear()
+            memory.clear()
             direction = -grad / max(1.0, gnorm)
             found = _backtrack(evaluate, theta, cost, grad, direction)
             note = "line_search_fallback"
@@ -154,32 +153,25 @@ def minimize(
         y = new_grad - grad
         sy = float(s @ y)
         if sy > CURVATURE_EPS * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            s_list.append(s)
-            y_list.append(y)
+            memory.append((s, y))
             consecutive_skips = 0
-            if len(s_list) > MEMORY:
-                s_list.pop(0)
-                y_list.pop(0)
         else:
             # repeated curvature failures mean the memory has gone stale
             consecutive_skips += 1
             if consecutive_skips >= 2:
-                s_list.clear()
-                y_list.clear()
+                memory.clear()
                 consecutive_skips = 0
                 note = note or "memory_reset"
 
         decrease = cost - new_cost
         theta, cost, grad, infid = new_theta, new_cost, new_grad, new_infid
         trace.records.append(record(it, note))
-        if cost < best_cost:
-            best_cost, best_theta = cost, theta.copy()
         if decrease < cfg.cost_tol:
             trace.stop_reason = "cost_tol"
             break
     else:
         trace.stop_reason = "max_iter"
-    return best_theta, trace
+    return theta, trace
 
 
 def _backtrack(evaluate, theta, cost, grad, direction) -> tuple[float, tuple] | None:

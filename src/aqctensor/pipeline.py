@@ -387,16 +387,14 @@ def _optimize_phases(
 ) -> tuple[np.ndarray, OptimizationTrace, dict]:
     """Run the alpha-schedule phases; pick the best theta under the terminal cost.
 
-    A candidate's terminal cost is the infidelity of its trace record: the first
-    one for theta0, a phase's first lowest-cost one for its result.
+    A candidate's terminal cost is an infidelity read from a phase's trace:
+    the first phase's first record for theta0, and for a phase's result its
+    last record, whose theta minimize returned and which costs least.
     """
     phases = resolve_alpha_schedule(cfg)
     full_trace = OptimizationTrace()
-    stop_reasons = []
-    candidates = [theta0]
-    terminal_values = []
+    runs: list[tuple[np.ndarray, OptimizationTrace]] = []
     theta = theta0
-    offset = 0
     remaining = cfg.max_iter
     for idx, (fraction, alphas) in enumerate(phases):
         budget = round(cfg.max_iter * fraction) if idx < len(phases) - 1 else remaining
@@ -410,35 +408,31 @@ def _optimize_phases(
             return value.total, value.infidelity_term, value
 
         theta, phase_trace = minimize(evaluate, lambda value: cost_and_gradient(value)[1], theta, opt_cfg)
+        done = len(full_trace.records) - len(runs)  # one start record per phase that ran
         elapsed = full_trace.records[-1].seconds if full_trace.records else 0.0
         full_trace.records.extend(
-            replace(r, iteration=offset + r.iteration, alpha1=alphas[0] if alphas else 0.0,
+            replace(r, iteration=done + r.iteration, alpha1=alphas[0] if alphas else 0.0,
                     seconds=elapsed + r.seconds)
             for r in phase_trace.records)
-        offset = full_trace.records[-1].iteration  # the next start record repeats it
         full_trace.stop_reason = phase_trace.stop_reason
-        stop_reasons.append(phase_trace.stop_reason)
-        candidates.append(theta)
-        if not terminal_values:
-            terminal_values.append(phase_trace.records[0].infidelity)
-        terminal_values.append(min(phase_trace.records, key=lambda r: r.cost).infidelity)
+        runs.append((theta, phase_trace))
         if remaining <= 0:
             break
 
-    best_idx = int(np.argmin(terminal_values))
+    terminal = [runs[0][1].records[0].infidelity] + [t.records[-1].infidelity for _, t in runs]
+    best_idx = int(np.argmin(terminal))
     info = {
         # stop_reason is None for a phase that did not run
         "phases": [{"fraction": f, "alphas": list(a),
-                    "stop_reason": stop_reasons[i] if i < len(stop_reasons) else None}
+                    "stop_reason": runs[i][1].stop_reason if i < len(runs) else None}
                    for i, (f, a) in enumerate(phases)],
-        # every phase that ran put one start record before its iterations
-        "iterations": len(full_trace.records) - (len(candidates) - 1),
+        "iterations": len(full_trace.records) - len(runs),
         "stop_reason": full_trace.stop_reason,
-        "terminal_cost_theta0": terminal_values[0],
-        "terminal_cost_final": terminal_values[best_idx],
+        "terminal_cost_theta0": terminal[0],
+        "terminal_cost_final": terminal[best_idx],
         "best_candidate": best_idx,  # 0 = Trotter initialization
     }
-    return candidates[best_idx], full_trace, info
+    return ([theta0] + [t for t, _ in runs])[best_idx], full_trace, info
 
 
 def _append_stage(cfg, ham, psi0, target, a1, ansatz, gt_policy, evolution_policy) -> dict:

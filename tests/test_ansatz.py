@@ -305,11 +305,22 @@ class TestTrotterInitialize:
     def test_structure_mismatch_rejected(self):
         ham = XYZHamiltonian.uniform(4, 1, 1, 1)
         a = build_brickwork_ansatz(4, 1, ham, 0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="Hamiltonian / time step"):
             trotter_initialize(a, ham, 0.2)
         other = XYZHamiltonian.uniform(4, 1, 1, 1, h=0.7)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="field rotations"):
             trotter_initialize(a, other, 0.1)
+        with pytest.raises(ValueError, match="Hamiltonian / time step"):
+            trotter_initialize(a, XYZHamiltonian.uniform(5, 1, 1, 1), 0.1)
+        with pytest.raises(ValueError, match="Hamiltonian has 4 sites, expected 5"):
+            build_brickwork_ansatz(5, 1, ham, 0.1)
+
+    def test_other_couplings_accepted(self):
+        # the layout depends on n, dt and the fields only; the angles follow the couplings given
+        other = random_xyz(4, 0.375, 1.125, seed=3)
+        a = build_brickwork_ansatz(4, 1, XYZHamiltonian.uniform(4, 1, 1, 1), 0.1)
+        np.testing.assert_array_equal(trotter_initialize(a, other, 0.1),
+                                      trotter_initialize(build_brickwork_ansatz(4, 1, other, 0.1), other, 0.1))
 
 
 class TestApply:

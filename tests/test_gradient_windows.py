@@ -102,7 +102,8 @@ def test_matches_rebuild_oracle_k0_exact():
 
 
 def test_gradient_applies_two_gates_per_slot(monkeypatch):
-    # one backward sweep (the cost value's) and one bra sweep; no prefix state is rebuilt
+    # one backward sweep (the cost value's) and one bra sweep that stops before the last
+    # slot, whose output bra no window reads; no prefix state is rebuilt
     a, theta, target, cfg = chain_instance(8, 2, 2, chi_max=None)
     calls = [0]
     apply_two_site_gate = mps.apply_two_site_gate
@@ -113,7 +114,7 @@ def test_gradient_applies_two_gates_per_slot(monkeypatch):
 
     monkeypatch.setattr(mps, "apply_two_site_gate", counted)
     cost_and_gradient(cost_local_truncated(a, theta, target, cfg))
-    assert calls[0] == 2 * len(ansatz_ops(a, theta))
+    assert calls[0] == 2 * len(ansatz_ops(a, theta)) - 1
 
 
 def _env_steps(monkeypatch, n):

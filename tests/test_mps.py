@@ -51,15 +51,6 @@ class TestProductState:
             from_product_state("012")
 
 
-class TestConstruction:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
-    def test_non_finite_tensor_rejected(self, bad):
-        tensors = [t.copy() for t in from_product_state("00").tensors]
-        tensors[1][0, 1, 0] = bad
-        with pytest.raises(ValueError, match="finite"):
-            MPS(tensors)
-
-
 class TestInnerProduct:
     def test_self_overlap_of_normalized_state(self):
         psi = random_mps(6, seed=1)
@@ -161,6 +152,13 @@ class TestConstruction:
             MPS([np.zeros((2, 2, 1))])
         with pytest.raises(ValueError):
             MPS([np.zeros((1, 2, 2)), np.zeros((3, 2, 1))])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_tensor_rejected(self, bad):
+        tensors = [t.copy() for t in from_product_state("00").tensors]
+        tensors[1][0, 1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MPS(tensors)
 
     def test_copy_skips_the_bond_checks(self, monkeypatch):
         psi = random_mps(5, seed=21)

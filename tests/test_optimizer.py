@@ -70,6 +70,19 @@ class TestContracts:
         theta, _ = minimize(*split(f), x0, OptimizerConfig(max_iter=3))
         assert f(theta)[0] <= f(x0)[0]
 
+    def test_returns_the_last_accepted_point(self):
+        f, _ = quadratic(5, seed=4)
+        points = []
+
+        def gradient(x):
+            points.append(x)  # the start and every accepted step
+            return f(x)[1]
+
+        theta, trace = minimize(split(f)[0], gradient, np.full(5, 2.0), OptimizerConfig(max_iter=4))
+        assert len(points) == len(trace.records) == 5
+        np.testing.assert_array_equal(theta, points[-1])
+        assert f(theta)[0] == trace.records[-1].cost == min(trace.costs())
+
     def test_line_search_failure_recorded(self):
         # gradient deliberately points uphill: no descent possible anywhere
         def lying(x):
@@ -143,6 +156,48 @@ class TestMemoryReset:
         monkeypatch.setattr(optimize, "_backtrack", failing_second)
         _, trace = minimize(*split(self.linear), np.zeros(3), OptimizerConfig(max_iter=4))
         assert [r.note for r in trace.records] == ["", "", "line_search_fallback", "", "memory_reset"]
+
+
+class TestMemory:
+    @staticmethod
+    def ill_conditioned(dim, seed):
+        """A quadratic with eigenvalues 1 .. 100, which L-BFGS takes many steps to solve."""
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        a = q @ np.diag(np.logspace(0, 2, dim)) @ q.T
+        x_star = rng.normal(size=dim)
+
+        def f(x):
+            d = x - x_star
+            return 0.5 * float(d @ a @ d), a @ d
+
+        return f
+
+    def test_holds_the_latest_pairs_up_to_memory(self, monkeypatch):
+        f = self.ill_conditioned(20, seed=11)
+        thetas, grads, held = [], [], []
+
+        def gradient(x):
+            thetas.append(x)
+            grads.append(f(x)[1])
+            return grads[-1]
+
+        def recording(grad, memory, _two_loop=optimize._two_loop):
+            held.append(list(memory))
+            return _two_loop(grad, memory)
+
+        monkeypatch.setattr(optimize, "_two_loop", recording)
+        _, trace = minimize(split(f)[0], gradient, np.zeros(20), OptimizerConfig(max_iter=25))
+        # no reset or fallback: every step is accepted and keeps its (s, y) pair
+        assert [r.note for r in trace.records] == [""] * len(trace.records)
+        assert len(held) > optimize.MEMORY + 2
+        pairs = [(b - a, gb - ga) for a, b, ga, gb in zip(thetas, thetas[1:], grads, grads[1:])]
+        for k, memory in enumerate(held):  # the direction of step k + 1 reads the k pairs before it
+            latest = pairs[max(0, k - optimize.MEMORY):k]
+            assert len(memory) == len(latest) <= optimize.MEMORY
+            for (s, y), (s_k, y_k) in zip(memory, latest):
+                np.testing.assert_array_equal(s, s_k)
+                np.testing.assert_array_equal(y, y_k)
 
 
 class Tag:

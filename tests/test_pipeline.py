@@ -286,6 +286,21 @@ class TestRun:
                                          CostConfig(policy=gt_policy)).total
             assert value.hex() == swept.hex()
 
+    @pytest.mark.parametrize("max_iter", [1, 4])
+    def test_final_terminal_cost_is_its_phases_last_record(self, max_iter):
+        # minimize returns its last accepted theta, and its phase's last record was made there
+        cfg = tiny_config(preset="random-xyz", seed=5, max_iter=max_iter)
+        report, trace = run_aqctensor(cfg, raise_on_error=True)
+        opt = report.optimization
+        numbers = [r.iteration for r in trace.records]
+        # a phase ends where the next one's start record repeats its iteration number
+        ends = [i - 1 for i in range(1, len(numbers)) if numbers[i] == numbers[i - 1]]
+        ends.append(len(numbers) - 1)
+        assert len(ends) == sum(p["stop_reason"] is not None for p in opt["phases"])
+        assert opt["best_candidate"] >= 1  # the optimizer improved on theta0
+        last = trace.records[ends[opt["best_candidate"] - 1]]
+        assert opt["terminal_cost_final"].hex() == last.infidelity.hex()
+
     def test_gradients_reuse_the_line_search_sweep(self, monkeypatch):
         # every backward sweep is a cost evaluation: no gradient builds slot ops for itself
         from aqctensor import cost, pipeline
