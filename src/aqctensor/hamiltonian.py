@@ -18,11 +18,11 @@ Hamiltonians, schedules and TEBD only; the circuit form of a two-site gate
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import mps as mpslib
 from .gates import SX, SY, SZ, CircuitOp, rz
@@ -99,9 +99,13 @@ def random_xyz(n: int, lo: float, hi: float, seed: int) -> XYZHamiltonian:
 
 
 def two_site_unitary(alpha: float, beta: float, delta: float, dt: float) -> np.ndarray:
-    """exp(i dt (alpha SxSx + beta SySy + delta SzSz)) as a dense 4x4."""
-    gen = dt * (alpha * _XX + beta * _YY + delta * _ZZ) / 4.0
-    return expm(1j * gen)
+    """exp(i dt (alpha SxSx + beta SySy + delta SzSz)) as a dense 4x4. XX, YY and ZZ commute, so with
+    t-+ = (alpha -+ beta) dt / 4 and phi = delta dt / 4 it is e^{i phi} (cos t- + i sin t- X) on
+    {|00>, |11>} and e^{-i phi} (cos t+ + i sin t+ X) on {|01>, |10>}."""
+    em, tm, tp = cmath.exp(0.25j * delta * dt), (alpha - beta) * dt / 4, (alpha + beta) * dt / 4
+    ep = em.conjugate()
+    cm, sm, cp, sp = em * cmath.cos(tm), 1j * em * cmath.sin(tm), ep * cmath.cos(tp), 1j * ep * cmath.sin(tp)
+    return np.array([[cm, 0, 0, sm], [0, cp, sp, 0], [0, sp, cp, 0], [sm, 0, 0, cm]])
 
 
 @dataclass(frozen=True)

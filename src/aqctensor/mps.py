@@ -14,21 +14,18 @@ overlap environments) is reshapes plus one matmul, never einsum or tensordot:
 einsum without optimize does not call BLAS.
 
 The factorizations on the gate path (the gate's SVD, the QR and LQ re-gauge
-steps) call LAPACK directly through scipy.linalg.lapack, not numpy.linalg's
-slower wrapper: one zgesdd per gate, one zgeqrf + zungqr per re-gauge step. A
-nonzero LAPACK info raises numpy.linalg.LinAlgError, so a failed factorization
-never reaches the truncation. SciPy loads its own OpenBLAS, apart from numpy's;
-OPENBLAS_NUM_THREADS sets the thread count of both.
+steps) call numpy's LAPACK gufuncs, the kernels of numpy.linalg.svd and qr
+without their Python wrappers: one zgesdd per gate, one zgeqrf + zungqr per
+re-gauge step. So every SVD, QR and matmul runs in numpy's one OpenBLAS and its
+one thread pool. A failed or NaN SVD raises LinAlgError before the truncation.
 
-Where a gate step's time goes, from replaying the gate calls of the bench's
-compile-n8-exact call (chi <= 16, 1 BLAS thread): LAPACK is 46% of a two-site
-step and the glue around it (unitarity check, re-gauge and theta matmuls,
-copies, bookkeeping) 54%; at chi 128 (evolve-n24-chi128) LAPACK is 87%. So a
-step that drops nothing skips the truncation sums and the rescale by 1, and R
-is masked in place. Every public gate call still checks its matrix: the shape,
-and max |u^dag u - 1| <= 1e-10, which also rejects NaN and inf. An exact 2x2
-identity (rz(0)) is exactly unitary: it returns a copy sharing every tensor.
-A truncating two-site gate stores compact factors, not views of its SVD buffer.
+At small chi the glue around LAPACK is about half of a two-site step (see the
+README's library layout), so a step that drops nothing skips the truncation
+sums and the rescale by 1, and R is masked in place. Every public gate call
+still checks its matrix: the shape, and max |u^dag u - 1| <= 1e-10, which also
+rejects NaN and inf. An exact 2x2 identity (rz(0)) is exactly unitary: it
+returns a copy sharing every tensor. A truncating two-site gate stores compact
+factors, not views of its SVD buffer.
 
 All operations return new MPS values; inputs are never mutated.
 """
@@ -41,8 +38,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
-from numpy.linalg import LinAlgError
-from scipy.linalg import lapack
+from numpy.linalg import LinAlgError, _umath_linalg
 
 logger = logging.getLogger(__name__)
 
@@ -198,12 +194,15 @@ def apply_single_site_gate(psi: MPS, u: np.ndarray, site: int) -> MPS:
     return out
 
 
+def _svd_failed(err: str, flag: int) -> None:
+    raise LinAlgError("SVD did not converge")
+
+
+@np.errstate(call=_svd_failed, invalid="call")
 def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD (u, s, vh) of a complex matrix, one zgesdd call."""
-    u, s, vh, info = lapack.zgesdd(a, full_matrices=0)
-    if info != 0:
-        raise LinAlgError(f"zgesdd failed with info {info}")
-    return u, s, vh
+    """Thin SVD (u, s, vh) of a complex matrix, one zgesdd call; a failed or NaN SVD sets
+    the invalid flag, which raises LinAlgError here instead of a RuntimeWarning."""
+    return _umath_linalg.svd_s(a)
 
 
 @functools.lru_cache(maxsize=128)
@@ -215,16 +214,13 @@ def _lower(k: int, n: int) -> np.ndarray:
 
 
 def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR (q, r) of an m x n complex matrix: q is m x k, r is k x n, k = min(m, n)."""
-    qr, tau, _, info = lapack.zgeqrf(a)
-    if info != 0:
-        raise LinAlgError(f"zgeqrf failed with info {info}")
-    k = tau.shape[0]
-    q, _, info = lapack.zungqr(qr[:, :k], tau)  # on a copy: qr keeps R for the lines below
-    if info != 0:
-        raise LinAlgError(f"zungqr failed with info {info}")
-    r = qr[:k]
-    r[_lower(k, qr.shape[1])] = 0
+    """Reduced QR (q, r) of an m x n complex matrix: q is m x k, r is k x n, k = min(m, n).
+    qr_r_raw (zgeqrf) overwrites its argument with R and the reflectors: a Fortran-ordered copy of a."""
+    a = np.array(a, order="F")
+    tau = _umath_linalg.qr_r_raw(a)
+    q = _umath_linalg.qr_reduced(a, tau)
+    r = a[: tau.shape[0]]
+    r[_lower(*r.shape)] = 0
     return q, r
 
 
@@ -241,12 +237,11 @@ def _shift_center_right(tensors: list[np.ndarray], c: int) -> None:
 def _shift_center_left(tensors: list[np.ndarray], c: int) -> None:
     """LQ step: make site c right-orthonormal, push L into c-1."""
     chi_l, d, chi_r = tensors[c].shape
-    m = tensors[c].reshape(chi_l, d * chi_r)
-    q, r = _qr(m.conj().T)
+    q, r = _qr(tensors[c].reshape(chi_l, d * chi_r).T)  # m = r^T q^T, and q^T has orthonormal rows
     k = q.shape[1]
-    tensors[c] = q.conj().T.reshape(k, d, chi_r)
+    tensors[c] = q.T.reshape(k, d, chi_r)
     prv = tensors[c - 1]
-    tensors[c - 1] = (prv.reshape(-1, chi_l) @ r.conj().T).reshape(prv.shape[0], d, k)
+    tensors[c - 1] = (prv.reshape(-1, chi_l) @ r.T).reshape(prv.shape[0], d, k)
 
 
 def canonicalize(psi: MPS, center: int) -> MPS:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import aqctensor
 from aqctensor.ansatz import build_brickwork_ansatz, export_circuit_records
 from aqctensor.hamiltonian import XYZHamiltonian, build_trotter_schedule
 from aqctensor.mps import TruncationPolicy, fidelity, from_product_state, max_bond
@@ -191,6 +195,24 @@ class TestGroundTruth:
 
 
 class TestRun:
+    def test_run_path_imports_no_scipy_linalg(self):
+        """Every factorization runs in numpy's LAPACK: a run and a TEBD evolution load no scipy.linalg."""
+        script = """
+import sys
+import aqctensor, aqctensor.cli
+from aqctensor.hamiltonian import XYZHamiltonian, tebd_evolve
+from aqctensor.mps import TruncationPolicy, from_product_state
+from aqctensor.pipeline import RunConfig, run_aqctensor
+report, _ = run_aqctensor(RunConfig(n=4, t=0.4, layers=1, max_iter=2, out_dir="unused"), raise_on_error=True)
+assert report.status == "ok"
+tebd_evolve(from_product_state("0101"), XYZHamiltonian.uniform(4, 1.0, 0.5, 0.25), 0.1, 2, TruncationPolicy())
+print(sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
+"""
+        src = os.path.dirname(os.path.dirname(aqctensor.__file__))
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
+
     def test_trivial_hamiltonian_prepares_initial_state(self):
         ham = XYZHamiltonian.uniform(4, 0.0, 0.0, 0.0)
         cfg = tiny_config(preset=None, hamiltonian=ham.to_dict(), layers=1, max_iter=2)

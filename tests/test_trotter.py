@@ -86,11 +86,13 @@ class TestTwoSiteUnitary:
             np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
 
     def test_against_eigendecomposition_oracle(self):
-        a = b = d = 0.75
-        dt = 0.1
-        ham = XYZHamiltonian.uniform(2, a, b, d)
-        expected = expm_eig(dt * ham.bond_matrix(0))
-        np.testing.assert_allclose(two_site_unitary(a, b, d, dt), expected, atol=1e-12)
+        """The isotropic point, then seeded anisotropic couplings, where neither block is the
+        identity, each at a positive and a negative dt."""
+        rng = np.random.default_rng(4)
+        for a, b, d in [(0.75, 0.75, 0.75), *rng.uniform(-2, 2, (5, 3))]:
+            for dt in (0.1, -rng.uniform(0.05, 1.5)):
+                expected = expm_eig(dt * XYZHamiltonian.uniform(2, a, b, d).bond_matrix(0))
+                np.testing.assert_allclose(two_site_unitary(a, b, d, dt), expected, rtol=0, atol=1e-12)
 
 
 class TestFieldRotation:
