@@ -44,13 +44,21 @@ from .mps import MPS, TruncationPolicy
 
 @dataclass(frozen=True)
 class Ansatz:
-    """Structure of the parametric circuit (no angle values)."""
+    """Structure of the parametric circuit (no angle values): the Trotter circuit of ham at dt."""
 
-    n: int
+    ham: XYZHamiltonian
     dt: float
-    field_phis: tuple[float, ...]  # per-qubit fixed angle h_i * dt (one full step)
     columns: tuple[tuple[str, tuple[int, ...]], ...]  # trotter_columns: (tag, left sites of pair slots)
     trainable_fields: bool = False  # promote the field rotations into the parameter list
+
+    @property
+    def n(self) -> int:
+        return self.ham.n
+
+    @property
+    def field_angles(self) -> np.ndarray:
+        """The fixed Rz angle (h_i dt) / 2 of each qubit in every field column."""
+        return np.array(self.ham.h) * self.dt / 2
 
     @property
     def num_field_params(self) -> int:
@@ -92,17 +100,13 @@ def _block(a: Ansatz, s: int, k: int, left: int) -> tuple[int, int, int]:
     return (left + 1, left, first) if k % 2 == 0 else (left, left + 1, first)
 
 
-def build_brickwork_ansatz(
-    n: int, l: int, ham: XYZHamiltonian, dt: float, trainable_fields: bool = False
-) -> Ansatz:
-    """Ansatz on trotter_columns(n, l), the layout of build_trotter_schedule(ham, dt, l)."""
-    if n < 2:
-        raise ValueError(f"need at least 2 qubits, got {n}")
+def build_brickwork_ansatz(ham: XYZHamiltonian, l: int, dt: float, trainable_fields: bool = False) -> Ansatz:
+    """Ansatz on trotter_columns(ham.n, l), the layout of build_trotter_schedule(ham, dt, l)."""
+    if ham.n < 2:
+        raise ValueError(f"need at least 2 qubits, got {ham.n}")
     if l < 1:
         raise ValueError(f"need at least 1 layer, got {l}")
-    if ham.n != n:
-        raise ValueError(f"Hamiltonian has {ham.n} sites, expected {n}")
-    return Ansatz(n, dt, tuple(h * dt for h in ham.h), trotter_columns(n, l), trainable_fields)
+    return Ansatz(ham, dt, trotter_columns(ham.n, l), trainable_fields)
 
 
 # --- fused slots -------------------------------------------------------------
@@ -176,7 +180,7 @@ def _slot_layout(a: Ansatz) -> _Layout:
     derivatives = np.empty((num_params, 4), dtype=int)
     derivatives[angles[trainable]] = np.stack([row, side, *np.divmod(channel, 2)], 1)[trainable]
     layout = _Layout(tuple((lefts[s], lefts[s] + 1) for s in order), (2 * row + side) * 12 + channel, angles,
-                     np.array([] if a.trainable_fields else a.field_phis) / 2, derivatives)
+                     np.array([]) if a.trainable_fields else a.field_angles, derivatives)
     for arr in layout[1:]:
         arr.flags.writeable = False
     return layout
@@ -200,7 +204,7 @@ def _primitive_gates(a: Ansatz, theta: np.ndarray):
     s = 0  # two-site slot index
     for tag, pairs in a.columns:
         if tag == "field":
-            angles = next(fields) if a.trainable_fields else [phi / 2 for phi in a.field_phis]
+            angles = next(fields) if a.trainable_fields else a.field_angles
             yield from (("rz", (q,), angles[q]) for q in range(a.n))
             continue
         for left in pairs:
@@ -307,17 +311,12 @@ def solve_triplet_angles(alpha: float, beta: float, delta: float, dt: float) -> 
                      0, 0, 0, np.pi / 2])
 
 
-def trotter_initialize(a: Ansatz, ham: XYZHamiltonian, dt: float, bits: str | None = None) -> np.ndarray:
-    """Parameters at which V(theta) |0...0> equals the l-step Trotter state.
+def trotter_initialize(a: Ansatz, bits: str | None = None) -> np.ndarray:
+    """Parameters at which V(theta) |0...0> equals the l-step Trotter state of a.ham at a.dt.
 
     bits selects the product state whose preparation is folded into the
     initial rotations (Ry(pi) on '1' sites); default all zeros.
     """
-    if ham.n != a.n or abs(a.dt - dt) > 1e-15:
-        raise ValueError("ansatz was not built for this Hamiltonian / time step")
-    phis = tuple(h * dt for h in ham.h)
-    if any(abs(p - q) > 1e-12 for p, q in zip(phis, a.field_phis)):
-        raise ValueError("ansatz field rotations do not match this Hamiltonian")
     if bits is None:
         bits = "0" * a.n
     if len(bits) != a.n or any(ch not in "01" for ch in bits):
@@ -327,12 +326,12 @@ def trotter_initialize(a: Ansatz, ham: XYZHamiltonian, dt: float, bits: str | No
     for q, ch in enumerate(bits):
         if ch == "1":
             theta[3 * q + 1] = np.pi  # Rz(0) Ry(pi) Rz(0) |0> = |1>
-    theta[3 * a.n + 4 * a.num_blocks:] = np.tile(a.field_phis, a.num_field_params // a.n) / 2  # trainable fields
+    theta[3 * a.n + 4 * a.num_blocks:] = np.tile(a.field_angles, a.num_field_params // a.n)  # trainable fields
 
     for s, (tag, i) in enumerate(a.slot_multiset()):
-        tau = pair_time_step(tag, dt)
+        tau = pair_time_step(tag, a.dt)
         o = _block(a, s, 0, i)[2]  # the slot's three blocks own 12 consecutive angles
-        theta[o: o + 12] = solve_triplet_angles(ham.alpha[i], ham.beta[i], ham.delta[i], tau)
+        theta[o: o + 12] = solve_triplet_angles(a.ham.alpha[i], a.ham.beta[i], a.ham.delta[i], tau)
     return theta
 
 

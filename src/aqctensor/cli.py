@@ -17,8 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pipeline import (PRESETS, ConfigError, RunConfig, make_policies, read_config_file,
-                       resolve_hamiltonian, resolve_initial_bits, run_aqctensor, sweep, write_sweep_csv)
+from .pipeline import PRESETS, ConfigError, RunConfig, read_config_file, run_aqctensor, sweep, write_sweep_csv
 
 logger = logging.getLogger("aqctensor")
 
@@ -107,12 +106,10 @@ def cmd_evolve(args) -> int:
     from .mps import from_product_state, max_bond
 
     cfg = load_config(args)
-    ham = resolve_hamiltonian(cfg)
-    policy, _ = make_policies(cfg)
-    psi0 = from_product_state(resolve_initial_bits(cfg))
+    psi0 = from_product_state(cfg.bits)
     t0 = time.perf_counter()
     stats: dict = {}
-    psi = tebd_evolve(psi0, ham, cfg.dt, cfg.layers, policy, stats=stats)
+    psi = tebd_evolve(psi0, cfg.ham, cfg.dt, cfg.layers, cfg.evolution_policy, stats=stats)
     seconds = time.perf_counter() - t0
     logger.info("evolved %d sites for t=%g in %.2fs, max chi %d", cfg.n, cfg.t, seconds, stats["max_bond"])
 
@@ -120,7 +117,7 @@ def cmd_evolve(args) -> int:
     np.savez(out / "state.npz", **{f"tensor_{i}": t for i, t in enumerate(psi.tensors)})
     summary = {
         "config": cfg.to_dict(),
-        "hamiltonian": ham.to_dict(),
+        "hamiltonian": cfg.ham.to_dict(),
         "max_bond": stats["max_bond"],
         "discarded_weight": stats["discarded_weight"],
         "final_bond_dims": psi.bond_dims(),
@@ -143,13 +140,11 @@ def _write_circuit(cfg, theta, out: Path) -> None:
     from .ansatz import build_brickwork_ansatz, export_circuit_records, trotter_initialize
     from .gates import write_gate_list
 
-    ham = resolve_hamiltonian(cfg)
-    ansatz = build_brickwork_ansatz(cfg.n, cfg.layers, ham, cfg.dt,
-                                    trainable_fields=cfg.trainable_fields)
+    ansatz = build_brickwork_ansatz(cfg.ham, cfg.layers, cfg.dt, trainable_fields=cfg.trainable_fields)
     lines = export_circuit_records(ansatz, theta)
     if cfg.append_steps > 0:
-        steps = build_brickwork_ansatz(cfg.n, cfg.append_steps, ham, cfg.dt_app)
-        lines += export_circuit_records(steps, trotter_initialize(steps, ham, cfg.dt_app))
+        steps = build_brickwork_ansatz(cfg.ham, cfg.append_steps, cfg.dt_app)
+        lines += export_circuit_records(steps, trotter_initialize(steps))
     write_gate_list(lines, str(_out_dir(out) / "circuit.txt"))  # made once theta is checked
 
 
@@ -226,10 +221,15 @@ def cmd_export_circuit(args) -> int:
     return EXIT_OK
 
 
+def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A Haar-random unitary: QR of a complex Gaussian matrix, the phases of R's diagonal divided
+    out of Q's columns (Mezzadri, arXiv:math-ph/0609050); np.sign(z) is z / |z|."""
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * np.sign(np.diagonal(r))
+
+
 def run_self_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     """Oracle-equivalence and gradient suites used by the verify subcommand."""
-    from scipy.stats import unitary_group
-
     from .ansatz import build_brickwork_ansatz, trotter_initialize
     from .cost import CostConfig, cost_and_gradient, cost_local_truncated, gradient_fd
     from .gates import CircuitOp
@@ -244,7 +244,7 @@ def run_self_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     for _ in range(5):  # a random three-layer brickwork, on an MPS and on a dense state
         n = int(rng.integers(4, 9))
         bits = "".join(rng.choice(["0", "1"]) for _ in range(n))
-        ops = [CircuitOp((j, j + 1), unitary_group.rvs(4, random_state=rng))
+        ops = [CircuitOp((j, j + 1), _haar_unitary(rng, 4))
                for layer in range(3) for j in range(layer % 2, n - 1, 2)]
         psi = apply_ops(from_product_state(bits), ops, EXACT)
         dense = sv_apply_schedule(basis_state(bits), ops)
@@ -265,8 +265,8 @@ def run_self_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     n, l = 4, 1
     ham = random_xyz(n, 0.375, 1.125, seed=seed + 5)
     target = tebd_evolve(from_product_state("1010"), ham, 0.2, l, EXACT)
-    ansatz = build_brickwork_ansatz(n, l, ham, 0.2)
-    theta = trotter_initialize(ansatz, ham, 0.2, bits="1010")
+    ansatz = build_brickwork_ansatz(ham, l, 0.2)
+    theta = trotter_initialize(ansatz, bits="1010")
     theta = theta + rng.normal(0, 0.1, theta.size)
     cfg = CostConfig(alphas=((n - 1) / n,), policy=EXACT)
     g = cost_and_gradient(cost_local_truncated(ansatz, theta, target, cfg))[1]

@@ -17,7 +17,8 @@ The factorizations on the gate path (the gate's SVD, the QR and LQ re-gauge
 steps) call numpy's LAPACK gufuncs, the kernels of numpy.linalg.svd and qr
 without their Python wrappers: one zgesdd per gate, one zgeqrf + zungqr per
 re-gauge step. So every SVD, QR and matmul runs in numpy's one OpenBLAS and its
-one thread pool. A failed or NaN SVD raises LinAlgError before the truncation.
+one thread pool. A failed SVD, or one of a NaN or inf input, raises LinAlgError
+before the truncation.
 
 At small chi the glue around LAPACK is about half of a two-site step (see the
 README's library layout), so a step that drops nothing skips the truncation
@@ -201,8 +202,12 @@ def _svd_failed(err: str, flag: int) -> None:
 @np.errstate(call=_svd_failed, invalid="call")
 def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD (u, s, vh) of a complex matrix, one zgesdd call; a failed or NaN SVD sets
-    the invalid flag, which raises LinAlgError here instead of a RuntimeWarning."""
-    return _umath_linalg.svd_s(a)
+    the invalid flag, which raises LinAlgError here instead of a RuntimeWarning. An inf
+    input sets no flag but leaves NaN singular values, so s[0] is checked too."""
+    u, s, vh = _umath_linalg.svd_s(a)
+    if not s[0] < np.inf:
+        raise LinAlgError("SVD of a non-finite matrix")
+    return u, s, vh
 
 
 @functools.lru_cache(maxsize=128)

@@ -17,7 +17,9 @@ it under the terminal (alpha = 0) objective.
 A RunConfig is frozen and checked whole when it is made: RunConfig(...) and
 RunConfig.from_dict raise ConfigError for any value a run cannot use, the
 Hamiltonian, initial state, alpha schedule, truncation policies and t_grid
-included, so a config that exists can run.
+included, so a config that exists can run. The run inputs parsed from its
+fields are kept on it, read-only: ham, bits, alpha_phases, evolution_policy
+and gt_policy.
 """
 from __future__ import annotations
 
@@ -124,7 +126,7 @@ class RunConfig:
             raise ConfigError("n must be >= 2")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        for name in ("t", "append_dt", "grad_tol", "cost_tol", "discard_budget"):
+        for name in ("t", "append_dt", "discard_budget"):
             if getattr(self, name) is not None and not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
         if self.t <= 0:
@@ -137,10 +139,6 @@ class RunConfig:
             raise ConfigError("append_dt must be positive")
         if self.discard_budget < 0:
             raise ConfigError("discard_budget must be >= 0")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be >= 1")
-        if self.grad_tol <= 0 or self.cost_tol <= 0:
-            raise ConfigError("grad_tol and cost_tol must be positive")
         if self.preset is not None and self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; choose from {PRESETS}")
         if self.preset is None and self.hamiltonian is None:
@@ -149,8 +147,53 @@ class RunConfig:
                 isinstance(t, numbers.Real) and not isinstance(t, bool) and 0 < t < np.inf
                 for t in self.t_grid)):
             raise ConfigError(f"t_grid must be a non-empty list of positive finite times: {self.t_grid!r}")
-        for resolve in (resolve_hamiltonian, resolve_initial_bits, resolve_alpha_schedule, make_policies):
-            resolve(self)
+        bits = ("10" * self.n)[: self.n] if self.initial_state == "neel" else self.initial_state
+        if len(bits) != self.n or any(ch not in "01" for ch in bits):
+            raise ConfigError("initial_state must be 'neel' or a 0/1 string of length n")
+        gt_chi = None if self.chi_max is None else self.chi_max * self.ground_truth_chi_factor
+        try:
+            OptimizerConfig(max_iter=self.max_iter, grad_tol=self.grad_tol, cost_tol=self.cost_tol)
+            evolution_policy = TruncationPolicy(chi_max=self.chi_max, cutoff=self.cutoff)
+            gt_policy = TruncationPolicy(chi_max=gt_chi, cutoff=self.cutoff)  # cost evaluation uses it too
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        # the parsed run inputs: attributes, not fields, so ==, to_dict, pickle and replace ignore them
+        self.__dict__.update(ham=self._hamiltonian(), bits=bits, alpha_phases=self._alpha_phases(),
+                             evolution_policy=evolution_policy, gt_policy=gt_policy)
+
+    def _hamiltonian(self) -> XYZHamiltonian:
+        if self.hamiltonian is not None:
+            try:
+                ham = XYZHamiltonian.from_dict(self.hamiltonian)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"bad explicit hamiltonian: {exc!r}") from exc
+            if ham.n != self.n:
+                raise ConfigError("explicit Hamiltonian size disagrees with n")
+            return ham
+        if self.preset == "xxx":
+            return XYZHamiltonian.uniform(self.n, 0.75, 0.75, 0.75)
+        if self.preset == "xxz":
+            return XYZHamiltonian.uniform(self.n, 0.75, 0.75, 1.5)
+        return random_xyz(self.n, 0.375, 1.125, seed=self.seed)
+
+    def _alpha_phases(self) -> tuple[tuple[float, tuple[float, ...]], ...]:
+        if self.alpha_schedule == "default":
+            return default_alpha_schedule(self.n)
+        if self.alpha_schedule == "global":
+            return ((1.0, ()),)
+        try:
+            phases = [(float(frac), tuple(float(a) for a in alphas)) for frac, alphas in self.alpha_schedule]
+            for _, alphas in phases:
+                CostConfig(alphas=alphas)  # checks the weights
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad alpha schedule {self.alpha_schedule!r}: {exc}") from exc
+        if any(not 0.0 < f <= 1.0 for f, _ in phases):
+            raise ConfigError("alpha schedule fractions must be in (0, 1]")
+        if not phases or abs(sum(f for f, _ in phases) - 1.0) > 1e-9:
+            raise ConfigError("alpha schedule fractions must sum to 1")
+        if any(len(alphas) > self.n for _, alphas in phases):
+            raise ConfigError(f"an alpha schedule phase has more weights than the {self.n} qubits")
+        return tuple(phases)
 
     @property
     def dt(self) -> float:
@@ -186,61 +229,6 @@ def read_config_file(path: str) -> dict:
             return yaml.safe_load(fh) or {}
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-
-
-def resolve_hamiltonian(cfg: RunConfig) -> XYZHamiltonian:
-    if cfg.hamiltonian is not None:
-        try:
-            ham = XYZHamiltonian.from_dict(cfg.hamiltonian)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad explicit hamiltonian: {exc!r}") from exc
-        if ham.n != cfg.n:
-            raise ConfigError("explicit Hamiltonian size disagrees with n")
-        return ham
-    if cfg.preset == "xxx":
-        return XYZHamiltonian.uniform(cfg.n, 0.75, 0.75, 0.75)
-    if cfg.preset == "xxz":
-        return XYZHamiltonian.uniform(cfg.n, 0.75, 0.75, 1.5)
-    return random_xyz(cfg.n, 0.375, 1.125, seed=cfg.seed)
-
-
-def resolve_initial_bits(cfg: RunConfig) -> str:
-    if cfg.initial_state == "neel":
-        return ("10" * cfg.n)[: cfg.n]
-    bits = cfg.initial_state
-    if len(bits) != cfg.n or any(ch not in "01" for ch in bits):
-        raise ConfigError("initial_state must be 'neel' or a 0/1 string of length n")
-    return bits
-
-
-def make_policies(cfg: RunConfig) -> tuple[TruncationPolicy, TruncationPolicy]:
-    """(evolution, ground truth) truncation policies; cost evaluation uses the ground-truth one."""
-    gt_chi = None if cfg.chi_max is None else cfg.chi_max * cfg.ground_truth_chi_factor
-    try:
-        return (TruncationPolicy(chi_max=cfg.chi_max, cutoff=cfg.cutoff),
-                TruncationPolicy(chi_max=gt_chi, cutoff=cfg.cutoff))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def resolve_alpha_schedule(cfg: RunConfig) -> tuple[tuple[float, tuple[float, ...]], ...]:
-    if cfg.alpha_schedule == "default":
-        return default_alpha_schedule(cfg.n)
-    if cfg.alpha_schedule == "global":
-        return ((1.0, ()),)
-    try:
-        phases = [(float(frac), tuple(float(a) for a in alphas)) for frac, alphas in cfg.alpha_schedule]
-        for _, alphas in phases:
-            CostConfig(alphas=alphas)  # checks the weights
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad alpha schedule {cfg.alpha_schedule!r}: {exc}") from exc
-    if any(not 0.0 < f <= 1.0 for f, _ in phases):
-        raise ConfigError("alpha schedule fractions must be in (0, 1]")
-    if not phases or abs(sum(f for f, _ in phases) - 1.0) > 1e-9:
-        raise ConfigError("alpha schedule fractions must sum to 1")
-    if any(len(alphas) > cfg.n for _, alphas in phases):
-        raise ConfigError(f"an alpha schedule phase has more weights than the {cfg.n} qubits")
-    return tuple(phases)
 
 
 def ground_truth(
@@ -304,22 +292,19 @@ def run_aqctensor(cfg: RunConfig, raise_on_error: bool = False) -> tuple[RunRepo
     stage = "setup"
     try:
         t_start = time.perf_counter()
-        ham = resolve_hamiltonian(cfg)
-        report.hamiltonian = ham.to_dict()
-        bits = resolve_initial_bits(cfg)
+        report.hamiltonian = cfg.ham.to_dict()
         report.conventions = {
-            "initial_state_bits": bits,
+            "initial_state_bits": cfg.bits,
             "state_preparation": "folded into trainable initial rotations; circuit acts on |0...0>",
             "rng": "numpy PCG64 (default_rng)",
             "append_reference": "continues the target from t in fine steps of append.ground_truth_dt",
         }
-        evolution_policy, gt_policy = make_policies(cfg)
         dt = cfg.dt
-        psi0 = from_product_state(bits)
+        psi0 = from_product_state(cfg.bits)
 
         stage = "ground_truth"
         gt_stats: dict = {}
-        target = ground_truth(ham, psi0, cfg.t, dt, gt_policy, stats=gt_stats)
+        target = ground_truth(cfg.ham, psi0, cfg.t, dt, cfg.gt_policy, stats=gt_stats)
         report.max_bond_dims["ground_truth"] = gt_stats["max_bond"]
         report.discarded_weights["ground_truth"] = gt_stats["discarded_weight"]
         report.timings["ground_truth"] = time.perf_counter() - t_start
@@ -327,32 +312,31 @@ def run_aqctensor(cfg: RunConfig, raise_on_error: bool = False) -> tuple[RunRepo
         stage = "tebd_target"
         t0 = time.perf_counter()
         t1_stats: dict = {}
-        t1 = tebd_evolve(psi0, ham, dt, cfg.layers, evolution_policy, stats=t1_stats)
+        t1 = tebd_evolve(psi0, cfg.ham, dt, cfg.layers, cfg.evolution_policy, stats=t1_stats)
         report.max_bond_dims["trotter_l"] = t1_stats["max_bond"]
         report.discarded_weights["trotter_l"] = t1_stats["discarded_weight"]
         report.timings["tebd_target"] = time.perf_counter() - t0
 
         stage = "ansatz"
-        ansatz = build_brickwork_ansatz(cfg.n, cfg.layers, ham, dt,
-                                        trainable_fields=cfg.trainable_fields)
-        theta0 = trotter_initialize(ansatz, ham, dt, bits=bits)
+        ansatz = build_brickwork_ansatz(cfg.ham, cfg.layers, dt, trainable_fields=cfg.trainable_fields)
+        theta0 = trotter_initialize(ansatz, bits=cfg.bits)
         report.depths["ansatz"] = cnot_depth(ansatz.columns)
         report.depths["trotter_l"] = cnot_depth(trotter_columns(cfg.n, cfg.layers))
 
         stage = "optimize"
         t0 = time.perf_counter()
-        theta_opt, trace, opt_info = _optimize_phases(ansatz, theta0, target, cfg, gt_policy)
+        theta_opt, trace, opt_info = _optimize_phases(ansatz, theta0, target, cfg)
         report.optimization = opt_info
         report.timings["optimize"] = time.perf_counter() - t0
         report.theta_opt = list(theta_opt)
 
         stage = "fidelities"
         t0 = time.perf_counter()
-        a1 = apply_ansatz(ansatz, theta_opt, from_product_state("0" * cfg.n), gt_policy)
+        a1 = apply_ansatz(ansatz, theta_opt, from_product_state("0" * cfg.n), cfg.gt_policy)
         report.max_bond_dims["optimized_circuit"] = max_bond(a1)
         f_a1_gt = fidelity(a1, target)
         f_t1_gt = fidelity(t1, target)
-        t1_double = tebd_evolve(psi0, ham, dt / 2, 2 * cfg.layers, evolution_policy)
+        t1_double = tebd_evolve(psi0, cfg.ham, dt / 2, 2 * cfg.layers, cfg.evolution_policy)
         report.fidelities = {
             "a1_vs_gt": f_a1_gt,
             "t1_vs_gt": f_t1_gt,
@@ -365,7 +349,7 @@ def run_aqctensor(cfg: RunConfig, raise_on_error: bool = False) -> tuple[RunRepo
         if cfg.append_steps > 0:
             stage = "append"
             t0 = time.perf_counter()
-            report.append = _append_stage(cfg, ham, psi0, target, a1, ansatz, gt_policy, evolution_policy)
+            report.append = _append_stage(cfg, psi0, target, a1, ansatz)
             report.timings["append"] = time.perf_counter() - t0
 
         report.timings["total"] = time.perf_counter() - t_start
@@ -379,11 +363,7 @@ def run_aqctensor(cfg: RunConfig, raise_on_error: bool = False) -> tuple[RunRepo
 
 
 def _optimize_phases(
-    ansatz: Ansatz,
-    theta0: np.ndarray,
-    target: MPS,
-    cfg: RunConfig,
-    policy: TruncationPolicy,
+    ansatz: Ansatz, theta0: np.ndarray, target: MPS, cfg: RunConfig
 ) -> tuple[np.ndarray, OptimizationTrace, dict]:
     """Run the alpha-schedule phases; pick the best theta under the terminal cost.
 
@@ -391,7 +371,7 @@ def _optimize_phases(
     the first phase's first record for theta0, and for a phase's result its
     last record, whose theta minimize returned and which costs least.
     """
-    phases = resolve_alpha_schedule(cfg)
+    phases = cfg.alpha_phases
     full_trace = OptimizationTrace()
     runs: list[tuple[np.ndarray, OptimizationTrace]] = []
     theta = theta0
@@ -400,7 +380,7 @@ def _optimize_phases(
         budget = round(cfg.max_iter * fraction) if idx < len(phases) - 1 else remaining
         budget = max(1, min(budget, remaining))
         remaining -= budget
-        phase_cfg = CostConfig(alphas=alphas, policy=policy)
+        phase_cfg = CostConfig(alphas=alphas, policy=cfg.gt_policy)
         opt_cfg = OptimizerConfig(max_iter=budget, grad_tol=cfg.grad_tol, cost_tol=cfg.cost_tol)
 
         def evaluate(t: np.ndarray, _cfg=phase_cfg):
@@ -435,20 +415,20 @@ def _optimize_phases(
     return ([theta0] + [t for t, _ in runs])[best_idx], full_trace, info
 
 
-def _append_stage(cfg, ham, psi0, target, a1, ansatz, gt_policy, evolution_policy) -> dict:
+def _append_stage(cfg, psi0, target, a1, ansatz) -> dict:
     """Append k Trotter steps to the optimized state; continue the target from t as their reference."""
     dt_app = cfg.dt_app
     k = cfg.append_steps
     t_total = cfg.t + k * dt_app
 
-    final_state = tebd_evolve(a1, ham, dt_app, k, evolution_policy)
+    final_state = tebd_evolve(a1, cfg.ham, dt_app, k, cfg.evolution_policy)
     gt2_stats: dict = {}
-    gt2 = ground_truth(ham, target, k * dt_app, cfg.dt, gt_policy, stats=gt2_stats)
+    gt2 = ground_truth(cfg.ham, target, k * dt_app, cfg.dt, cfg.gt_policy, stats=gt2_stats)
     verified = gt2.discarded_weight <= cfg.discard_budget  # the whole history from 0
 
     # matched-depth pure-Trotter reference: l + k equal steps covering t_total
     steps_ref = cfg.layers + k
-    trotter_ref = tebd_evolve(psi0, ham, t_total / steps_ref, steps_ref, evolution_policy)
+    trotter_ref = tebd_evolve(psi0, cfg.ham, t_total / steps_ref, steps_ref, cfg.evolution_policy)
 
     return {
         "k_app": k,

@@ -216,7 +216,7 @@ def gate_walk_slots(a: Ansatz, theta: np.ndarray) -> list[CircuitOp]:
     field, s = 3 * n + 4 * a.num_blocks, 0
     for tag, pairs in a.columns:
         if tag == "field":
-            gates += [("rz", q, theta[field + q] if a.trainable_fields else a.field_phis[q] / 2) for q in range(n)]
+            gates += [("rz", q, theta[field + q] if a.trainable_fields else a.ham.h[q] * a.dt / 2) for q in range(n)]
             field += n if a.trainable_fields else 0
             continue
         for i in pairs:

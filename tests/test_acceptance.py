@@ -24,7 +24,7 @@ from aqctensor.cost import (
 )
 from aqctensor.hamiltonian import XYZHamiltonian, build_trotter_schedule, random_xyz, tebd_evolve
 from aqctensor.mps import TruncationPolicy, from_product_state
-from aqctensor.pipeline import RunConfig, resolve_hamiltonian, run_aqctensor
+from aqctensor.pipeline import RunConfig, run_aqctensor
 from aqctensor.statevector import basis_state, mps_to_statevector, sv_apply_schedule, sv_fidelity
 
 from conftest import EXACT, random_circuit_pair
@@ -83,11 +83,11 @@ def test_criterion_03_trotter_initialization_exactness(preset):
     n, l, t = 8, 4, 2.0
     dt = t / l
     cfg = RunConfig(n=n, t=t, layers=l, preset=preset, seed=777, out_dir="x")
-    ham = resolve_hamiltonian(cfg)
+    ham = cfg.ham
     policy = TruncationPolicy(cutoff=1e-12)
     target = tebd_evolve(from_product_state(neel(n)), ham, dt, l, policy)
-    ansatz = build_brickwork_ansatz(n, l, ham, dt)
-    theta0 = trotter_initialize(ansatz, ham, dt, bits=neel(n))
+    ansatz = build_brickwork_ansatz(ham, l, dt)
+    theta0 = trotter_initialize(ansatz, bits=neel(n))
 
     mps_cost = cost_local_truncated(ansatz, theta0, target, CostConfig(policy=policy)).total
     circuit_dense = sv_apply_schedule(basis_state("0" * n), ansatz_ops(ansatz, theta0))
@@ -103,13 +103,13 @@ def test_criterion_03_trotter_initialization_exactness(preset):
 def test_criterion_04_parameter_count_and_depth():
     """108 parameters at n=4 l=2; CNOT-depth equality for l = 1..6, n = 4..12."""
     ham = XYZHamiltonian.uniform(4, 1, 1, 1)
-    params = build_brickwork_ansatz(4, 2, ham, 0.1).num_params
+    params = build_brickwork_ansatz(ham, 2, 0.1).num_params
     assert params == 108
     mismatches = []
     for n in range(4, 13):
         for l in range(1, 7):
             ham = XYZHamiltonian.uniform(n, 1, 1, 1)
-            a = build_brickwork_ansatz(n, l, ham, 0.1)
+            a = build_brickwork_ansatz(ham, l, 0.1)
             schedule = build_trotter_schedule(ham, 0.1, l)
             if cnot_depth(a.columns) != schedule_cnot_depth(schedule, n):
                 mismatches.append((n, l))
@@ -126,7 +126,7 @@ def test_criterion_05_gradient_exactness():
     for draw in range(100):
         seed = int(rng.integers(1, 2**31))
         ham = random_xyz(n, 0.375, 1.125, seed=seed)
-        a = build_brickwork_ansatz(n, l, ham, 0.2)
+        a = build_brickwork_ansatz(ham, l, 0.2)
         theta = rng.uniform(-np.pi, np.pi, a.num_params)
         target = random_mps(n, seed=seed + 1)
         cfg = CostConfig(alphas=((n - 1) / n,), policy=EXACT)
@@ -147,7 +147,7 @@ def test_criterion_06_local_cost_equivalence():
     for draw in range(20):
         seed = int(rng.integers(1, 2**31))
         ham = random_xyz(n, 0.375, 1.125, seed=seed)
-        a = build_brickwork_ansatz(n, 2, ham, 0.2)
+        a = build_brickwork_ansatz(ham, 2, 0.2)
         theta = rng.uniform(-np.pi, np.pi, a.num_params)
         target = random_mps(n, seed=seed + 2)
         cfg = CostConfig(alphas=alphas, policy=EXACT)

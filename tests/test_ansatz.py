@@ -54,25 +54,25 @@ def phase_distance(u, v):
 class TestStructure:
     def test_counts_n4_l2(self):
         ham = XYZHamiltonian.uniform(4, 1, 1, 1)
-        a = build_brickwork_ansatz(4, 2, ham, 0.1)
+        a = build_brickwork_ansatz(ham, 2, 0.1)
         assert a.num_params == 108
         assert a.num_blocks == 24
 
     def test_n2_l1(self):
         ham = XYZHamiltonian.uniform(2, 1, 1, 1)
-        a = build_brickwork_ansatz(2, 1, ham, 0.1)
+        a = build_brickwork_ansatz(ham, 1, 0.1)
         assert len(a.slot_multiset()) == 2
         assert a.num_blocks == 6
         assert a.num_params == 30
 
     def test_too_few_qubits(self):
         with pytest.raises(ValueError):
-            build_brickwork_ansatz(1, 1, XYZHamiltonian.uniform(2, 1, 1, 1), 0.1)
+            build_brickwork_ansatz(XYZHamiltonian((), (), (), (0.0,)), 1, 0.1)
 
     @pytest.mark.parametrize("n,l", [(4, 1), (5, 2), (6, 3), (7, 2)])
     def test_slots_mirror_schedule(self, n, l):
         ham = XYZHamiltonian.uniform(n, 1, 1, 1)
-        a = build_brickwork_ansatz(n, l, ham, 0.2)
+        a = build_brickwork_ansatz(ham, l, 0.2)
         schedule = build_trotter_schedule(ham, 0.2, l)
         expected = [(c.tag, g.sites[0]) for c in schedule.columns if c.tag != "field" for g in c.gates]
         assert a.slot_multiset() == expected
@@ -84,19 +84,19 @@ class TestStructure:
             raise AssertionError("build_brickwork_ansatz built a two-site gate matrix")
 
         monkeypatch.setattr(hamiltonian, "two_site_unitary", refuse)
-        a = build_brickwork_ansatz(5, 3, random_xyz(5, 0.375, 1.125, seed=4), 0.2)
+        a = build_brickwork_ansatz(random_xyz(5, 0.375, 1.125, seed=4), 3, 0.2)
         assert a.columns == trotter_columns(5, 3)
 
     def test_parameter_count_formula(self):
         for n, l in [(3, 1), (6, 2), (9, 3)]:
             ham = XYZHamiltonian.uniform(n, 1, 1, 1)
-            a = build_brickwork_ansatz(n, l, ham, 0.1)
+            a = build_brickwork_ansatz(ham, l, 0.1)
             assert a.num_params == 3 * n + 4 * a.num_blocks
 
     def test_triplet_reversal_convention(self):
         # each slot's blocks read cx (i+1, i), (i, i+1), (i+1, i) in the exported circuit
         ham = XYZHamiltonian.uniform(4, 1, 1, 1)
-        a = build_brickwork_ansatz(4, 2, ham, 0.1)
+        a = build_brickwork_ansatz(ham, 2, 0.1)
         lines = export_circuit_records(a, np.zeros(a.num_params))
         cx = [tuple(parse_gate_line(line)[1]) for line in lines if line.startswith("cx")]
         expected = [q for _, i in a.slot_multiset() for q in ((i + 1, i), (i, i + 1), (i + 1, i))]
@@ -127,7 +127,7 @@ FIELD_IDS = ["h-" + "-".join(map(str, shape)) for shape in FIELD_SHAPES]
 def slot_ansatz(n, l, trainable_fields, seed, dt, h=0.0):
     base = random_xyz(n, 0.375, 1.125, seed=seed)
     ham = XYZHamiltonian(base.alpha, base.beta, base.delta, (h,) * n) if h else base
-    return build_brickwork_ansatz(n, l, ham, dt, trainable_fields=trainable_fields)
+    return build_brickwork_ansatz(ham, l, dt, trainable_fields=trainable_fields)
 
 
 class TestDerivativeMatrices:
@@ -186,7 +186,7 @@ def per_gate_ops(a, theta):
     for tag, pairs in a.columns:
         if tag == "field":
             for q in range(a.n):
-                angle = theta[field + q] if a.trainable_fields else a.field_phis[q] / 2
+                angle = theta[field + q] if a.trainable_fields else a.ham.h[q] * a.dt / 2
                 ops.append(CircuitOp((q,), rz(angle)))
             field += a.n if a.trainable_fields else 0
             continue
@@ -207,7 +207,7 @@ class TestFusion:
         rng = np.random.default_rng(100 * n + 10 * l + trainable_fields)
         h = tuple(rng.uniform(-0.8, 0.8, n))
         ham = XYZHamiltonian((0.75,) * (n - 1), (0.75,) * (n - 1), (1.5,) * (n - 1), h)
-        a = build_brickwork_ansatz(n, l, ham, 0.3, trainable_fields=trainable_fields)
+        a = build_brickwork_ansatz(ham, l, 0.3, trainable_fields=trainable_fields)
         theta = rng.uniform(-np.pi, np.pi, a.num_params)
         ops = ansatz_ops(a, theta)
         assert len(ops) == len(a.slot_multiset())
@@ -220,7 +220,7 @@ class TestFusion:
 
     def test_fused_matrices_are_unitary(self):
         ham = random_xyz(6, 0.375, 1.125, seed=14)
-        a = build_brickwork_ansatz(6, 2, ham, 0.2, trainable_fields=True)
+        a = build_brickwork_ansatz(ham, 2, 0.2, trainable_fields=True)
         rng = np.random.default_rng(15)
         for _ in range(200):
             for op in ansatz_ops(a, rng.uniform(-np.pi, np.pi, a.num_params)):
@@ -230,7 +230,7 @@ class TestFusion:
     def test_ops_of_an_earlier_call_keep_their_values(self):
         # the slot layout is cached on the Ansatz; each call builds fresh matrices
         ham = random_xyz(5, 0.375, 1.125, seed=16)
-        a = build_brickwork_ansatz(5, 2, ham, 0.2, trainable_fields=True)
+        a = build_brickwork_ansatz(ham, 2, 0.2, trainable_fields=True)
         rng = np.random.default_rng(17)
         theta = rng.uniform(-np.pi, np.pi, a.num_params)
         cot = rng.normal(size=(len(a.slot_multiset()), 4, 4))
@@ -272,8 +272,8 @@ class TestTrotterInitialize:
     def test_each_slot_slice_is_its_triplet_solve(self, trainable_fields):
         ham = random_xyz(5, 0.375, 1.125, seed=16)
         dt = 0.3
-        a = build_brickwork_ansatz(5, 2, ham, dt, trainable_fields=trainable_fields)
-        theta = trotter_initialize(a, ham, dt)
+        a = build_brickwork_ansatz(ham, 2, dt, trainable_fields=trainable_fields)
+        theta = trotter_initialize(a)
         for s, (tag, i) in enumerate(a.slot_multiset()):
             tau = dt / 2 if tag == "even-half" else dt
             o = 3 * a.n + 12 * s
@@ -284,8 +284,8 @@ class TestTrotterInitialize:
         ham = random_xyz(6, 0.375, 1.125, seed=4)
         dt, l = 0.25, 2
         target = tebd_evolve(from_product_state("101010"), ham, dt, l, EXACT)
-        a = build_brickwork_ansatz(6, l, ham, dt)
-        theta0 = trotter_initialize(a, ham, dt, bits="101010")
+        a = build_brickwork_ansatz(ham, l, dt)
+        theta0 = trotter_initialize(a, bits="101010")
         from aqctensor.cost import CostConfig, cost_local_truncated
 
         cost = cost_local_truncated(a, theta0, target, CostConfig(policy=EXACT)).total
@@ -296,38 +296,18 @@ class TestTrotterInitialize:
         base = random_xyz(6, 0.375, 1.125, seed=6)
         ham = XYZHamiltonian(base.alpha, base.beta, base.delta, tuple(rng.uniform(-0.5, 0.5, 6)))
         dt, l = 0.2, 2
-        a = build_brickwork_ansatz(6, l, ham, dt)
-        theta0 = trotter_initialize(a, ham, dt, bits="110010")
+        a = build_brickwork_ansatz(ham, l, dt)
+        theta0 = trotter_initialize(a, bits="110010")
         circuit_state = sv_apply_schedule(basis_state("0" * 6), ansatz_ops(a, theta0))
         trotter_state = sv_apply_schedule(basis_state("110010"), build_trotter_schedule(ham, dt, l))
         assert sv_fidelity(circuit_state, trotter_state) == pytest.approx(1.0, abs=1e-10)
-
-    def test_structure_mismatch_rejected(self):
-        ham = XYZHamiltonian.uniform(4, 1, 1, 1)
-        a = build_brickwork_ansatz(4, 1, ham, 0.1)
-        with pytest.raises(ValueError, match="Hamiltonian / time step"):
-            trotter_initialize(a, ham, 0.2)
-        other = XYZHamiltonian.uniform(4, 1, 1, 1, h=0.7)
-        with pytest.raises(ValueError, match="field rotations"):
-            trotter_initialize(a, other, 0.1)
-        with pytest.raises(ValueError, match="Hamiltonian / time step"):
-            trotter_initialize(a, XYZHamiltonian.uniform(5, 1, 1, 1), 0.1)
-        with pytest.raises(ValueError, match="Hamiltonian has 4 sites, expected 5"):
-            build_brickwork_ansatz(5, 1, ham, 0.1)
-
-    def test_other_couplings_accepted(self):
-        # the layout depends on n, dt and the fields only; the angles follow the couplings given
-        other = random_xyz(4, 0.375, 1.125, seed=3)
-        a = build_brickwork_ansatz(4, 1, XYZHamiltonian.uniform(4, 1, 1, 1), 0.1)
-        np.testing.assert_array_equal(trotter_initialize(a, other, 0.1),
-                                      trotter_initialize(build_brickwork_ansatz(4, 1, other, 0.1), other, 0.1))
 
 
 class TestApply:
     def test_matches_statevector(self):
         rng = np.random.default_rng(7)
         ham = random_xyz(6, 0.375, 1.125, seed=8)
-        a = build_brickwork_ansatz(6, 2, ham, 0.15)
+        a = build_brickwork_ansatz(ham, 2, 0.15)
         theta = rng.uniform(-np.pi, np.pi, a.num_params)
         psi = apply_ansatz(a, theta, from_product_state("0" * 6), EXACT)
         dense = sv_apply_schedule(basis_state("0" * 6), ansatz_ops(a, theta))
@@ -335,14 +315,14 @@ class TestApply:
 
     def test_zero_angles_fix_the_vacuum(self):
         ham = XYZHamiltonian.uniform(5, 1, 1, 1)  # h = 0, CNOTs fix |0...0>
-        a = build_brickwork_ansatz(5, 1, ham, 0.1)
+        a = build_brickwork_ansatz(ham, 1, 0.1)
         psi = apply_ansatz(a, np.zeros(a.num_params), from_product_state("0" * 5), EXACT)
         assert amplitude(psi, "0" * 5) == pytest.approx(1.0, abs=1e-12)
 
     def test_adjoint_inverts_forward(self):
         rng = np.random.default_rng(9)
         ham = random_xyz(5, 0.375, 1.125, seed=9)
-        a = build_brickwork_ansatz(5, 1, ham, 0.2)
+        a = build_brickwork_ansatz(ham, 1, 0.2)
         theta = rng.uniform(-np.pi, np.pi, a.num_params)
         start = from_product_state("01011")
         round_trip = apply_ansatz_adjoint(a, theta, apply_ansatz(a, theta, start, EXACT), EXACT)
@@ -351,7 +331,7 @@ class TestApply:
     def test_adjoint_of_own_output_hits_vacuum(self):
         rng = np.random.default_rng(10)
         ham = random_xyz(4, 0.375, 1.125, seed=10)
-        a = build_brickwork_ansatz(4, 1, ham, 0.3)
+        a = build_brickwork_ansatz(ham, 1, 0.3)
         theta = rng.uniform(-np.pi, np.pi, a.num_params)
         target = apply_ansatz(a, theta, from_product_state("0000"), EXACT)
         phi = apply_ansatz_adjoint(a, theta, target, EXACT)
@@ -360,7 +340,7 @@ class TestApply:
     def test_adjoint_dense_matrix_is_conjugate_transpose(self):
         rng = np.random.default_rng(11)
         ham = random_xyz(4, 0.375, 1.125, seed=11)
-        a = build_brickwork_ansatz(4, 1, ham, 0.2)
+        a = build_brickwork_ansatz(ham, 1, 0.2)
         theta = rng.uniform(-np.pi, np.pi, a.num_params)
         ops = ansatz_ops(a, theta)
         forward = dense_ops_matrix(ops, 4)
@@ -369,7 +349,7 @@ class TestApply:
 
     def test_wrong_parameter_count(self):
         ham = XYZHamiltonian.uniform(4, 1, 1, 1)
-        a = build_brickwork_ansatz(4, 1, ham, 0.1)
+        a = build_brickwork_ansatz(ham, 1, 0.1)
         with pytest.raises(ValueError):
             apply_ansatz(a, np.zeros(a.num_params - 1), from_product_state("0000"), EXACT)
 
@@ -379,18 +359,18 @@ class TestDepth:
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_depth_formula(self, n, l):
         ham = XYZHamiltonian.uniform(n, 1, 1, 1)
-        a = build_brickwork_ansatz(n, l, ham, 0.1)
+        a = build_brickwork_ansatz(ham, l, 0.1)
         assert cnot_depth(a.columns) == 3 * (2 * l + 1)
 
     def test_two_qubit_depth(self):
         ham = XYZHamiltonian.uniform(2, 1, 1, 1)
-        a = build_brickwork_ansatz(2, 1, ham, 0.1)
+        a = build_brickwork_ansatz(ham, 1, 0.1)
         assert cnot_depth(a.columns) == 6
 
     @pytest.mark.parametrize("n,l", [(4, 1), (5, 2), (8, 3), (9, 4)])
     def test_equals_trotter_depth(self, n, l):
         ham = XYZHamiltonian.uniform(n, 1, 1, 1)
-        a = build_brickwork_ansatz(n, l, ham, 0.1)
+        a = build_brickwork_ansatz(ham, l, 0.1)
         assert cnot_depth(a.columns) == schedule_cnot_depth(build_trotter_schedule(ham, 0.1, l), n)
 
 
@@ -399,17 +379,17 @@ class TestTrainableFields:
         rng = np.random.default_rng(40)
         base = random_xyz(4, 0.375, 1.125, seed=41)
         ham = XYZHamiltonian(base.alpha, base.beta, base.delta, tuple(rng.uniform(-0.5, 0.5, 4)))
-        a = build_brickwork_ansatz(4, 1, ham, 0.2, trainable_fields=True)
+        a = build_brickwork_ansatz(ham, 1, 0.2, trainable_fields=True)
         return ham, a
 
     def test_parameter_count_grows_by_field_rotations(self):
         ham, a = self.make()
-        fixed = build_brickwork_ansatz(4, 1, ham, 0.2)
+        fixed = build_brickwork_ansatz(ham, 1, 0.2)
         assert a.num_params == fixed.num_params + 2 * 1 * 4  # 2l field columns, n each
 
     def test_initialization_still_exact(self):
         ham, a = self.make()
-        theta0 = trotter_initialize(a, ham, 0.2, bits="1010")
+        theta0 = trotter_initialize(a, bits="1010")
         circuit = sv_apply_schedule(basis_state("0000"), ansatz_ops(a, theta0))
         trotter = sv_apply_schedule(basis_state("1010"), build_trotter_schedule(ham, 0.2, 1))
         assert sv_fidelity(circuit, trotter) == pytest.approx(1.0, abs=1e-10)
@@ -438,7 +418,7 @@ class TestExport:
         for n, l, h in ((4, 1, (0.1, -0.2, 0.3, 0.0)), (6, 2, (0.1, -0.2, 0.3, 0.0, 0.2, -0.1))):
             base = random_xyz(n, 0.375, 1.125, seed=13)
             ham = XYZHamiltonian(base.alpha, base.beta, base.delta, h)
-            a = build_brickwork_ansatz(n, l, ham, 0.2)
+            a = build_brickwork_ansatz(ham, l, 0.2)
             theta = rng.uniform(-np.pi, np.pi, a.num_params)
 
             path = tmp_path / f"circuit-{n}.txt"

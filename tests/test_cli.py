@@ -202,6 +202,29 @@ class TestEvolve:
         data = np.load(out / "state.npz")
         assert len(data.files) == 6
 
+    def test_explicit_hamiltonian_and_bits(self, tmp_path):
+        import yaml
+
+        from aqctensor.hamiltonian import XYZHamiltonian, random_xyz, tebd_evolve
+        from aqctensor.mps import TruncationPolicy, from_product_state
+
+        base = random_xyz(5, 0.375, 1.125, seed=9)
+        ham = XYZHamiltonian(base.alpha, base.beta, base.delta, (0.3, -0.2, 0.0, 0.45, 0.1))
+        plain = json.loads(json.dumps(ham.to_dict()))  # python floats, which YAML can write
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump({"preset": None, "hamiltonian": plain, "n": 5, "t": 0.9,
+                                            "layers": 3, "initial_state": "11010", "chi_max": 4}))
+        out = tmp_path / "evolve"
+        assert run_cli("evolve", "--config", str(cfg_path), "--out", str(out)) == EXIT_OK
+
+        summary = json.loads((out / "evolve.json").read_text())
+        assert summary["hamiltonian"] == summary["config"]["hamiltonian"] == ham.to_dict()
+        psi = tebd_evolve(from_product_state("11010"), ham, 0.3, 3, TruncationPolicy(chi_max=4, cutoff=1e-12))
+        data = np.load(out / "state.npz")
+        assert len(data.files) == 5
+        for i, tensor in enumerate(psi.tensors):
+            assert np.array_equal(data[f"tensor_{i}"], tensor)
+
     def test_runtime_failure_leaves_no_output_directory(self, tmp_path, monkeypatch):
         from aqctensor import hamiltonian
 
@@ -288,11 +311,10 @@ class TestExportCircuit:
 
         report = json.loads((out / "report.json").read_text())
         from aqctensor.ansatz import ansatz_ops, build_brickwork_ansatz
-        from aqctensor.pipeline import RunConfig, resolve_hamiltonian
+        from aqctensor.pipeline import RunConfig
 
         cfg = RunConfig.from_dict(report["config"])
-        ham = resolve_hamiltonian(cfg)
-        ansatz = build_brickwork_ansatz(cfg.n, cfg.layers, ham, cfg.dt)
+        ansatz = build_brickwork_ansatz(cfg.ham, cfg.layers, cfg.dt)
         direct = sv_apply_schedule(basis_state("0000"), ansatz_ops(ansatz, np.array(report["theta_opt"])))
         assert sv_fidelity(state, direct) == pytest.approx(1.0, abs=1e-12)
 
@@ -311,13 +333,13 @@ class TestExportCircuit:
         from oracles import op_from_record
         from aqctensor.ansatz import build_brickwork_ansatz, export_circuit_records
         from aqctensor.hamiltonian import build_trotter_schedule
-        from aqctensor.pipeline import RunConfig, resolve_hamiltonian
+        from aqctensor.pipeline import RunConfig
         from aqctensor.statevector import sv_apply_schedule, sv_fidelity
 
         config = {"preset": "xxz", "n": 4, "layers": 1, "t": 0.6, "append_steps": 1, "append_dt": 0.25}
         cfg = RunConfig.from_dict(config)
-        ham = resolve_hamiltonian(cfg)
-        ansatz = build_brickwork_ansatz(4, 1, ham, cfg.dt)
+        ham = cfg.ham
+        ansatz = build_brickwork_ansatz(ham, 1, cfg.dt)
         theta = np.full(ansatz.num_params, 0.1)
         records = self.export_with_appended_steps(tmp_path, config, theta)
         appended = [op_from_record(*rec) for rec in records[len(export_circuit_records(ansatz, theta)):]]
@@ -333,20 +355,20 @@ class TestExportCircuit:
     def test_appended_block_is_three_cx_and_five_rotations_per_gate(self, tmp_path):
         from aqctensor.ansatz import build_brickwork_ansatz, export_circuit_records
         from aqctensor.hamiltonian import build_trotter_schedule, random_xyz
-        from aqctensor.pipeline import RunConfig, resolve_hamiltonian
+        from aqctensor.pipeline import RunConfig
 
         h = (0.3, 0.0, -0.2, 0.0, 0.1)
         ham = random_xyz(5, 0.375, 1.125, seed=6).to_dict()
         config = {"preset": None, "hamiltonian": dict(ham, h=list(h)), "n": 5, "layers": 1, "t": 0.6,
                   "append_steps": 2, "append_dt": 0.2}
         cfg = RunConfig.from_dict(config)
-        ansatz = build_brickwork_ansatz(5, 1, resolve_hamiltonian(cfg), cfg.dt)
+        ansatz = build_brickwork_ansatz(cfg.ham, 1, cfg.dt)
         theta = np.where(np.arange(ansatz.num_params) % 3 == 0, 0.0, 0.1)  # some exact zeros
         records = self.export_with_appended_steps(tmp_path, config, theta)
         assert all(angles[0] != 0.0 for name, _, angles in records if name != "cx")
 
         appended = [name for name, _, _ in records[len(export_circuit_records(ansatz, theta)):]]
-        schedule = build_trotter_schedule(resolve_hamiltonian(cfg), 0.2, 2)
+        schedule = build_trotter_schedule(cfg.ham, 0.2, 2)
         gates = sum(len(g.sites) == 2 for g in schedule.flat_gates())
         fields = 2 * 2 * sum(x != 0.0 for x in h)  # two field columns per step
         assert appended.count("cx") == 3 * gates
@@ -360,11 +382,11 @@ class TestExportCircuit:
     @pytest.mark.parametrize("damage", ["one_short", "non_number", "nan"])
     def test_unusable_theta_is_usage_error(self, tmp_path, damage):
         from aqctensor.ansatz import build_brickwork_ansatz
-        from aqctensor.pipeline import RunConfig, resolve_hamiltonian
+        from aqctensor.pipeline import RunConfig
 
         config = {"preset": "xxz", "n": 4, "layers": 1, "t": 0.6}
         cfg = RunConfig.from_dict(config)
-        theta = [0.1] * build_brickwork_ansatz(4, 1, resolve_hamiltonian(cfg), cfg.dt).num_params
+        theta = [0.1] * build_brickwork_ansatz(cfg.ham, 1, cfg.dt).num_params
         theta[-1] = {"non_number": "x", "nan": float("nan")}.get(damage)
         if damage == "one_short":
             theta.pop()

@@ -161,9 +161,12 @@ class TestFactorizations:
         assert not np.tril(r, -1).any()  # upper trapezoidal in the wide case
         np.testing.assert_allclose(q @ r, a, rtol=0, atol=ATOL)
 
-    def test_svd_of_nan_raises(self):
+    # zgesdd flags a NaN input; for an inf one it returns NaN factors, which _svd checks for
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0, np.inf)],
+                             ids=["nan", "inf", "-inf", "imag-inf"])
+    def test_svd_of_nan_raises(self, entry):
         a = np.eye(4, dtype=complex)
-        a[1, 2] = np.nan
+        a[1, 2] = entry
         with pytest.raises(np.linalg.LinAlgError):
             _svd(a)
 

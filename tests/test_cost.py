@@ -29,9 +29,9 @@ GLOBAL = CostConfig(policy=EXACT)  # no weights: k = 0, the global cost
 def make_instance(n, l, seed, dt=0.2, bits=None):
     rng = np.random.default_rng(seed)
     ham = random_xyz(n, 0.375, 1.125, seed=seed)
-    a = build_brickwork_ansatz(n, l, ham, dt)
+    a = build_brickwork_ansatz(ham, l, dt)
     bits = bits or ("10" * n)[:n]
-    theta = trotter_initialize(a, ham, dt, bits=bits) + rng.normal(0, 0.15, 3 * n + 4 * a.num_blocks)
+    theta = trotter_initialize(a, bits=bits) + rng.normal(0, 0.15, 3 * n + 4 * a.num_blocks)
     return ham, a, theta
 
 
@@ -183,7 +183,7 @@ class TestBruteForce:
 
     def test_single_qubit_reduces_to_global(self):
         ham = XYZHamiltonian.uniform(2, 0.75, 0.75, 0.75)
-        a = build_brickwork_ansatz(2, 1, ham, 0.2)
+        a = build_brickwork_ansatz(ham, 1, 0.2)
         rng = np.random.default_rng(0)
         theta = rng.uniform(-np.pi, np.pi, a.num_params)
         target = random_mps(2, seed=5)
@@ -195,7 +195,7 @@ class TestBruteForce:
 
     def test_size_guard(self):
         ham = XYZHamiltonian.uniform(15, 1, 1, 1)
-        a = build_brickwork_ansatz(15, 1, ham, 0.1)
+        a = build_brickwork_ansatz(ham, 1, 0.1)
         with pytest.raises(ValueError):
             cost_full_local_bruteforce(a, np.zeros(a.num_params), from_product_state("0" * 15))
 
@@ -203,7 +203,7 @@ class TestBruteForce:
 class TestGradient:
     def test_zero_at_interior_minimum(self):
         ham, a, _ = make_instance(4, 1, seed=11)
-        theta = trotter_initialize(a, ham, 0.2, bits="1010")
+        theta = trotter_initialize(a, bits="1010")
         target = apply_ansatz(a, theta, from_product_state("0000"), EXACT)
         cfg = CostConfig(alphas=(0.75,), policy=EXACT)
         g = cost_and_gradient(cost_local_truncated(a, theta, target, cfg))[1]
@@ -230,8 +230,8 @@ class TestGradient:
         # fixed nonzero fields on every site: pending fields sum into a slot's c, trailing ones into d
         base = random_xyz(5, 0.375, 1.125, seed=24)
         fields = XYZHamiltonian(base.alpha, base.beta, base.delta, (0.7, -0.4, 0.55, -0.8, 0.3))
-        b = build_brickwork_ansatz(5, 2, fields, 0.2, trainable_fields=False)
-        phi = trotter_initialize(b, fields, 0.2, bits="10101")
+        b = build_brickwork_ansatz(fields, 2, 0.2, trainable_fields=False)
+        phi = trotter_initialize(b, bits="10101")
         phi = phi + np.random.default_rng(24).normal(0, 0.15, b.num_params)
         target = random_mps(5, seed=123)
         cfg = CostConfig(alphas=(0.8,), policy=EXACT)
@@ -294,8 +294,8 @@ def hand_over_instance(n, policy, seed=5):
     ham = random_xyz(n, 0.375, 1.125, seed=seed)
     bits = ("10" * n)[:n]
     target = tebd_evolve(from_product_state(bits), ham, 0.3, 4, EXACT)
-    a = build_brickwork_ansatz(n, 2, ham, 0.3)
-    theta = trotter_initialize(a, ham, 0.3, bits=bits)
+    a = build_brickwork_ansatz(ham, 2, 0.3)
+    theta = trotter_initialize(a, bits=bits)
     theta = theta + np.random.default_rng(seed).normal(0, 0.2, a.num_params)
     return a, theta, target, CostConfig(alphas=((n - 1) / n,), policy=policy)
 

@@ -76,8 +76,8 @@ def chain_instance(n, l, seed, chi_max, trainable_fields=False):
     ham = random_xyz(n, 0.375, 1.125, seed=seed)
     bits = ("10" * n)[:n]
     target = tebd_evolve(from_product_state(bits), ham, 0.3, 4, EXACT)
-    a = build_brickwork_ansatz(n, l, ham, 0.3, trainable_fields=trainable_fields)
-    theta = trotter_initialize(a, ham, 0.3, bits=bits)
+    a = build_brickwork_ansatz(ham, l, 0.3, trainable_fields=trainable_fields)
+    theta = trotter_initialize(a, bits=bits)
     theta = theta + np.random.default_rng(seed).normal(0, 0.2, a.num_params)
     cfg = CostConfig(alphas=((n - 1) / n,), policy=TruncationPolicy(chi_max=chi_max))
     return a, theta, target, cfg

@@ -14,11 +14,7 @@ from aqctensor.pipeline import (
     ConfigError,
     RunConfig,
     ground_truth,
-    make_policies,
     read_config_file,
-    resolve_alpha_schedule,
-    resolve_hamiltonian,
-    resolve_initial_bits,
     run_aqctensor,
     sweep,
     write_sweep_csv,
@@ -79,31 +75,31 @@ class TestConfig:
         assert RunConfig.from_dict(read_config_file(str(path))) == cfg
 
     def test_presets(self):
-        xxx = resolve_hamiltonian(tiny_config(preset="xxx"))
+        xxx = tiny_config(preset="xxx").ham
         assert set(xxx.alpha) == {0.75} and set(xxx.delta) == {0.75}
-        xxz = resolve_hamiltonian(tiny_config(preset="xxz"))
+        xxz = tiny_config(preset="xxz").ham
         assert set(xxz.alpha) == {0.75} and set(xxz.delta) == {1.5}
-        rnd = resolve_hamiltonian(tiny_config(preset="random-xyz", seed=3))
-        assert rnd == resolve_hamiltonian(tiny_config(preset="random-xyz", seed=3))
+        rnd = tiny_config(preset="random-xyz", seed=3).ham
+        assert rnd == tiny_config(preset="random-xyz", seed=3).ham
         assert min(rnd.alpha) >= 0.375 and max(rnd.alpha) <= 1.125
 
     def test_initial_bits(self):
-        assert resolve_initial_bits(tiny_config(n=5)) == "10101"
-        assert resolve_initial_bits(tiny_config(initial_state="0011")) == "0011"
+        assert tiny_config(n=5).bits == "10101"
+        assert tiny_config(initial_state="0011").bits == "0011"
         with pytest.raises(ValueError):
-            resolve_initial_bits(tiny_config(initial_state="012x"))
+            tiny_config(initial_state="012x")
 
     def test_ground_truth_policy_dominates(self):
-        evo, gt = make_policies(tiny_config(chi_max=16))
-        assert evo.chi_max == 16 and gt.chi_max == 64
+        cfg = tiny_config(chi_max=16)
+        assert cfg.evolution_policy.chi_max == 16 and cfg.gt_policy.chi_max == 64
 
     def test_alpha_schedule_forms(self):
-        assert resolve_alpha_schedule(tiny_config()) == ((0.5, (0.75,)), (0.5, ()))
-        assert resolve_alpha_schedule(tiny_config(alpha_schedule="global")) == ((1.0, ()),)
-        custom = resolve_alpha_schedule(tiny_config(alpha_schedule=[[0.3, [0.9]], [0.7, []]]))
+        assert tiny_config().alpha_phases == ((0.5, (0.75,)), (0.5, ()))
+        assert tiny_config(alpha_schedule="global").alpha_phases == ((1.0, ()),)
+        custom = tiny_config(alpha_schedule=[[0.3, [0.9]], [0.7, []]]).alpha_phases
         assert custom == ((0.3, (0.9,)), (0.7, ()))
         with pytest.raises(ValueError):
-            resolve_alpha_schedule(tiny_config(alpha_schedule=[[0.3, [0.9]]]))
+            tiny_config(alpha_schedule=[[0.3, [0.9]]])
 
     @pytest.mark.parametrize("overrides", [
         dict(initial_state="01"),
@@ -139,7 +135,7 @@ class TestConfig:
             cfg.t_grid[0] = -1.0
         with pytest.raises(TypeError):
             cfg.hamiltonian["n"] = 5
-        assert resolve_alpha_schedule(cfg) == ((1.0, (0.5,)),)
+        assert cfg.alpha_phases == ((1.0, (0.5,)),)
 
     def test_to_dict_gives_plain_lists_and_dicts(self):
         raw = dict(n=4, t=0.8, layers=2, preset=None, max_iter=6, out_dir="unused",
@@ -196,7 +192,8 @@ class TestGroundTruth:
 
 class TestRun:
     def test_run_path_imports_no_scipy_linalg(self):
-        """Every factorization runs in numpy's LAPACK: a run and a TEBD evolution load no scipy.linalg."""
+        """Every factorization runs in numpy's LAPACK: a run, a TEBD evolution and the verify
+        self-checks load no scipy module at all."""
         script = """
 import sys
 import aqctensor, aqctensor.cli
@@ -206,7 +203,8 @@ from aqctensor.pipeline import RunConfig, run_aqctensor
 report, _ = run_aqctensor(RunConfig(n=4, t=0.4, layers=1, max_iter=2, out_dir="unused"), raise_on_error=True)
 assert report.status == "ok"
 tebd_evolve(from_product_state("0101"), XYZHamiltonian.uniform(4, 1.0, 0.5, 0.25), 0.1, 2, TruncationPolicy())
-print(sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
+assert all(passed for _, passed, _ in aqctensor.cli.run_self_checks(0))
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
         src = os.path.dirname(os.path.dirname(aqctensor.__file__))
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
@@ -293,12 +291,10 @@ print(sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
         cfg = tiny_config(preset="random-xyz", seed=5, max_iter=max_iter)
         report, trace = run_aqctensor(cfg, raise_on_error=True)
         opt = report.optimization
-        ham = resolve_hamiltonian(cfg)
-        ansatz = build_brickwork_ansatz(cfg.n, cfg.layers, ham, cfg.dt)
-        theta0 = trotter_initialize(ansatz, ham, cfg.dt, bits=resolve_initial_bits(cfg))
-        _, gt_policy = make_policies(cfg)
-        target = ground_truth(ham, from_product_state(resolve_initial_bits(cfg)), cfg.t,
-                              cfg.dt, gt_policy)
+        ansatz = build_brickwork_ansatz(cfg.ham, cfg.layers, cfg.dt)
+        theta0 = trotter_initialize(ansatz, bits=cfg.bits)
+        gt_policy = cfg.gt_policy
+        target = ground_truth(cfg.ham, from_product_state(cfg.bits), cfg.t, cfg.dt, gt_policy)
         infidelities = [r.infidelity.hex() for r in trace.records]
         assert opt["terminal_cost_theta0"].hex() == infidelities[0]
         assert opt["terminal_cost_final"].hex() in infidelities
@@ -381,8 +377,8 @@ class TestReportedDepths:
         cfg = tiny_config(n=n, t=0.1 * layers, layers=layers, preset="random-xyz", max_iter=1,
                           append_steps=2, append_dt=0.07)
         report, _ = run_aqctensor(cfg, raise_on_error=True)
-        ham, dt, k = resolve_hamiltonian(cfg), cfg.dt, cfg.append_steps
-        records = map(parse_gate_line, export_circuit_records(build_brickwork_ansatz(n, layers, ham, dt),
+        ham, dt, k = cfg.ham, cfg.dt, cfg.append_steps
+        records = map(parse_gate_line, export_circuit_records(build_brickwork_ansatz(ham, layers, dt),
                                                               np.array(report.theta_opt)))
         ansatz = levelled_cnot_depth([qubits for name, qubits, _ in records if name == "cx"], n)
 
@@ -424,10 +420,9 @@ class TestAppendReference:
     def test_continuation_matches_rerun_from_zero(self, overrides, monkeypatch):
         cfg = tiny_config(max_iter=1, append_steps=2, **overrides)
         report, (target, continued) = run_recording_references(cfg, monkeypatch)
-        _, gt_policy = make_policies(cfg)
-        psi0 = from_product_state(resolve_initial_bits(cfg))
-        oracle = rerun_reference(resolve_hamiltonian(cfg), psi0, report.append["t_total"], cfg.dt,
-                                 gt_policy)
+        gt_policy = cfg.gt_policy
+        psi0 = from_product_state(cfg.bits)
+        oracle = rerun_reference(cfg.ham, psi0, report.append["t_total"], cfg.dt, gt_policy)
         assert fidelity(continued, oracle) == pytest.approx(1.0, abs=1e-12)
         if gt_policy.chi_max is not None:
             assert max_bond(oracle) < gt_policy.chi_max  # the cap does not bind

@@ -353,9 +353,9 @@ class TestPrimitiveRecords:
 
     @staticmethod
     def trotter_ops(ham, dt, steps):
-        a = build_brickwork_ansatz(ham.n, steps, ham, dt)
+        a = build_brickwork_ansatz(ham, steps, dt)
         return [op_from_record(*parse_gate_line(line))
-                for line in export_circuit_records(a, trotter_initialize(a, ham, dt))]
+                for line in export_circuit_records(a, trotter_initialize(a))]
 
     def test_three_cnot_form_matches_exponential(self):
         # n = 2, one step, no field: two half-step gates, whose product is the full exponential
