@@ -5,9 +5,11 @@ subtracts alpha_m-weighted sums F_m = sum_{|s|=m} |<s| V^dag |psi_t>|^2 over
 all bit-flip patterns s of weight m = 1..k; every term is an amplitude of the
 single state |phi> = V^dag |psi_t>, so one adjoint circuit application feeds
 the whole cost. That application is the backward sweep of
-cost_local_truncated: it keeps the slot ops, a copy of theta and every
-intermediate state on the value it returns, and ends in the flip-count
-construct of phi, which gives both the cost and the gradient's bra.
+cost_local_truncated: it keeps the slot ops, a copy of theta, every
+intermediate state and phi on the value it returns, and ends in the
+flip-count construct of phi, which gives both the cost and the gradient's
+bra. Only that construct depends on the weights alpha, so reweigh gives the
+value of the same sweep under new weights without sweeping again.
 
 One flip-count construct serves every order 0 <= k <= n: the counter MPO of
 Crosswhite & Bacon (arXiv:0708.1221) applied to phi, with one bond sector per
@@ -148,9 +150,9 @@ class Sweep:
 
     theta is a copy of the parameters, so the caller may reuse its array; ops
     are the slot ops of ansatz_ops at theta, prefixes[i] is the target after
-    the first i of their adjoint ops (i < M, the last state is phi), and bra
-    is the flip-count bra of phi. The gradient contracts its window operators
-    with the slot derivatives at theta (ansatz.slot_vjp).
+    the first i of their adjoint ops (i < M), phi is the normalized state
+    after all M, and bra is the flip-count bra of phi. The gradient contracts
+    its window operators with the slot derivatives at theta (ansatz.slot_vjp).
     """
 
     ansatz: Ansatz
@@ -158,6 +160,7 @@ class Sweep:
     policy: TruncationPolicy
     ops: list[CircuitOp]
     prefixes: list[MPS]
+    phi: MPS
     bra: MPS
 
 
@@ -174,7 +177,20 @@ def cost_local_truncated(a: Ansatz, theta: np.ndarray, target: MPS, cfg: CostCon
     prefixes = [target, *mpslib.iter_ops(target, adjoint_ops(ops), cfg.policy)]
     phi = mpslib.normalize(prefixes.pop())
     bra, value = _flip_count(phi, cfg.k, cfg.alphas)
-    return replace(value, sweep=Sweep(a, theta, cfg.policy, ops, prefixes, bra))
+    return replace(value, sweep=Sweep(a, theta, cfg.policy, ops, prefixes, phi, bra))
+
+
+def reweigh(value: CostValue, cfg: CostConfig) -> CostValue:
+    """cost_local_truncated at the value's theta under cfg, bit for bit, from the value's sweep.
+
+    Only the flip-count construct of phi reads the weights, so no gate runs;
+    the sweep is kept with the new bra. cfg.policy must be the sweep's.
+    """
+    sweep = value.sweep
+    if cfg.policy != sweep.policy:
+        raise ValueError(f"the sweep ran under {sweep.policy}, not {cfg.policy}")
+    bra, new = _flip_count(sweep.phi, cfg.k, cfg.alphas)
+    return replace(new, sweep=replace(sweep, bra=bra))
 
 
 # --- gradients ---------------------------------------------------------------
@@ -212,16 +228,28 @@ def cost_and_gradient(value: CostValue) -> tuple[CostValue, np.ndarray]:
 def gradient_fd(
     a: Ansatz, theta: np.ndarray, target: MPS, cfg: CostConfig, h: float = 1e-5
 ) -> np.ndarray:
-    """Central finite differences; verification oracle."""
+    """Central finite differences; verification oracle.
+
+    Shifting angle j changes one slot only, the row a._layout.derivatives[j][0]
+    of ansatz_ops, so every state of the backward sweep before that slot's
+    adjoint op is the unshifted sweep's. Each shifted sweep resumes from that
+    prefix and applies the rest of its own adjoint op list. iter_ops looks only
+    ahead, so the result is bit for bit that of a full cost_local_truncated.
+    """
     theta = np.asarray(theta, dtype=float)
+    prefixes = cost_local_truncated(a, theta, target, cfg).sweep.prefixes
+
+    def shifted_cost(j: int, shift: float) -> float:
+        t = theta.copy()
+        t[j] += shift
+        start = len(prefixes) - 1 - a._layout.derivatives[j][0]
+        ops = adjoint_ops(ansatz_ops(a, t))[start:]
+        phi = mpslib.normalize(mpslib.apply_ops(prefixes[start], ops, cfg.policy))
+        return _flip_count(phi, cfg.k, cfg.alphas)[1].total
+
     grad = np.zeros(theta.size)
     for j in range(theta.size):
-        tp, tm = theta.copy(), theta.copy()
-        tp[j] += h
-        tm[j] -= h
-        cp = cost_local_truncated(a, tp, target, cfg).total
-        cm = cost_local_truncated(a, tm, target, cfg).total
-        grad[j] = (cp - cm) / (2 * h)
+        grad[j] = (shifted_cost(j, h) - shifted_cost(j, -h)) / (2 * h)
     return grad
 
 

@@ -69,10 +69,10 @@ class XYZHamiltonian:
     def to_dict(self) -> dict:
         return {
             "n": self.n,
-            "alpha": list(self.alpha),
-            "beta": list(self.beta),
-            "delta": list(self.delta),
-            "h": list(self.h),
+            "alpha": [float(x) for x in self.alpha],  # plain floats, so yaml.safe_dump writes them
+            "beta": [float(x) for x in self.beta],
+            "delta": [float(x) for x in self.delta],
+            "h": [float(x) for x in self.h],
             "seed": self.seed,
         }
 

@@ -22,11 +22,14 @@ before the truncation.
 
 At small chi the glue around LAPACK is about half of a two-site step (see the
 README's library layout), so a step that drops nothing skips the truncation
-sums and the rescale by 1, and R is masked in place. Every public gate call
-still checks its matrix: the shape, and max |u^dag u - 1| <= 1e-10, which also
-rejects NaN and inf. An exact 2x2 identity (rz(0)) is exactly unitary: it
-returns a copy sharing every tensor. A truncating two-site gate stores compact
-factors, not views of its SVD buffer.
+sums and the rescale by 1, and R is masked in place. Every gate matrix is
+checked: the shape, and max |u^dag u - 1| <= 1e-10, which also rejects NaN and
+inf. A public gate call checks its own matrix; iter_ops checks each distinct
+matrix of its op list once, before the first gate, with one batched product
+per dimension, and tells the gates it calls that their matrix is checked. An
+exact 2x2 identity (rz(0)) is exactly unitary: it returns a copy sharing every
+tensor. A truncating two-site gate stores compact factors, not views of its
+SVD buffer.
 
 All operations return new MPS values; inputs are never mutated.
 """
@@ -174,22 +177,44 @@ def normalize(psi: MPS) -> MPS:
     return out
 
 
-def _check_unitary(u: np.ndarray, dim: int) -> None:
+def _check_unitary(u: np.ndarray, dim: int, err: float | None = None) -> None:
+    """Raise ValueError unless u is a dim x dim unitary; err is max |u^dag u - 1| when already known."""
     if u.shape != (dim, dim):
         raise ValueError(f"gate must be {dim}x{dim}, got {u.shape}")
-    err = np.maximum.reduce(np.abs(np.dot(u.conj().T, u) - _IDENTITY[dim]), axis=None)
+    if err is None:
+        err = np.maximum.reduce(np.abs(np.dot(u.conj().T, u) - _IDENTITY[dim]), axis=None)
     if not err <= _UNITARY_ATOL:  # also catches a NaN deviation
         raise ValueError(f"gate is not unitary (deviation {err:.2e})")
 
 
-def apply_single_site_gate(psi: MPS, u: np.ndarray, site: int) -> MPS:
-    """Apply a 2x2 unitary at one site. Bonds and center are unchanged."""
+def _check_op_matrices(ops: list) -> None:
+    """_check_unitary of each distinct matrix of ops, in op order, with one batched product per dimension."""
+    mats = {}  # (id, dim) -> matrix; ops holds every matrix, so no id is reused meanwhile
+    for op in ops:
+        key = (id(op.matrix), 2 ** len(op.sites))
+        if key not in mats:
+            mats[key] = np.asarray(op.matrix)
+    errs = {}
+    for dim in (2, 4):
+        keys = [key for key, u in mats.items() if key[1] == dim and u.shape == (dim, dim)]
+        if keys:
+            us = np.stack([mats[key] for key in keys])
+            errs.update(zip(keys, np.maximum.reduce(
+                np.abs(np.matmul(us.conj().swapaxes(1, 2), us) - _IDENTITY[dim]), axis=(1, 2)).tolist()))
+    if len(errs) < len(mats) or not all(err <= _UNITARY_ATOL for err in errs.values()):
+        for key, u in mats.items():  # raises at the first bad matrix in op order
+            _check_unitary(u, key[1], errs.get(key))
+
+
+def apply_single_site_gate(psi: MPS, u: np.ndarray, site: int, checked: bool = False) -> MPS:
+    """Apply a 2x2 unitary at one site. Bonds and center are unchanged. checked: u passed _check_unitary."""
     if not 0 <= site < psi.n:
         raise ValueError(f"site {site} out of range for {psi.n} qubits")
     u = np.asarray(u)
     if u.tolist() == [[1, 0], [0, 1]]:  # an exact identity is exactly unitary: a copy, no check or matmul
         return psi.copy()
-    _check_unitary(u, 2)
+    if not checked:
+        _check_unitary(u, 2)
     out = psi.copy()
     out.tensors[site] = np.matmul(u, psi.tensors[site])  # u on the physical axis of every (2, chi_r) slice
     return out
@@ -276,7 +301,8 @@ def canonicalize(psi: MPS, center: int) -> MPS:
 
 
 def apply_two_site_gate(
-    psi: MPS, u: np.ndarray, left_site: int, policy: TruncationPolicy, end_left: bool = False
+    psi: MPS, u: np.ndarray, left_site: int, policy: TruncationPolicy, end_left: bool = False,
+    checked: bool = False,
 ) -> MPS:
     """Apply a 4x4 unitary to (left_site, left_site + 1) with SVD truncation.
 
@@ -284,12 +310,14 @@ def apply_two_site_gate(
     SVD truncation is globally optimal, and ends on the right site
     (left_site + 1), or on left_site when end_left is set. The dropped share of
     the pair's squared singular-value mass is added to discarded_weight; kept
-    singular values are rescaled so the state norm is preserved.
+    singular values are rescaled so the state norm is preserved. checked: u
+    passed _check_unitary (as iter_ops checks its op list before the first gate).
     """
     if not 0 <= left_site < psi.n - 1:
         raise ValueError(f"left_site {left_site} out of range for {psi.n} qubits")
     u = np.asarray(u)
-    _check_unitary(u, 4)
+    if not checked:
+        _check_unitary(u, 4)
 
     if psi.center is not None and left_site <= psi.center <= left_site + 1:
         out = psi.copy()
@@ -331,18 +359,21 @@ def iter_ops(psi: MPS, ops: Iterable, policy: TruncationPolicy) -> Iterator[MPS]
     """Apply ops with .sites and .matrix in order, yielding the state after each.
 
     A two-site gate ends on its left site when the next two-site op lies further left.
-    Sites other than (i,) or (i, i + 1) raise ValueError before the first gate.
+    Sites other than (i,) or (i, i + 1), and a matrix that is not a unitary of
+    their dimension, raise ValueError before the first gate; each distinct
+    matrix is checked once, and the gates are told so.
     """
     ops = list(ops)
     for op in ops:
         if len(op.sites) not in (1, 2) or op.sites[-1] != op.sites[0] + len(op.sites) - 1:
             raise ValueError(f"op sites must be (i,) or (i, i + 1), got {tuple(op.sites)}")
+    _check_op_matrices(ops)
     following = iter([op.sites[0] for op in ops if len(op.sites) == 2][1:] + [psi.n])
     for op in ops:
         if len(op.sites) == 1:
-            psi = apply_single_site_gate(psi, op.matrix, op.sites[0])
+            psi = apply_single_site_gate(psi, op.matrix, op.sites[0], True)
         else:
-            psi = apply_two_site_gate(psi, op.matrix, op.sites[0], policy, next(following) < op.sites[0])
+            psi = apply_two_site_gate(psi, op.matrix, op.sites[0], policy, next(following) < op.sites[0], True)
         yield psi
 
 

@@ -6,7 +6,8 @@ A run does, in order:
      truncation policy);
   2. build the brickwork ansatz for l layers, Trotter-initialize it, and
      minimize the truncated local cost against the target, phase by phase of
-     the alpha schedule;
+     the alpha schedule; a phase that starts where the previous one stopped
+     reweighs that phase's kept sweep instead of sweeping again;
   3. optionally append k further Trotter steps to the optimized circuit; their
      reference continues the target from t.
 
@@ -31,7 +32,6 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from types import MappingProxyType
 
 import numpy as np
-import yaml
 
 from .ansatz import (
     Ansatz,
@@ -40,7 +40,8 @@ from .ansatz import (
     cnot_depth,
     trotter_initialize,
 )
-from .cost import CostConfig, cost_and_gradient, cost_local_truncated, default_alpha_schedule
+from .cost import (CostConfig, CostValue, cost_and_gradient, cost_local_truncated, default_alpha_schedule,
+                   reweigh)
 from .hamiltonian import XYZHamiltonian, random_xyz, tebd_evolve, trotter_columns
 from .mps import MPS, TruncationPolicy, fidelity, from_product_state, max_bond
 from .optimize import OptimizationTrace, OptimizerConfig, minimize
@@ -224,6 +225,8 @@ class RunConfig:
 
 def read_config_file(path: str) -> dict:
     """Raw key/value mapping of a YAML config file."""
+    import yaml  # only config files need it, so a run without one never loads it
+
     try:
         with open(path) as fh:
             return yaml.safe_load(fh) or {}
@@ -370,12 +373,22 @@ def _optimize_phases(
     A candidate's terminal cost is an infidelity read from a phase's trace:
     the first phase's first record for theta0, and for a phase's result its
     last record, whose theta minimize returned and which costs least.
+
+    The point of the last gradient call is kept until the next evaluate call.
+    A phase that starts at its theta, bit for bit, reweighs that sweep under
+    its own alphas; any other evaluate call drops it before it sweeps.
     """
     phases = cfg.alpha_phases
     full_trace = OptimizationTrace()
     runs: list[tuple[np.ndarray, OptimizationTrace]] = []
     theta = theta0
     remaining = cfg.max_iter
+    kept: list[CostValue] = []  # the point of the last gradient call, until the next evaluate call
+
+    def gradient(value: CostValue) -> np.ndarray:
+        kept[:] = [value]
+        return cost_and_gradient(value)[1]
+
     for idx, (fraction, alphas) in enumerate(phases):
         budget = round(cfg.max_iter * fraction) if idx < len(phases) - 1 else remaining
         budget = max(1, min(budget, remaining))
@@ -384,10 +397,15 @@ def _optimize_phases(
         opt_cfg = OptimizerConfig(max_iter=budget, grad_tol=cfg.grad_tol, cost_tol=cfg.cost_tol)
 
         def evaluate(t: np.ndarray, _cfg=phase_cfg):
-            value = cost_local_truncated(ansatz, t, target, _cfg)
+            point = kept.pop() if kept else None
+            if point is not None and point.sweep.theta.tobytes() == np.asarray(t, dtype=float).tobytes():
+                value = reweigh(point, _cfg)
+            else:
+                point = None  # dropped before the sweep, so one sweep is alive here, not two
+                value = cost_local_truncated(ansatz, t, target, _cfg)
             return value.total, value.infidelity_term, value
 
-        theta, phase_trace = minimize(evaluate, lambda value: cost_and_gradient(value)[1], theta, opt_cfg)
+        theta, phase_trace = minimize(evaluate, gradient, theta, opt_cfg)
         done = len(full_trace.records) - len(runs)  # one start record per phase that ran
         elapsed = full_trace.records[-1].seconds if full_trace.records else 0.0
         full_trace.records.extend(

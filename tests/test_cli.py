@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import aqctensor
 from aqctensor.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 
@@ -45,6 +49,20 @@ class TestRun:
         assert (out / "circuit.txt").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["artifacts"]) == {"report.json", "trace.csv", "circuit.txt"}
+
+    def test_run_without_config_never_loads_yaml(self, tmp_path):
+        """Only a config file needs the YAML parser, so a run from flags does not import it."""
+        script = f"""
+import sys
+from aqctensor.cli import main
+assert main(["run", "--preset", "xxx", "--n", "4", "--layers", "1", "--time", "0.4", "--max-iter", "1",
+             "--out", {str(tmp_path / "run")!r}]) == 0
+print(sorted(m for m in sys.modules if m == "yaml" or m.startswith("yaml.")))
+"""
+        src = os.path.dirname(os.path.dirname(aqctensor.__file__))
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
 
     def test_config_file_with_flag_override(self, tmp_path):
         import yaml

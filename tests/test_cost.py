@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from aqctensor.cost import (
     cost_local_truncated,
     default_alpha_schedule,
     gradient_fd,
+    reweigh,
 )
 from aqctensor.hamiltonian import XYZHamiltonian, random_xyz, tebd_evolve
 from aqctensor.mps import TruncationPolicy, fidelity, from_product_state, max_bond
@@ -317,6 +320,27 @@ class TestSweepHandOver:
         assert [g.hex() for g in handed_grad] == [g.hex() for g in fresh_grad]
         assert value.sweep.theta is not reused
         np.testing.assert_array_equal(value.sweep.theta, theta)
+
+
+class TestReweigh:
+    @pytest.mark.parametrize("old, new", [((7 / 8,), ()), ((), (0.5,))], ids=["k1-to-k0", "k0-to-k1"])
+    def test_reweighed_sweep_gives_the_fresh_result(self, old, new):
+        a, theta, target, cfg = hand_over_instance(8, EXACT)
+        value = cost_local_truncated(a, theta, target, replace(cfg, alphas=old))
+        new_cfg = replace(cfg, alphas=new)
+        reweighed = reweigh(value, new_cfg)
+        fresh = cost_local_truncated(a, theta, target, new_cfg)
+        assert reweighed.sweep.prefixes is value.sweep.prefixes  # no new sweep
+        assert [x.hex() for x in (reweighed.total, reweighed.infidelity_term, *reweighed.flip_terms)] == \
+            [x.hex() for x in (fresh.total, fresh.infidelity_term, *fresh.flip_terms)]
+        assert [g.hex() for g in cost_and_gradient(reweighed)[1]] == \
+            [g.hex() for g in cost_and_gradient(fresh)[1]]
+
+    def test_another_policy_raises(self):
+        a, theta, target, cfg = hand_over_instance(8, EXACT)
+        value = cost_local_truncated(a, theta, target, cfg)
+        with pytest.raises(ValueError, match="sweep ran under"):
+            reweigh(value, replace(cfg, policy=TruncationPolicy(chi_max=4)))
 
 
 class TestVarianceProbe:

@@ -291,6 +291,40 @@ class TestIterOps:
         with pytest.raises(ValueError, match="sites must be"):
             next(iter_ops(psi, ops, EXACT))  # before the first gate, which is a valid one
 
+    @pytest.mark.parametrize("sites, bad", [((1, 2), np.diag([1, 1, 1, 1 + 1e-9])), ((1, 2), np.eye(2)),
+                                            ((2,), np.diag([1, 1 + 1e-9])), ((2,), np.eye(4))],
+                             ids=["two-site-not-unitary", "two-site-shape", "one-site-not-unitary", "one-site-shape"])
+    def test_a_bad_last_matrix_raises_before_any_gate(self, monkeypatch, sites, bad):
+        psi = random_mps(4, seed=19)
+        with pytest.raises(ValueError) as direct:  # the message of the gate's own check
+            if len(sites) == 2:
+                apply_two_site_gate(psi, bad, sites[0], EXACT)
+            else:
+                apply_single_site_gate(psi, bad, sites[0])
+        calls = []
+        for name in ("apply_two_site_gate", "apply_single_site_gate"):
+            monkeypatch.setattr(mps, name, lambda *args, _fn=getattr(mps, name): calls.append(args) or _fn(*args))
+        ops = [CircuitOp((0, 1), CX_FORWARD), CircuitOp((0,), H_GATE), CircuitOp(sites, bad)]
+        with pytest.raises(ValueError) as listed:
+            next(iter_ops(psi, ops, EXACT))
+        assert str(listed.value) == str(direct.value)
+        assert calls == []
+
+    def test_valid_list_is_checked_as_a_batch_not_gate_by_gate(self, monkeypatch):
+        psi = random_mps(4, seed=20)
+        ops = [CircuitOp((i, i + 1), CX_FORWARD) for i in (0, 1, 2, 1, 0)]
+        ops += [CircuitOp((q,), H_GATE) for q in range(4)] + [CircuitOp((1,), rz(0.3))]
+        want = apply_ops(psi, ops, EXACT)
+
+        def unreachable(*args):
+            raise AssertionError("a matrix was checked on its own")
+
+        monkeypatch.setattr(mps, "_check_unitary", unreachable)  # reached only to raise for a bad matrix
+        got = apply_ops(psi, ops, EXACT)
+        assert all(np.array_equal(g, w) for g, w in zip(got.tensors, want.tensors))
+        with pytest.raises(AssertionError, match="checked on its own"):
+            apply_two_site_gate(psi, CX_FORWARD, 0, EXACT)  # a public gate call still checks
+
 
 class TestCanonicalize:
     def test_product_state_any_center(self):

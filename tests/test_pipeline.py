@@ -8,7 +8,7 @@ import pytest
 
 import aqctensor
 from aqctensor.ansatz import build_brickwork_ansatz, export_circuit_records
-from aqctensor.hamiltonian import XYZHamiltonian, build_trotter_schedule
+from aqctensor.hamiltonian import XYZHamiltonian, build_trotter_schedule, random_xyz
 from aqctensor.mps import TruncationPolicy, fidelity, from_product_state, max_bond
 from aqctensor.pipeline import (
     ConfigError,
@@ -73,6 +73,14 @@ class TestConfig:
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump(cfg.to_dict()))
         assert RunConfig.from_dict(read_config_file(str(path))) == cfg
+
+    def test_random_couplings_round_trip_through_yaml(self):
+        import yaml
+
+        ham = random_xyz(5, 0.375, 1.125, seed=11)
+        cfg = tiny_config(n=5, preset=None, hamiltonian=ham.to_dict())
+        back = RunConfig.from_dict(yaml.safe_load(yaml.safe_dump(cfg.to_dict())))
+        assert back == cfg and back.ham == ham
 
     def test_presets(self):
         xxx = tiny_config(preset="xxx").ham
@@ -341,6 +349,42 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
         assert len(trace.records) - phases == report.optimization["iterations"] == 3
         assert counts["evaluations"] >= 3 + phases  # each phase's start, then the line searches
         assert counts["ops"] == counts["evaluations"]
+
+    def test_a_later_phase_starts_from_the_kept_sweep(self, monkeypatch):
+        # phase 2 starts where phase 1's last gradient was taken: it reweighs that sweep, bit for bit
+        from aqctensor import pipeline
+
+        counts = {"evaluate": 0, "sweep": 0}
+        minimize, sweep = pipeline.minimize, pipeline.cost_local_truncated
+
+        def counted_minimize(evaluate, gradient, theta0, cfg):
+            def counted_evaluate(theta):
+                counts["evaluate"] += 1
+                return evaluate(theta)
+            return minimize(counted_evaluate, gradient, theta0, cfg)
+
+        def counted_sweep(*args):
+            counts["sweep"] += 1
+            return sweep(*args)
+
+        cfg = tiny_config(n=6, layers=2, preset="random-xyz", seed=3, max_iter=3)
+        monkeypatch.setattr(pipeline, "minimize", counted_minimize)
+        monkeypatch.setattr(pipeline, "cost_local_truncated", counted_sweep)
+        report, trace = run_aqctensor(cfg, raise_on_error=True)
+        assert [p["stop_reason"] for p in report.optimization["phases"]] == ["max_iter", "max_iter"]
+        assert counts["sweep"] == counts["evaluate"] - 1
+
+        # the same run with a fresh sweep in place of the reweighed one (prefixes[0] is the target)
+        monkeypatch.setattr(pipeline, "reweigh", lambda value, cost_cfg: sweep(
+            value.sweep.ansatz, value.sweep.theta, value.sweep.prefixes[0], cost_cfg))
+        fresh_report, fresh_trace = run_aqctensor(cfg, raise_on_error=True)
+
+        def untimed(records):
+            return [(r.iteration, r.cost.hex(), r.infidelity.hex(), r.grad_norm.hex(), r.alpha1, r.note)
+                    for r in records]
+
+        assert untimed(fresh_trace.records) == untimed(trace.records)
+        assert [x.hex() for x in fresh_report.theta_opt] == [x.hex() for x in report.theta_opt]
 
     def test_trace_records_carry_their_phase_weight(self):
         # default schedule: alpha_1 = (n-1)/n, then 0; the second phase's start repeats the iteration
