@@ -59,12 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("evolve", "TEBD-evolve the initial state and report fidelity/bond statistics"),
         ("compile", "generate the target and optimize the circuit (no appended steps)"),
         ("run", "full pipeline: target, optimization, appended steps, report"),
-        ("sweep", "equal-depth / half-depth comparison over a time grid (CSV)"),
+        ("sweep", "optimized circuit vs the l-step and 2l-step Trotter circuits over a time grid (CSV)"),
     ]:
-        p = sub.add_parser(name, help=help_text)
-        add_common(p)
-        if name == "sweep":
-            p.add_argument("--mode", choices=["equal", "half"], default="equal")
+        add_common(sub.add_parser(name, help=help_text))
 
     p = sub.add_parser("verify", help="run the oracle-equivalence and gradient self-checks")
     p.add_argument("--seed", type=_non_negative_int, default=0)
@@ -124,7 +121,7 @@ def cmd_evolve(args) -> int:
         "seconds": seconds,
     }
     with open(out / "evolve.json", "w") as fh:
-        json.dump(summary, fh, indent=2, default=float)
+        json.dump(summary, fh, indent=2)
     _write_manifest(out, ["state.npz", "evolve.json"])
     return EXIT_OK
 
@@ -185,10 +182,11 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args)
-    report = sweep(cfg, args.mode)
+    rows = sweep(cfg)
     out = _out_dir(cfg.out_dir)
-    report.write(str(out / "sweep_report.json"))
-    write_sweep_csv(report, str(out / "sweep.csv"))
+    with open(out / "sweep_report.json", "w") as fh:
+        json.dump({"config": cfg.to_dict(), "sweep": rows}, fh, indent=2)
+    write_sweep_csv(rows, str(out / "sweep.csv"))
     _write_manifest(out, ["sweep_report.json", "sweep.csv"])
     return EXIT_OK
 

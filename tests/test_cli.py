@@ -105,9 +105,39 @@ print(sorted(m for m in sys.modules if m == "yaml" or m.startswith("yaml.")))
         from aqctensor.pipeline import RunConfig
 
         sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
-        dests = {a.dest for a in sub._actions} - {"help", "config", "mode"}
+        dests = {a.dest for a in sub._actions} - {"help", "config"}
         assert dests <= set(RunConfig.__dataclass_fields__)
         assert {"out_dir", "preset", "n", "t", "alpha_schedule"} <= dests
+
+    def test_readme_cli_examples_parse(self):
+        from pathlib import Path
+
+        from aqctensor.cli import _COMMANDS, build_parser
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+        examples = [line.split()[1:] for line in block.splitlines() if line.startswith("aqctensor ")]
+        assert {argv[0] for argv in examples} == set(_COMMANDS)
+        for argv in examples:
+            build_parser().parse_args(argv)  # exits 2 on an unknown flag or value
+
+    @pytest.mark.parametrize("command", ["run", "compile"])
+    def test_stage_failure_writes_only_the_partial_report(self, tmp_path, monkeypatch, command):
+        from aqctensor import pipeline
+
+        def broken_minimize(*args):
+            raise FloatingPointError("numerical fault")
+
+        monkeypatch.setattr(pipeline, "minimize", broken_minimize)
+        out = tmp_path / command
+        code = run_cli(command, "--preset", "xxx", "--n", "4", "--layers", "1", "--time", "0.5",
+                       "--out", str(out))
+        assert code == EXIT_RUNTIME
+        report = json.loads((out / "report.json").read_text())
+        assert (report["status"], report["failed_stage"]) == ("failed", "optimize")
+        assert report["error"] == "FloatingPointError: numerical fault"
+        assert json.loads((out / "manifest.json").read_text()) == {"artifacts": ["report.json"]}
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "report.json"]  # no circuit.txt
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -269,14 +299,26 @@ class TestCompile:
 
 
 class TestSweep:
-    def test_equal_mode(self, tmp_path):
+    def test_writes_both_depth_columns(self, tmp_path):
+        import csv
+
         out = tmp_path / "sweep"
         code = run_cli("sweep", "--preset", "xxx", "--n", "4", "--layers", "1",
                        "--time", "0.8", "--max-iter", "2", "--out", str(out))
         assert code == EXIT_OK
-        lines = (out / "sweep.csv").read_text().splitlines()
-        assert len(lines) == 6  # header + default 5-point grid
-        assert lines[0].startswith("t,depth_ansatz,depth_trotter")
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 5  # the default 5-point grid
+        assert list(rows[0]) == ["t", "depth_ansatz", "depth_trotter_l", "depth_trotter_2l", "f_a1_gt",
+                                 "f_t1_gt", "f_t1double_gt", "max_chi", "iters", "seconds"]
+        assert all((r["depth_ansatz"], r["depth_trotter_l"], r["depth_trotter_2l"]) == ("9", "9", "15")
+                   for r in rows)
+        report = json.loads((out / "sweep_report.json").read_text())
+        assert list(report) == ["config", "sweep"]
+        assert report["config"]["t"] == 0.8
+        assert [row["t"] for row in report["sweep"]] == [float(r["t"]) for r in rows]
+        assert set(json.loads((out / "manifest.json").read_text())["artifacts"]) == {
+            "sweep_report.json", "sweep.csv"}
 
     def test_runtime_value_error_is_runtime_failure(self, tmp_path, monkeypatch):
         # the config is valid; a ValueError raised while running is not a config error

@@ -200,6 +200,48 @@ class TestMemory:
                 np.testing.assert_array_equal(y, y_k)
 
 
+class TestDirectionReset:
+    def test_an_ascent_direction_is_replaced_by_steepest_descent(self, monkeypatch):
+        # the third direction is turned uphill: minimize clears the memory and steps along -grad
+        f = TestMemory.ill_conditioned(6, seed=3)
+        thetas, grads, held = [], [], []
+
+        def gradient(x):
+            thetas.append(x)
+            grads.append(f(x)[1])
+            return grads[-1]
+
+        def ascent_third(grad, memory, _two_loop=optimize._two_loop):
+            held.append(list(memory))
+            direction = _two_loop(grad, memory)
+            return -direction if len(held) == 3 else direction
+
+        monkeypatch.setattr(optimize, "_two_loop", ascent_third)
+        _, trace = minimize(split(f)[0], gradient, np.zeros(6), OptimizerConfig(max_iter=5))
+        assert [r.note for r in trace.records] == ["", "", "", "direction_reset", "", ""]
+        assert len(held[2]) == 2  # the pairs of steps 1 and 2, cleared by the reset
+        # the next direction reads only the reset step's own pair: a step along -grad
+        (s, y), = held[3]
+        np.testing.assert_array_equal(s, thetas[3] - thetas[2])
+        np.testing.assert_array_equal(y, grads[3] - grads[2])
+        np.testing.assert_allclose(s / np.linalg.norm(s), -grads[2] / np.linalg.norm(grads[2]), rtol=1e-12)
+        costs = trace.costs()
+        assert all(b <= a for a, b in zip(costs, costs[1:]))
+
+
+class TestCostTol:
+    def test_a_step_gaining_less_than_cost_tol_stops_the_run(self):
+        # f(x) = x^2 from 1e-8: |grad| = 2e-8 is above grad_tol, but the accepted step gains only 1e-16
+        def f(x):
+            return float(x @ x), 2.0 * x
+
+        theta, trace = minimize(*split(f), np.array([1e-8]), OptimizerConfig(cost_tol=1e-14))
+        assert trace.stop_reason == "cost_tol"
+        assert len(trace.records) == 2  # the start and the one accepted step
+        assert trace.records[0].cost - trace.records[1].cost == pytest.approx(1e-16, rel=1e-12)
+        assert theta.tolist() == [0.0]
+
+
 class Tag:
     """A stand-in for a cost sweep: remembers the theta it was made at."""
 

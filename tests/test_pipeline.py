@@ -413,6 +413,50 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
         assert app["depth_final"] == report.depths["ansatz"] + 3 * (2 * 2 + 1)
 
 
+def non_plain_values(value, path="report"):
+    """(path, type) of each value under value whose type is not exactly a plain JSON type."""
+    if type(value) not in (dict, list, str, int, float, bool, type(None)):
+        yield path, type(value).__name__
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from non_plain_values(item, f"{path}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for idx, item in enumerate(value):
+            yield from non_plain_values(item, f"{path}[{idx}]")
+
+
+class TestReportValues:
+    """A report holds plain Python values only, so json writes it with no fallback."""
+
+    @staticmethod
+    def config_with_every_part():
+        # appended steps, trainable fields and an explicit Hamiltonian with nonzero fields
+        base = random_xyz(4, 0.375, 1.125, seed=3)
+        ham = XYZHamiltonian(base.alpha, base.beta, base.delta, (0.2, -0.1, 0.3, 0.05))
+        return tiny_config(preset=None, hamiltonian=ham.to_dict(), layers=1, max_iter=3, append_steps=2,
+                           trainable_fields=True, chi_max=8)
+
+    def test_an_ok_run_holds_plain_values(self):
+        from dataclasses import asdict
+
+        report, _ = run_aqctensor(self.config_with_every_part(), raise_on_error=True)
+        assert report.status == "ok" and report.append and report.theta_opt
+        assert list(non_plain_values(asdict(report))) == []
+
+    def test_a_failed_run_holds_plain_values(self, monkeypatch):
+        from dataclasses import asdict
+
+        from aqctensor import pipeline
+
+        def broken_fidelity(*args):
+            raise FloatingPointError("numerical fault")
+
+        monkeypatch.setattr(pipeline, "fidelity", broken_fidelity)
+        report, _ = run_aqctensor(self.config_with_every_part())
+        assert report.failed_stage == "fidelities" and report.theta_opt
+        assert list(non_plain_values(asdict(report))) == []
+
+
 class TestReportedDepths:
     @pytest.mark.parametrize("n", [2, 3, 7])
     @pytest.mark.parametrize("layers", [1, 2, 5])
@@ -491,31 +535,57 @@ class TestAppendReference:
 class TestSweeps:
     def test_equal_depth_rows_and_gap(self, tmp_path):
         cfg = tiny_config(n=4, t=1.0, layers=1, max_iter=4, t_grid=[0.5, 1.0])
-        report = sweep(cfg, "equal")
-        assert len(report.sweep) == 2
-        for row in report.sweep:
-            assert row["depth_ansatz"] == row["depth_trotter"]
+        rows = sweep(cfg)
+        assert len(rows) == 2
+        for row in rows:
+            assert row["depth_ansatz"] == row["depth_trotter_l"] == 3 * (2 * 1 + 1)
+            assert row["depth_trotter_2l"] == 3 * (2 * 2 + 1)  # 2l-step circuit, twice the CNOT depth
             assert row["f_a1_gt"] >= row["f_t1_gt"] - 1e-12
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(report, str(path))
+        write_sweep_csv(rows, str(path))
         header = path.read_text().splitlines()[0]
-        assert header == "t,depth_ansatz,depth_trotter,f_a1_gt,f_t1_gt,f_t1double_gt,max_chi,iters,seconds"
+        assert header == ("t,depth_ansatz,depth_trotter_l,depth_trotter_2l,f_a1_gt,f_t1_gt,"
+                          "f_t1double_gt,max_chi,iters,seconds")
 
-    def test_half_depth_compares_double_trotter(self):
-        cfg = tiny_config(n=4, t=1.0, layers=1, max_iter=4, t_grid=[1.0])
-        report = sweep(cfg, "half")
-        row = report.sweep[0]
-        assert row["depth_trotter"] == 3 * (2 * 2 + 1)  # 2l-step circuit
-        assert row["depth_ansatz"] == 3 * (2 * 1 + 1)
+    def test_one_run_per_grid_time_gives_its_row(self, monkeypatch):
+        from dataclasses import replace
 
-    def test_unknown_mode_is_rejected_before_any_run(self, monkeypatch):
         from aqctensor import pipeline
 
-        calls = []
-        monkeypatch.setattr(pipeline, "run_aqctensor", lambda *a, **k: calls.append(a))
-        with pytest.raises(ValueError, match="sweep mode"):
-            sweep(tiny_config(t_grid=[0.5]), "quarter")
-        assert calls == []
+        reports, run = [], pipeline.run_aqctensor
+
+        def counted(cfg, raise_on_error=False):
+            reports.append(run(cfg, raise_on_error)[0])
+            return reports[-1], None
+
+        monkeypatch.setattr(pipeline, "run_aqctensor", counted)
+        cfg = tiny_config(n=4, t=1.0, layers=2, max_iter=3, preset="random-xyz", t_grid=[0.4, 1.0])
+        rows = sweep(cfg)
+        assert [r.config["t"] for r in reports] == [row["t"] for row in rows] == [0.4, 1.0]
+        monkeypatch.undo()
+        for row in rows:
+            direct, _ = run_aqctensor(replace(cfg, t=row["t"], t_grid=None), raise_on_error=True)
+            assert (row["f_a1_gt"], row["f_t1_gt"], row["f_t1double_gt"]) == (
+                direct.fidelities["a1_vs_gt"], direct.fidelities["t1_vs_gt"],
+                direct.fidelities["t1_double_vs_gt"])
+            assert row["depth_trotter_l"] == row["depth_ansatz"] == direct.depths["ansatz"]
+            assert row["depth_trotter_2l"] == direct.depths["trotter_2l"]
+            assert row["iters"] == direct.optimization["iterations"]
+
+    def test_unequal_depth_stops_the_sweep(self, monkeypatch):
+        from aqctensor import pipeline
+
+        run = pipeline.run_aqctensor
+
+        def miscounted(cfg, raise_on_error=False):
+            report, trace = run(cfg, raise_on_error)
+            if cfg.t == 1.0:  # the second grid time
+                report.depths["trotter_l"] += 1
+            return report, trace
+
+        monkeypatch.setattr(pipeline, "run_aqctensor", miscounted)
+        with pytest.raises(AssertionError, match="depth mismatch at t=1.0"):
+            sweep(tiny_config(n=4, layers=1, max_iter=1, t_grid=[0.5, 1.0]))
 
     @pytest.mark.parametrize("t_grid", [[0.5, -1.0], [0.5, float("nan")]])
     def test_bad_grid_is_rejected_before_any_run(self, monkeypatch, t_grid):
@@ -524,5 +594,5 @@ class TestSweeps:
         calls = []
         monkeypatch.setattr(pipeline, "run_aqctensor", lambda *a, **k: calls.append(a))
         with pytest.raises(ConfigError, match="t_grid"):
-            sweep(tiny_config(t_grid=t_grid), "equal")
+            sweep(tiny_config(t_grid=t_grid))
         assert calls == []
