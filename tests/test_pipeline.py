@@ -539,13 +539,18 @@ class TestSweeps:
         assert len(rows) == 2
         for row in rows:
             assert row["depth_ansatz"] == row["depth_trotter_l"] == 3 * (2 * 1 + 1)
-            assert row["depth_trotter_2l"] == 3 * (2 * 2 + 1)  # 2l-step circuit, twice the CNOT depth
             assert row["f_a1_gt"] >= row["f_t1_gt"] - 1e-12
         path = tmp_path / "sweep.csv"
         write_sweep_csv(rows, str(path))
         header = path.read_text().splitlines()[0]
         assert header == ("t,depth_ansatz,depth_trotter_l,depth_trotter_2l,f_a1_gt,f_t1_gt,"
                           "f_t1double_gt,max_chi,iters,seconds")
+
+    def test_half_depth_compares_double_trotter(self):
+        cfg = tiny_config(n=4, t=1.0, layers=1, max_iter=4, t_grid=[1.0])
+        row = sweep(cfg)[0]
+        assert row["depth_trotter_2l"] == 3 * (2 * 2 + 1)  # 2l-step circuit
+        assert row["depth_ansatz"] == 3 * (2 * 1 + 1)
 
     def test_one_run_per_grid_time_gives_its_row(self, monkeypatch):
         from dataclasses import replace
